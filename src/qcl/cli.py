@@ -78,9 +78,27 @@ def _write_csv(path: Path, seed: int, header: str, rows):
             fh.write(",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n")
 
 
-def _load_config(path: str) -> dict:
+class UnknownConfigKeys(ValueError):
+    """A config names keys its subcommand does not read (a typo would fall back
+    to a default silently)."""
+
+    def __init__(self, command: str, keys: list):
+        super().__init__(f"unknown {command} config keys: {', '.join(keys)}")
+        self.keys = keys
+
+
+def _load_config(path: str, command: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError("a config must be a JSON object")
+    unknown = sorted(set(cfg) - _CONFIG_KEYS[command])
+    problem = cfg.get("problem")
+    if isinstance(problem, dict) and problem.get("model") in _PROBLEM_KEYS:
+        unknown += [f"problem.{k}" for k in sorted(set(problem) - _PROBLEM_KEYS[problem["model"]])]
+    if unknown:
+        raise UnknownConfigKeys(command, unknown)
+    return cfg
 
 
 def _find_solutions(problem, seed, bounds, count, tol=1e-6, max_iter=2000,
@@ -167,6 +185,7 @@ def cmd_optimize(cfg: dict, out: Path) -> int:
                 "converged": rep.converged,
                 "infidelity": rep.final_infidelity,
                 "iterations": rep.iterations,
+                "stop": rep.stop,
                 "field": {"T": rep.field.total_time, "values": rep.field.values.tolist()},
             }) + "\n")
             if rep.converged:
@@ -412,6 +431,24 @@ _COMMANDS = {
     "benchmark": cmd_benchmark,
 }
 
+# every config key each subcommand reads; anything else is rejected at entry
+_SOLUTION_KEYS = {"solution", "solution_path", "solution_index", "bounds", "search_count", "pick"}
+_CONFIG_KEYS = {
+    "optimize": {"problem", "seed", "count", "bounds", "tol", "max_iter", "polish_target"},
+    "spectrum": {"problem", "seed", "entry_threshold", "hessian", "epsilon",
+                 "classify"} | _SOLUTION_KEYS,
+    "fd-error": {"problem", "seed", "n_solutions", "eps_grid", "bounds"},
+    "drive": {"problem", "seed", "epsilon", "h", "steps"} | _SOLUTION_KEYS,
+    "calibrate": {"problem", "seed", "steps", "h", "n_directions", "eps_grid"} | _SOLUTION_KEYS,
+    "compress": {"problem", "seed", "kept", "modes", "epsilon", "h", "steps", "n_starts",
+                 "protocol_stride", "bounds", "search_count"},
+    "benchmark": {"seed", "m_grid", "models", "fields_per_m", "epsilon", "min_time", "T"},
+}
+_PROBLEM_KEYS = {
+    "lz": {"model", "delta", "T", "M"},
+    "qho": {"model", "omega0", "omegaT", "N0", "T", "M"},
+}
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="qcl", description=__doc__,
@@ -423,16 +460,15 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=".", help="output directory (created if missing)")
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args.config)
+        cfg = _load_config(args.config, args.command)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports all failures
-        sys.stderr.write(json.dumps({
-            "error": type(exc).__name__,
-            "message": str(exc),
-            "command": args.command,
-        }) + "\n")
+        record = {"error": type(exc).__name__, "message": str(exc), "command": args.command}
+        if isinstance(exc, UnknownConfigKeys):
+            record["keys"] = exc.keys
+        sys.stderr.write(json.dumps(record) + "\n")
         return 1
 
 

@@ -48,31 +48,40 @@ __all__ = [
 _SERIES_X = 1e-6
 
 
-def _cs_tables(w, dt):
-    """C, S, dS/dw, d2S/dw2 for C = cos(sqrt(w) dt), S = sin(sqrt(w) dt)/sqrt(w).
+def _cs_values(w, dt):
+    """C = cos(sqrt(w) dt) and S = sin(sqrt(w) dt)/sqrt(w), without derivatives.
 
-    w >= 0 always (it is either w_j^2 or gap^2/4 + w_j^2).  Returns arrays
-    broadcast to the shape of w.
+    w >= 0 always (it is either w_j^2 or gap^2/4 + w_j^2).  The series branch
+    is only evaluated when some entry needs it.
     """
     w = np.asarray(w, dtype=float)
     x = w * dt * dt
     series = x < _SERIES_X
-    safe_w = np.where(series, 1.0, w)
     theta = np.sqrt(np.where(series, 1.0, x))
-    c_t = np.cos(theta)
-    s_t = dt * np.sin(theta) / theta
-    s1_t = (c_t * dt - s_t) / (2.0 * safe_w)
-    s2_t = (-(dt * dt / 2.0) * s_t - 3.0 * s1_t) / (2.0 * safe_w)
-    c_s = 1.0 - x / 2.0 + x * x / 24.0 - x**3 / 720.0
-    s_s = dt * (1.0 - x / 6.0 + x * x / 120.0 - x**3 / 5040.0)
-    s1_s = dt**3 * (-1.0 / 6.0 + x / 60.0 - x * x / 1680.0 + x**3 / 90720.0)
-    s2_s = dt**5 * (1.0 / 60.0 - x / 840.0 + x * x / 30240.0 - x**3 / 1995840.0)
-    return (
-        np.where(series, c_s, c_t),
-        np.where(series, s_s, s_t),
-        np.where(series, s1_s, s1_t),
-        np.where(series, s2_s, s2_t),
-    )
+    C = np.cos(theta)
+    S = dt * np.sin(theta) / theta
+    if series.any():
+        C = np.where(series, 1.0 - x / 2.0 + x * x / 24.0 - x**3 / 720.0, C)
+        S = np.where(series, dt * (1.0 - x / 6.0 + x * x / 120.0 - x**3 / 5040.0), S)
+    return C, S
+
+
+def _cs_tables(w, dt, second=True):
+    """C, S, dS/dw and, if `second`, d2S/dw2 (else None); see `_cs_values`."""
+    C, S = _cs_values(w, dt)
+    w = np.asarray(w, dtype=float)
+    x = w * dt * dt
+    series = x < _SERIES_X
+    safe_w = np.where(series, 1.0, w)
+    S1 = (C * dt - S) / (2.0 * safe_w)
+    S2 = (-(dt * dt / 2.0) * S - 3.0 * S1) / (2.0 * safe_w) if second else None
+    if series.any():
+        S1 = np.where(series, dt**3 * (-1.0 / 6.0 + x / 60.0 - x * x / 1680.0
+                                       + x**3 / 90720.0), S1)
+        if second:
+            S2 = np.where(series, dt**5 * (1.0 / 60.0 - x / 840.0 + x * x / 30240.0
+                                           - x**3 / 1995840.0), S2)
+    return C, S, S1, S2
 
 
 @dataclass(frozen=True)
@@ -107,7 +116,7 @@ class LzProblem:
         v = np.asarray(values, dtype=float)
         dt = self.dt
         rho = 0.25 * self.gap * self.gap + v * v
-        C, S, _, _ = _cs_tables(rho, dt)
+        C, S = _cs_values(rho, dt)
         A = np.empty(v.shape + (2, 2), dtype=complex)
         A[..., 0, 0] = C - 1j * S * v
         A[..., 0, 1] = -0.5j * self.gap * S
@@ -115,15 +124,14 @@ class LzProblem:
         A[..., 1, 1] = C + 1j * S * v
         return A
 
-    def _interval_stacks(self, values):
-        """Propagators plus first and second amplitude derivatives, stacked (M,2,2)."""
+    def _interval_stacks(self, values, second=True):
+        """Propagators and amplitude derivatives (A2 None unless `second`), each (M,2,2)."""
         v = np.asarray(values, dtype=float)
         dt = self.dt
         half_gap = 0.5 * self.gap
         rho = half_gap * half_gap + v * v
-        C, S, S1, S2 = _cs_tables(rho, dt)
+        C, S, S1, S2 = _cs_tables(rho, dt, second)
         C1 = -0.5 * dt * S
-        C2 = -0.5 * dt * S1
 
         A = np.empty(v.shape + (2, 2), dtype=complex)
         A[..., 0, 0] = C - 1j * S * v
@@ -137,8 +145,11 @@ class LzProblem:
         A1[..., 0, 1] = -2j * half_gap * v * S1
         A1[..., 1, 0] = A1[..., 0, 1]
         A1[..., 1, 1] = 2.0 * v * (C1 + 1j * S1 * v) + 1j * S
+        if not second:
+            return A, A1, None
 
         # d2U/dw2 = 2 (C' I - i S' H) + 4w^2 (C'' I - i S'' H) - 4 i w S' sigma_z
+        C2 = -0.5 * dt * S1
         A2 = np.empty_like(A)
         v2 = v * v
         A2[..., 0, 0] = 2.0 * (C1 - 1j * S1 * v) + 4.0 * v2 * (C2 - 1j * S2 * v) - 4j * v * S1
@@ -198,7 +209,7 @@ class QhoProblem:
         v = np.asarray(values, dtype=float)
         dt = self.dt
         w = v * v
-        C, S, _, _ = _cs_tables(w, dt)
+        C, S = _cs_values(w, dt)
         A = np.empty(v.shape + (2, 2), dtype=complex)
         A[..., 0, 0] = C
         A[..., 0, 1] = S
@@ -206,13 +217,12 @@ class QhoProblem:
         A[..., 1, 1] = C
         return A
 
-    def _interval_stacks(self, values):
+    def _interval_stacks(self, values, second=True):
         v = np.asarray(values, dtype=float)
         dt = self.dt
         w = v * v
-        C, S, S1, S2 = _cs_tables(w, dt)
+        C, S, S1, S2 = _cs_tables(w, dt, second)
         C1 = -0.5 * dt * S
-        C2 = -0.5 * dt * S1
 
         A = np.empty(v.shape + (2, 2), dtype=complex)
         A[..., 0, 0] = C
@@ -227,7 +237,10 @@ class QhoProblem:
         Aw[..., 1, 0] = -S - w * S1
         Aw[..., 1, 1] = C1
         A1 = 2.0 * v[..., None, None] * Aw
+        if not second:
+            return A, A1, None
 
+        C2 = -0.5 * dt * S1
         Aww = np.empty_like(A)
         Aww[..., 0, 0] = C2
         Aww[..., 0, 1] = S2
@@ -316,13 +329,9 @@ def _chain_value_batch(problem, value_rows, ket, bra):
     return v @ bra
 
 
-def _chain_derivatives(A, A1, A2, ket, bra):
-    """Value, gradient and Hessian of z = bra . (A_{M-1} ... A_0) . ket.
-
-    Each amplitude enters exactly one factor, so mixed second derivatives are
-    products of two first-derivative insertions; diagonal terms use the
-    closed-form second derivative of a single interval.
-    """
+def _chain_sweep(A, ket, bra):
+    """Prefix states kets[t] = A_{t-1} ... A_0 ket and suffix functionals
+    bras[t] = bra A_{M-1} ... A_t, for t = 0 .. M."""
     m = A.shape[0]
     kets = np.empty((m + 1, 2), dtype=complex)
     kets[0] = ket
@@ -332,9 +341,23 @@ def _chain_derivatives(A, A1, A2, ket, bra):
     bras[m] = bra
     for t in range(m - 1, -1, -1):
         bras[t] = bras[t + 1] @ A[t]
+    return kets, bras
 
+
+def _chain_derivatives(A, A1, A2, ket, bra):
+    """Value, gradient and Hessian of z = bra . (A_{M-1} ... A_0) . ket.
+
+    Each amplitude enters exactly one factor, so mixed second derivatives are
+    products of two first-derivative insertions; diagonal terms use the
+    closed-form second derivative of a single interval.  With A2 None the
+    Hessian is skipped and returned as None.
+    """
+    m = A.shape[0]
+    kets, bras = _chain_sweep(A, ket, bra)
     z = bras[m] @ kets[m]
     zg = np.einsum("ja,jab,jb->j", bras[1:], A1, kets[:m])
+    if A2 is None:
+        return z, zg, None
 
     zh = np.zeros((m, m), dtype=complex)
     zh[np.diag_indices(m)] = np.einsum("ja,jab,jb->j", bras[1:], A2, kets[:m])
@@ -370,14 +393,7 @@ def chain_stencil_cost(problem):
         m = point.size
         ket, bra = problem._cost_boundary()
         A = problem._interval_matrices(point)
-        kets = np.empty((m + 1, 2), dtype=complex)
-        kets[0] = ket
-        for t in range(m):
-            kets[t + 1] = A[t] @ kets[t]
-        bras = np.empty((m + 1, 2), dtype=complex)
-        bras[m] = bra
-        for t in range(m - 1, -1, -1):
-            bras[t] = bras[t + 1] @ A[t]
+        kets, bras = _chain_sweep(A, ket, bra)
         center = abs(bras[m] @ kets[m]) ** 2
 
         singles_idx = np.asarray(singles_idx, dtype=int)
@@ -473,7 +489,7 @@ def gradient_of(problem, values) -> np.ndarray:
     dI/dw_j = 2 Re(conj(z) dz/dw_j).
     """
     ket, bra = problem._cost_boundary()
-    z, zg, _ = _chain_derivatives(*problem._interval_stacks(values), ket, bra)
+    z, zg, _ = _chain_derivatives(*problem._interval_stacks(values, second=False), ket, bra)
     return 2.0 * np.real(np.conj(z) * zg)
 
 

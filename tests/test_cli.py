@@ -1,9 +1,12 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qcl.cli import main
+from qcl.cli import _load_config, main
+from qcl.optimizer import STOP_CODES
 
 LZ3 = {"model": "lz", "delta": 2.0, "T": 1.4 * np.pi / 2, "M": 3}
 QHO6 = {"model": "qho", "omega0": 1.0, "omegaT": 1.0, "N0": 0.0, "T": 1.8, "M": 6}
@@ -51,6 +54,8 @@ class TestOptimize:
         for r in converged:
             assert r["infidelity"] < 1e-6
             assert set(r["field"]) == {"T", "values"}
+        assert {r["stop"] for r in converged} == {"TOL"}
+        assert {r["stop"] for r in records if not r["converged"]} <= set(STOP_CODES) - {"TOL"}
         header_row, rows = read_csv(out / "scatter.csv")
         assert header_row == ["omega_1", "omega_2", "omega_3", "infidelity"]
         assert len(rows) == len(converged)
@@ -234,3 +239,38 @@ class TestErrorRecords:
         assert rc == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ValueError"
+
+
+class TestConfigKeys:
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        # "step" for "steps" would otherwise run the default 10000 steps
+        cfg = write_config(tmp_path / "cfg.json", {"problem": LZ3, "seed": 5, "step": 3})
+        rc = main(["drive", "--config", cfg, "--out", str(tmp_path)])
+        assert rc != 0
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "UnknownConfigKeys"
+        assert err["keys"] == ["step"]
+        assert not (tmp_path / "trajectory.jsonl").exists()
+
+    def test_unknown_problem_key_rejected(self, tmp_path, capsys):
+        problem = dict(QHO6, omega_0=2.0)
+        cfg = write_config(tmp_path / "cfg.json", {"problem": problem, "count": 1})
+        rc = main(["optimize", "--config", cfg, "--out", str(tmp_path)])
+        assert rc != 0
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["keys"] == ["problem.omega_0"]
+
+    def test_non_object_config_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", [1, 2])
+        assert main(["optimize", "--config", cfg, "--out", str(tmp_path)]) != 0
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "ValueError"
+
+    @pytest.mark.parametrize("quick", [True, False])
+    def test_every_generated_config_loads(self, tmp_path, quick):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "make_configs.py"
+        spec = importlib.util.spec_from_file_location("make_configs", path)
+        make_configs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(make_configs)
+        for name, (command, doc) in make_configs.configs(quick).items():
+            cfg = write_config(tmp_path / f"{name}.json", doc)
+            assert _load_config(cfg, command) == doc

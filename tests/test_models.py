@@ -10,6 +10,7 @@ from qcl.models import (BogoliubovPair, LzProblem, QhoProblem, chain_stencil_cos
                         lz_infidelity, lz_propagate, particle_number,
                         problem_from_dict, problem_to_dict, qho_infidelity,
                         qho_propagate)
+from qcl.models import _SERIES_X, _chain_derivatives, _cs_tables, _cs_values
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -58,6 +59,30 @@ def central_gradient(problem, values, step=1e-5):
         e[i] = step
         grad[i] = (problem.infidelity_of(values + e) - problem.infidelity_of(values - e)) / (2 * step)
     return grad
+
+
+def reference_cs_tables(w, dt):
+    """C, S, S' and S'' with both branches evaluated everywhere, then selected."""
+    w = np.asarray(w, dtype=float)
+    x = w * dt * dt
+    series = x < _SERIES_X
+    safe_w = np.where(series, 1.0, w)
+    theta = np.sqrt(np.where(series, 1.0, x))
+    c_t = np.cos(theta)
+    s_t = dt * np.sin(theta) / theta
+    s1_t = (c_t * dt - s_t) / (2.0 * safe_w)
+    s2_t = (-(dt * dt / 2.0) * s_t - 3.0 * s1_t) / (2.0 * safe_w)
+    c_s = 1.0 - x / 2.0 + x * x / 24.0 - x**3 / 720.0
+    s_s = dt * (1.0 - x / 6.0 + x * x / 120.0 - x**3 / 5040.0)
+    s1_s = dt**3 * (-1.0 / 6.0 + x / 60.0 - x * x / 1680.0 + x**3 / 90720.0)
+    s2_s = dt**5 * (1.0 / 60.0 - x / 840.0 + x * x / 30240.0 - x**3 / 1995840.0)
+    return (np.where(series, c_s, c_t), np.where(series, s_s, s_t),
+            np.where(series, s1_s, s1_t), np.where(series, s2_s, s2_t))
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestLzPropagation:
@@ -225,6 +250,24 @@ class TestDerivatives:
             want = central_gradient(problem, values, step=1e-6)
             assert np.linalg.norm(grad - want) <= 1e-6 * max(np.linalg.norm(want), 1e-12)
 
+    @pytest.mark.parametrize("problem,lo,hi", [
+        (LzProblem(gap=2.0, duration=1.4 * np.pi / 2, n_pulses=3), -5.0, 5.0),
+        (LzProblem(gap=2.0, duration=1.8, n_pulses=48), -5.0, 5.0),
+        (QhoProblem(omega_start=1.0, omega_target=1.0, duration=1.8, n_pulses=6), 0.1, 3.0),
+        (QhoProblem(omega_start=1.0, omega_target=1.0, duration=1.8, n_pulses=48), 0.1, 3.0),
+    ])
+    def test_gradient_equals_the_hessian_pass_gradient(self, problem, lo, hi):
+        # gradient_of skips the second derivatives, but must give the gradient
+        # of the full value/gradient/Hessian pass bit for bit
+        rng = np.random.default_rng(16)
+        ket, bra = problem._cost_boundary()
+        for k in range(6):
+            values = rng.uniform(lo, hi, problem.n_pulses)
+            if k % 2:
+                values[::3] = 0.0   # series branch in the interval factors
+            z, zg, _ = _chain_derivatives(*problem._interval_stacks(values), ket, bra)
+            assert same_bytes(gradient_of(problem, values), 2.0 * np.real(np.conj(z) * zg))
+
     def test_exact_field_api_matches_raw_api(self):
         rng = np.random.default_rng(15)
         problem = LzProblem(gap=2.0, duration=1.8, n_pulses=5)
@@ -232,6 +275,36 @@ class TestDerivatives:
         field = ControlField(values=values, total_time=1.8)
         assert np.array_equal(exact_gradient(problem, field), gradient_of(problem, values))
         assert np.array_equal(exact_hessian(problem, field), hessian_of(problem, values))
+
+
+class TestIntervalFactors:
+    DT = 0.3
+
+    @pytest.mark.parametrize("x", [
+        [0.0],
+        [0.0, 0.5 * _SERIES_X, _SERIES_X * (1 - 1e-12), _SERIES_X, 2.0 * _SERIES_X, 0.7, 9.0],
+        [_SERIES_X * 0.99, 1e-12, 0.0],
+        [_SERIES_X * 1.01, 1e-3, 1.0, 30.0],
+    ])
+    def test_value_only_factors_equal_the_tables(self, x):
+        # inputs on both sides of the series switch, all-series and no-series
+        w = np.asarray(x) / (self.DT * self.DT)
+        ref = reference_cs_tables(w, self.DT)
+        C, S = _cs_values(w, self.DT)
+        assert same_bytes(C, ref[0]) and same_bytes(S, ref[1])
+        tables = _cs_tables(w, self.DT)
+        for got, want in zip(tables, ref):
+            assert same_bytes(got, want)
+        C, S, S1, S2 = _cs_tables(w, self.DT, second=False)
+        assert S2 is None
+        for got, want in zip((C, S, S1), ref):
+            assert same_bytes(got, want)
+
+    def test_scalar_input(self):
+        for w in (0.0, 1e-9, 2.5):
+            C, S = _cs_values(w, self.DT)
+            ref = reference_cs_tables(w, self.DT)
+            assert float(C) == float(ref[0]) and float(S) == float(ref[1])
 
 
 class TestStencilEvaluator:

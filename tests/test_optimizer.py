@@ -3,11 +3,53 @@ import pytest
 
 from qcl.control import ControlField
 from qcl.landscape import classify_null, eig_sym
-from qcl.models import LzProblem, QhoProblem, hessian_of
-from qcl.optimizer import OptimizationReport, SeedSpec, minimize, polish, sample_seeds
+from qcl.models import LzProblem, QhoProblem, _chain_derivatives, hessian_of
+from qcl.optimizer import (STOP_CODES, OptimizationReport, SeedSpec, minimize, polish,
+                           sample_seeds)
 
 LZ3 = LzProblem(gap=2.0, duration=1.4 * np.pi / 2, n_pulses=3)
 QHO6 = QhoProblem(omega_start=1.0, omega_target=1.0, duration=1.8, n_pulses=6)
+
+
+def full_derivative_gradient(problem, values):
+    """dI/dw through the value/gradient/Hessian chain pass, Hessian discarded."""
+    ket, bra = problem._cost_boundary()
+    z, zg, _ = _chain_derivatives(*problem._interval_stacks(values), ket, bra)
+    return 2.0 * np.real(np.conj(z) * zg)
+
+
+def reference_descent(problem, seed, tol, max_iter):
+    """Armijo descent without a stagnation exit, gradient from the Hessian pass.
+
+    Returns (values, cost, iterations, converged) as minimize computed them
+    before it learnt to stop stalled seeds.
+    """
+    values = seed.values.copy()
+    cost = problem.infidelity_of(values)
+    step = 1.0
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        if cost < tol:
+            iterations -= 1
+            break
+        grad = full_derivative_gradient(problem, values)
+        slope = float(grad @ grad)
+        if np.sqrt(slope) < 1e-10:
+            iterations -= 1
+            break
+        t = min(step * 2.0, 1e6)
+        accepted = False
+        while t > 1e-18:
+            trial = values - t * grad
+            trial_cost = problem.infidelity_of(trial)
+            if trial_cost <= cost - 1e-4 * t * slope:
+                values, cost, step = trial, trial_cost, t
+                accepted = True
+                break
+            t *= 0.5
+        if not accepted:
+            break
+    return values, cost, iterations, bool(cost < tol)
 
 
 class TestSampleSeeds:
@@ -86,7 +128,57 @@ class TestMinimize:
         seed = sample_seeds(SeedSpec(count=1, bounds=(0.1, 3.0), rng_seed=46), QHO6)[0]
         report = minimize(QHO6, seed, tol=1e-20, max_iter=0)
         assert report.iterations == 0
+        assert report.stop == "MAX_ITER"
         assert np.array_equal(report.field.values, seed.values)
+
+    def test_stop_codes_are_checked(self):
+        field = ControlField(values=[1.0], total_time=1.0)
+        assert OptimizationReport(field, 0.5, 3, False).stop is None
+        with pytest.raises(ValueError):
+            OptimizationReport(field, 0.5, 3, False, stop="stalled")
+        with pytest.raises(ValueError):
+            OptimizationReport(field, 0.5, 3, False, stop="TOL")
+        with pytest.raises(ValueError):
+            OptimizationReport(field, 1e-9, 3, True, stop="STALLED")
+
+    @pytest.mark.parametrize("problem,bounds,rng_seed,count", [
+        (LZ3, (-5.0, 5.0), 1, 50),
+        (QHO6, (0.1, 3.0), 41, 6),
+    ])
+    def test_converged_reports_match_the_full_descent(self, problem, bounds, rng_seed, count):
+        # the stagnation exit may only cut descents that would never converge:
+        # converged reports equal the exit-free descent bit for bit
+        seeds = sample_seeds(SeedSpec(count=count, bounds=bounds, rng_seed=rng_seed), problem)
+        n_converged = 0
+        for s in seeds:
+            report = minimize(problem, s, tol=1e-6, max_iter=2000)
+            values, cost, iterations, converged = reference_descent(problem, s, 1e-6, 2000)
+            assert report.stop in STOP_CODES
+            assert report.converged == converged
+            if converged:
+                n_converged += 1
+                assert report.stop == "TOL"
+                assert report.field.values.tobytes() == values.tobytes()
+                assert report.final_infidelity == cost
+                assert report.iterations == iterations
+            else:
+                assert report.final_infidelity >= cost
+        assert n_converged >= count // 3
+
+    def test_infeasible_problem_stalls_early(self):
+        # gap=1 at T=1.4pi/2 sits below the minimum flip time: no seed can
+        # reach the analytic floor 1 - sin^2(T/2) ~ 0.206, so every descent
+        # parks at a local minimum and must be stopped there
+        duration = 1.4 * np.pi / 2
+        floor = 1.0 - np.sin(duration / 2.0) ** 2
+        infeasible = LzProblem(gap=1.0, duration=duration, n_pulses=3)
+        seeds = sample_seeds(SeedSpec(count=6, bounds=(-5.0, 5.0), rng_seed=606), infeasible)
+        for s in seeds:
+            report = minimize(infeasible, s, tol=1e-6, max_iter=2000)
+            assert not report.converged
+            assert report.stop == "STALLED"
+            assert report.iterations < 200
+            assert report.final_infidelity >= floor - 1e-9
 
 
 class TestPolish:
@@ -96,6 +188,7 @@ class TestPolish:
                    if r.converged)
         deep = polish(QHO6, rep.field, target=1e-16)
         assert deep.converged
+        assert deep.stop == "TOL"
         assert deep.final_infidelity < 1e-16
 
     def test_converged_solutions_have_rank_two_structure(self):
