@@ -1,13 +1,12 @@
 """Solution-manifold navigation for piecewise-constant quantum control."""
 
 from .control import ControlField, FrequencySpec, Spectrum, dft, power
-from .landscape import (FdConfig, HessianSpectrum, calibrate_epsilon, classify_null,
-                        eig_sym, eigvec_error, fd_hessian)
-from .models import (BogoliubovPair, LzProblem, LzPropagation, QhoProblem,
-                     exact_gradient, exact_hessian, lz_infidelity, lz_propagate,
-                     particle_number, qho_infidelity, qho_propagate)
+from .landscape import (FdConfig, HessianSpectrum, classify_null, eig_sym, eigvec_error,
+                        fd_hessian)
+from .models import (BogoliubovPair, LzProblem, QhoProblem, exact_gradient, exact_hessian,
+                     lz_infidelity, particle_number, qho_infidelity, qho_propagate)
 from .navigation import (FixedVector, NullFollow, SecondaryGradient, Trajectory,
-                         navigate, null_direction, project)
+                         calibrate_epsilon, navigate, null_direction, project)
 from .objectives import FourierObjective, compress, fourier_cost, fourier_gradient
 from .optimizer import OptimizationReport, SeedSpec, minimize, sample_seeds
 
@@ -15,8 +14,8 @@ __all__ = [
     "ControlField", "FrequencySpec", "Spectrum", "dft", "power",
     "FdConfig", "HessianSpectrum", "calibrate_epsilon", "classify_null",
     "eig_sym", "eigvec_error", "fd_hessian",
-    "BogoliubovPair", "LzProblem", "LzPropagation", "QhoProblem",
-    "exact_gradient", "exact_hessian", "lz_infidelity", "lz_propagate",
+    "BogoliubovPair", "LzProblem", "QhoProblem",
+    "exact_gradient", "exact_hessian", "lz_infidelity",
     "particle_number", "qho_infidelity", "qho_propagate",
     "FixedVector", "NullFollow", "SecondaryGradient", "Trajectory",
     "navigate", "null_direction", "project",

@@ -21,9 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from .control import ControlField, FrequencySpec
-from .landscape import FdConfig, calibrate_epsilon, classify_null, eig_sym, eigvec_error, fd_hessian
-from .models import chain_stencil_cost, hessian_of, problem_from_dict, problem_to_dict
-from .navigation import NullFollow, navigate, write_jsonl
+from .landscape import FdConfig, classify_null, eig_sym, eigvec_error, fd_hessian
+from .models import (MODEL_SCHEMAS, chain_stencil_cost, hessian_of, problem_from_dict,
+                     problem_to_dict, seed_bounds)
+from .navigation import NullFollow, calibrate_epsilon, navigate, write_jsonl
 from .objectives import FourierObjective, compress
 from .optimizer import SeedSpec, minimize, polish, sample_seeds
 
@@ -45,11 +46,6 @@ def _default_problem_doc(kind: str) -> dict:
     if kind == "compress":
         return {"model": "qho", "omega0": 1.0, "omegaT": 1.0, "N0": 0.0, "T": DEFAULT_T, "M": 48}
     return {"model": "lz", "delta": LZ_DEFAULT_GAP, "T": LZ_SCATTER_T, "M": 3}
-
-
-def _default_bounds(problem) -> tuple:
-    # uniform seed ranges: [-5, 5] for the two-level model, (0.1, 3) for the trap
-    return (-5.0, 5.0) if problem_to_dict(problem)["model"] == "lz" else (0.1, 3.0)
 
 
 @dataclass(frozen=True)
@@ -94,8 +90,9 @@ def _load_config(path: str, command: str) -> dict:
         raise ValueError("a config must be a JSON object")
     unknown = sorted(set(cfg) - _CONFIG_KEYS[command])
     problem = cfg.get("problem")
-    if isinstance(problem, dict) and problem.get("model") in _PROBLEM_KEYS:
-        unknown += [f"problem.{k}" for k in sorted(set(problem) - _PROBLEM_KEYS[problem["model"]])]
+    if isinstance(problem, dict) and problem.get("model") in MODEL_SCHEMAS:
+        known = {"model"} | set(MODEL_SCHEMAS[problem["model"]].keys)
+        unknown += [f"problem.{k}" for k in sorted(set(problem) - known)]
     if unknown:
         raise UnknownConfigKeys(command, unknown)
     return cfg
@@ -141,14 +138,15 @@ def _solution_from_config(cfg: dict, problem, seed):
         doc = cfg["solution"]
         return ControlField(values=np.asarray(doc["values"], float), total_time=float(doc["T"]))
     if cfg.get("solution_path"):
-        records = [json.loads(line) for line in open(cfg["solution_path"]) if line.strip()]
+        with open(cfg["solution_path"]) as fh:
+            records = [json.loads(line) for line in fh if line.strip()]
         records = [r for r in records if "field" in r and r.get("converged", True)]
         if not records:
             raise ValueError(f"no converged solutions in {cfg['solution_path']}")
         idx = int(cfg.get("solution_index", 0))
         doc = records[idx]["field"]
         return ControlField(values=np.asarray(doc["values"], float), total_time=float(doc["T"]))
-    rep = _find_solutions(problem, seed, cfg.get("bounds", _default_bounds(problem)),
+    rep = _find_solutions(problem, seed, cfg.get("bounds", seed_bounds(problem)),
                           count=int(cfg.get("search_count", 60)),
                           pick=cfg.get("pick", "best_gap"))[0]
     return rep.field
@@ -164,7 +162,7 @@ def cmd_optimize(cfg: dict, out: Path) -> int:
     count = int(cfg.get("count", 4000))
     if count < 1:
         raise ValueError("count must be >= 1")
-    bounds = tuple(cfg.get("bounds", _default_bounds(problem)))
+    bounds = tuple(cfg.get("bounds", seed_bounds(problem)))
     tol = float(cfg.get("tol", 1e-6))
     max_iter = int(cfg.get("max_iter", 2000))
     polish_target = cfg.get("polish_target")
@@ -237,7 +235,7 @@ def cmd_fd_error(cfg: dict, out: Path) -> int:
     seed = int(cfg.get("seed", 0))
     n_solutions = int(cfg.get("n_solutions", 100))
     grid = [float(e) for e in cfg.get("eps_grid", np.logspace(-8, -0.5, 16).tolist())]
-    sols = _find_solutions(problem, seed, cfg.get("bounds", _default_bounds(problem)),
+    sols = _find_solutions(problem, seed, cfg.get("bounds", seed_bounds(problem)),
                            count=max(2 * n_solutions, 40), want=n_solutions, pick="order")
     stencil = chain_stencil_cost(problem)
     for k, rep in enumerate(sols):
@@ -271,11 +269,6 @@ def cmd_drive(cfg: dict, out: Path) -> int:
     path = out / "trajectory.jsonl"
     header = {"seed": seed, "problem": problem_to_dict(problem), "epsilon": eps,
               "h": h, "steps": steps}
-    if steps == 0:
-        with path.open("w") as fh:
-            write_jsonl_start_only(fh, header, start, problem)
-        print(f"drive: steps=0, start point only -> {path}")
-        return 0
     traj = navigate(problem, start, NullFollow(), h=h, steps=steps,
                     hessian_mode=FdConfig(eps), null_rank=2)
     with path.open("w") as fh:
@@ -288,13 +281,6 @@ def cmd_drive(cfg: dict, out: Path) -> int:
           f"{traj.infidelities().max():.3e}, loop closure {closure:.4f}, "
           f"failed={traj.failed} -> {path}")
     return 1 if traj.failed else 0
-
-
-def write_jsonl_start_only(fh, header, start, problem):
-    fh.write(json.dumps({"header": header}, sort_keys=True) + "\n")
-    fh.write(json.dumps({"zeta": 0.0, "values": start.values.tolist(),
-                         "infidelity": problem.infidelity_of(start.values),
-                         "secondary": None}) + "\n")
 
 
 def cmd_calibrate(cfg: dict, out: Path) -> int:
@@ -331,7 +317,7 @@ def cmd_compress(cfg: dict, out: Path) -> int:
     print(f"compress: requested frequencies {list(kept_raw)} closed to {sorted(spec.kept)}")
 
     starts = [r.field for r in _find_solutions(
-        problem, seed, cfg.get("bounds", _default_bounds(problem)),
+        problem, seed, cfg.get("bounds", seed_bounds(problem)),
         count=int(cfg.get("search_count", 40)), want=n_starts, pick="order")]
     objective = FourierObjective(spec)
     dt = problem.dt
@@ -393,13 +379,11 @@ def cmd_benchmark(cfg: dict, out: Path) -> int:
     rows = []
     for name in models:
         for m in m_grid:
+            doc = {"model": name, "T": duration, "M": m}
             if name == "lz":
-                problem = problem_from_dict({"model": "lz", "delta": LZ_DEFAULT_GAP,
-                                             "T": duration, "M": m})
-                lo, hi = -5.0, 5.0
-            else:
-                problem = problem_from_dict({"model": "qho", "T": duration, "M": m})
-                lo, hi = 0.1, 3.0
+                doc["delta"] = LZ_DEFAULT_GAP
+            problem = problem_from_dict(doc)
+            lo, hi = seed_bounds(problem)
             stencil = chain_stencil_cost(problem)
             config = FdConfig(eps)
             quotients, t_apps, t_exts = [], [], []
@@ -443,10 +427,6 @@ _CONFIG_KEYS = {
     "compress": {"problem", "seed", "kept", "modes", "epsilon", "h", "steps", "n_starts",
                  "protocol_stride", "bounds", "search_count"},
     "benchmark": {"seed", "m_grid", "models", "fields_per_m", "epsilon", "min_time", "T"},
-}
-_PROBLEM_KEYS = {
-    "lz": {"model", "delta", "T", "M"},
-    "qho": {"model", "omega0", "omegaT", "N0", "T", "M"},
 }
 
 

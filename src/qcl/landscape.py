@@ -1,4 +1,4 @@
-"""Finite-difference Hessians, their spectra, and the step-size calibration.
+"""Finite-difference Hessians and their spectra.
 
 The four-point central stencil
 
@@ -18,11 +18,11 @@ import numpy as np
 __all__ = [
     "FdConfig",
     "HessianSpectrum",
+    "NonFiniteCost",
     "fd_hessian",
     "eig_sym",
     "classify_null",
     "eigvec_error",
-    "calibrate_epsilon",
 ]
 
 
@@ -68,33 +68,30 @@ class HessianSpectrum:
         return np.flatnonzero(~self.null_mask)
 
 
-def _stencil_points(point, eps):
-    """All distinct stencil points for the upper triangle, plus index maps."""
-    m = point.size
-    pts = [point]
-    diag_plus = np.empty(m, dtype=int)
-    diag_minus = np.empty(m, dtype=int)
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = 2.0 * eps
-        diag_plus[i] = len(pts)
-        pts.append(point + e)
-        diag_minus[i] = len(pts)
-        pts.append(point - e)
-    off = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            ei = np.zeros(m)
-            ej = np.zeros(m)
-            ei[i] = eps
-            ej[j] = eps
-            base = len(pts)
-            pts.extend([point + ei + ej, point + ei - ej, point - ei + ej, point - ei - ej])
-            off[(i, j)] = base
-    return np.asarray(pts), diag_plus, diag_minus, off
+class NonFiniteCost(ValueError):
+    """A stencil point's cost is NaN or infinite."""
 
 
-def fd_hessian(cost, point, config: FdConfig, batch_cost=None, stencil_cost=None) -> np.ndarray:
+def _pointwise_stencil(cost):
+    """Stencil evaluator with the `models.chain_stencil_cost` signature that
+    calls `cost` once per point."""
+
+    def evaluate(point, singles_idx, singles_val, pairs_i, pairs_vi, pairs_j, pairs_vj):
+        def at(idx, val):
+            q = point.copy()
+            q[idx] = val
+            return cost(q)
+
+        singles = np.array([at(i, v) for i, v in zip(singles_idx, singles_val)], dtype=float)
+        pairs = np.array([at([i, j], [vi, vj])
+                          for i, vi, j, vj in zip(pairs_i, pairs_vi, pairs_j, pairs_vj)],
+                         dtype=float)
+        return float(cost(point)), singles, pairs
+
+    return evaluate
+
+
+def fd_hessian(cost, point, config: FdConfig, stencil_cost=None) -> np.ndarray:
     """Symmetric finite-difference Hessian of a scalar cost at `point`.
 
     Parameters
@@ -102,56 +99,42 @@ def fd_hessian(cost, point, config: FdConfig, batch_cost=None, stencil_cost=None
     cost : callable mapping a 1-D amplitude vector to a float.
     point : 1-D array, expansion point.
     config : FdConfig with the step epsilon.
-    batch_cost : optional callable mapping an (n, M) array of points to (n,)
-        costs; used instead of `cost` to evaluate the whole stencil at once.
     stencil_cost : optional structured evaluator (see
         `models.chain_stencil_cost`) for costs at one- and two-coordinate
-        perturbations; fastest, same stencil values.
+        perturbations, used instead of one `cost` call per stencil point;
+        same stencil values up to association order.
+
+    Raises NonFiniteCost if any stencil cost is NaN or infinite.
     """
     point = np.asarray(point, dtype=float)
+    if stencil_cost is None:
+        stencil_cost = _pointwise_stencil(cost)
     eps = config.epsilon
     m = point.size
     inv = 1.0 / (4.0 * eps * eps)
     h = np.empty((m, m))
 
-    if stencil_cost is not None:
-        s_idx = np.repeat(np.arange(m), 2)
-        s_val = np.empty(2 * m)
-        s_val[0::2] = point + 2.0 * eps
-        s_val[1::2] = point - 2.0 * eps
-        iu, ju = np.triu_indices(m, k=1)
-        p_i = np.repeat(iu, 4)
-        p_j = np.repeat(ju, 4)
-        signs = np.tile(np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float),
-                        (iu.size, 1))
-        p_vi = point[p_i] + eps * signs[:, 0]
-        p_vj = point[p_j] + eps * signs[:, 1]
-        center, singles, pairs = stencil_cost(point, s_idx, s_val, p_i, p_vi, p_j, p_vj)
-        if not (np.isfinite(center) and np.all(np.isfinite(singles))
-                and np.all(np.isfinite(pairs))):
-            raise ValueError("non-finite cost at a stencil point")
-        diag = (singles[0::2] - 2.0 * center + singles[1::2]) * inv
-        h[np.diag_indices(m)] = diag
-        quads = pairs.reshape(-1, 4)
-        hoff = (quads[:, 0] - quads[:, 1] - quads[:, 2] + quads[:, 3]) * inv
-        h[iu, ju] = hoff
-        h[ju, iu] = hoff
-        return 0.5 * (h + h.T)
-
-    pts, diag_plus, diag_minus, off = _stencil_points(point, eps)
-    if batch_cost is not None:
-        vals = np.asarray(batch_cost(pts), dtype=float)
-    else:
-        vals = np.array([cost(p) for p in pts], dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("non-finite cost at a stencil point")
-    center = vals[0]
-    for i in range(m):
-        h[i, i] = (vals[diag_plus[i]] - 2.0 * center + vals[diag_minus[i]]) * inv
-    for (i, j), base in off.items():
-        hij = (vals[base] - vals[base + 1] - vals[base + 2] + vals[base + 3]) * inv
-        h[i, j] = hij
-        h[j, i] = hij
+    s_idx = np.repeat(np.arange(m), 2)
+    s_val = np.empty(2 * m)
+    s_val[0::2] = point + 2.0 * eps
+    s_val[1::2] = point - 2.0 * eps
+    iu, ju = np.triu_indices(m, k=1)
+    p_i = np.repeat(iu, 4)
+    p_j = np.repeat(ju, 4)
+    signs = np.tile(np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float),
+                    (iu.size, 1))
+    p_vi = point[p_i] + eps * signs[:, 0]
+    p_vj = point[p_j] + eps * signs[:, 1]
+    center, singles, pairs = stencil_cost(point, s_idx, s_val, p_i, p_vi, p_j, p_vj)
+    if not (np.isfinite(center) and np.all(np.isfinite(singles))
+            and np.all(np.isfinite(pairs))):
+        raise NonFiniteCost("non-finite cost at a stencil point")
+    diag = (singles[0::2] - 2.0 * center + singles[1::2]) * inv
+    h[np.diag_indices(m)] = diag
+    quads = pairs.reshape(-1, 4)
+    hoff = (quads[:, 0] - quads[:, 1] - quads[:, 2] + quads[:, 3]) * inv
+    h[iu, ju] = hoff
+    h[ju, iu] = hoff
     return 0.5 * (h + h.T)
 
 
@@ -222,51 +205,3 @@ def eigvec_error(exact: HessianSpectrum, approx: HessianSpectrum, i: int) -> flo
         raise ValueError(f"eigenvalue {i} is degenerate to 1e-9 relative; pairing undefined")
     overlap = abs(float(np.dot(exact.vectors[i], approx.vectors[i])))
     return 1.0 - overlap
-
-
-def calibrate_epsilon(problem, solution, direction, eps_grid, steps: int = 1000,
-                      h: float = 0.1, entry_threshold: float = 1e-6,
-                      null_rank: int = 2, abort_ceiling: float = np.inf):
-    """Final infidelity of an FD-driven navigation run, per stencil step.
-
-    Restarts the same solution for every epsilon on the grid, follows the
-    projection of one fixed direction for `steps` RK4 iterations of step `h`,
-    and records the final main-objective infidelity.  A run that leaves the
-    finite range is recorded as infinite infidelity rather than aborting the
-    sweep.  Returns a list of (epsilon, final_infidelity) pairs.
-    """
-    from . import navigation
-
-    direction = np.asarray(direction, dtype=float)
-    if not np.any(direction != 0.0):
-        raise ValueError("direction must be non-zero")
-    start_inf = problem.infidelity_of(solution.values)
-    if not start_inf < entry_threshold:
-        raise ValueError(
-            f"starting infidelity {start_inf:.3e} is not below {entry_threshold:.1e}"
-        )
-    rows = []
-    for eps in eps_grid:
-        provider = navigation.FixedVector(direction)
-        try:
-            traj = navigation.navigate(
-                problem,
-                solution,
-                provider,
-                h=h,
-                steps=steps,
-                hessian_mode=FdConfig(float(eps)),
-                null_rank=null_rank,
-                abort_ceiling=abort_ceiling,
-                entry_threshold=entry_threshold,
-            )
-            if traj.failed and "non-finite" in (traj.failure_reason or ""):
-                final = np.inf
-            else:
-                final = traj.samples[-1].infidelity
-                if not np.isfinite(final):
-                    final = np.inf
-        except FloatingPointError:
-            final = np.inf
-        rows.append((float(eps), float(final)))
-    return rows

@@ -20,6 +20,7 @@ w -> 0 limit exact (series branch below).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,9 +29,7 @@ from .control import ControlField
 __all__ = [
     "LzProblem",
     "QhoProblem",
-    "LzPropagation",
     "BogoliubovPair",
-    "lz_propagate",
     "lz_infidelity",
     "qho_propagate",
     "qho_infidelity",
@@ -38,6 +37,9 @@ __all__ = [
     "exact_gradient",
     "exact_hessian",
     "chain_stencil_cost",
+    "MODEL_SCHEMAS",
+    "ModelSchema",
+    "seed_bounds",
     "problem_from_dict",
     "problem_to_dict",
 ]
@@ -84,17 +86,22 @@ def _cs_tables(w, dt, second=True):
     return C, S, S1, S2
 
 
-@dataclass(frozen=True)
-class LzProblem:
-    """Two-level avoided crossing with minimal gap `gap`, target flip |0> -> |1>."""
+def _factor_tables(w, dt, order):
+    """C and S, then S' if order >= 1 and S'' if order >= 2 (else None)."""
+    if order == 0:
+        return _cs_values(w, dt) + (None, None)
+    return _cs_tables(w, dt, second=order > 1)
 
-    gap: float
-    duration: float
-    n_pulses: int
+
+class _ChainProblem:
+    """A cost |bra . A_{M-1} ... A_0 . ket|^2 over M equal intervals.
+
+    A model supplies its fields, `_cost_boundary` (ket, bra) and
+    `_interval_stacks(values, order)`, which gives the per-interval factors A
+    and, up to `order`, their amplitude derivatives A1 and A2 (None beyond).
+    """
 
     def __post_init__(self):
-        if not (self.gap > 0 and np.isfinite(self.gap)):
-            raise ValueError("gap must be positive")
         if not (self.duration > 0 and np.isfinite(self.duration)):
             raise ValueError("duration must be positive")
         if self.n_pulses < 1:
@@ -104,6 +111,25 @@ class LzProblem:
     def dt(self) -> float:
         return self.duration / self.n_pulses
 
+    def infidelity_of(self, values) -> float:
+        ket, bra = self._cost_boundary()
+        z = bra @ _chain_state(self._interval_stacks(values, 0)[0], ket)
+        return float(abs(z) ** 2)
+
+
+@dataclass(frozen=True)
+class LzProblem(_ChainProblem):
+    """Two-level avoided crossing with minimal gap `gap`, target flip |0> -> |1>."""
+
+    gap: float
+    duration: float
+    n_pulses: int
+
+    def __post_init__(self):
+        if not (self.gap > 0 and np.isfinite(self.gap)):
+            raise ValueError("gap must be positive")
+        super().__post_init__()
+
     def _cost_boundary(self):
         # 1 - |<1|U|0>|^2 equals |<0|U|0>|^2 exactly for unitary U; the latter
         # form survives near-perfect fidelity without cancellation.
@@ -111,41 +137,30 @@ class LzProblem:
         bra0 = np.array([1.0, 0.0], dtype=complex)
         return ket0, bra0
 
-    def _interval_matrices(self, values):
-        """Per-interval propagators for amplitudes of any array shape."""
-        v = np.asarray(values, dtype=float)
-        dt = self.dt
-        rho = 0.25 * self.gap * self.gap + v * v
-        C, S = _cs_values(rho, dt)
-        A = np.empty(v.shape + (2, 2), dtype=complex)
-        A[..., 0, 0] = C - 1j * S * v
-        A[..., 0, 1] = -0.5j * self.gap * S
-        A[..., 1, 0] = -0.5j * self.gap * S
-        A[..., 1, 1] = C + 1j * S * v
-        return A
-
-    def _interval_stacks(self, values, second=True):
-        """Propagators and amplitude derivatives (A2 None unless `second`), each (M,2,2)."""
+    def _interval_stacks(self, values, order=2):
+        """Propagators and their amplitude derivatives, each of shape values.shape + (2, 2)."""
         v = np.asarray(values, dtype=float)
         dt = self.dt
         half_gap = 0.5 * self.gap
         rho = half_gap * half_gap + v * v
-        C, S, S1, S2 = _cs_tables(rho, dt, second)
-        C1 = -0.5 * dt * S
+        C, S, S1, S2 = _factor_tables(rho, dt, order)
 
         A = np.empty(v.shape + (2, 2), dtype=complex)
         A[..., 0, 0] = C - 1j * S * v
         A[..., 0, 1] = -1j * half_gap * S
         A[..., 1, 0] = A[..., 0, 1]
         A[..., 1, 1] = C + 1j * S * v
+        if order == 0:
+            return A, None, None
 
         # dU/dw = 2w (C' I - i S' H) - i S sigma_z
+        C1 = -0.5 * dt * S
         A1 = np.empty_like(A)
         A1[..., 0, 0] = 2.0 * v * (C1 - 1j * S1 * v) - 1j * S
         A1[..., 0, 1] = -2j * half_gap * v * S1
         A1[..., 1, 0] = A1[..., 0, 1]
         A1[..., 1, 1] = 2.0 * v * (C1 + 1j * S1 * v) + 1j * S
-        if not second:
+        if order == 1:
             return A, A1, None
 
         # d2U/dw2 = 2 (C' I - i S' H) + 4w^2 (C'' I - i S'' H) - 4 i w S' sigma_z
@@ -158,19 +173,9 @@ class LzProblem:
         A2[..., 1, 1] = 2.0 * (C1 + 1j * S1 * v) + 4.0 * v2 * (C2 + 1j * S2 * v) + 4j * v * S1
         return A, A1, A2
 
-    def infidelity_of(self, values) -> float:
-        ket, bra = self._cost_boundary()
-        z = _chain_value(self._interval_matrices(values), ket, bra)
-        return float(abs(z) ** 2)
-
-    def infidelity_batch(self, value_rows) -> np.ndarray:
-        ket, bra = self._cost_boundary()
-        z = _chain_value_batch(self, value_rows, ket, bra)
-        return np.abs(z) ** 2
-
 
 @dataclass(frozen=True)
-class QhoProblem:
+class QhoProblem(_ChainProblem):
     """Harmonic trap driven from omega_start to omega_target; cost is |beta|^2."""
 
     omega_start: float
@@ -182,16 +187,9 @@ class QhoProblem:
     def __post_init__(self):
         if not (self.omega_start > 0 and self.omega_target > 0):
             raise ValueError("trap frequencies must be positive")
-        if not (self.duration > 0 and np.isfinite(self.duration)):
-            raise ValueError("duration must be positive")
-        if self.n_pulses < 1:
-            raise ValueError("n_pulses must be >= 1")
+        super().__post_init__()
         if self.n_initial < 0:
             raise ValueError("n_initial must be nonnegative")
-
-    @property
-    def dt(self) -> float:
-        return self.duration / self.n_pulses
 
     def _cost_boundary(self):
         w0, wt = self.omega_start, self.omega_target
@@ -201,43 +199,29 @@ class QhoProblem:
         bra_beta = np.array([wt, -1j], dtype=complex) / np.sqrt(2.0 * wt)
         return ket0, bra_beta
 
-    def _alpha_functional(self):
-        wt = self.omega_target
-        return np.array([wt, 1j], dtype=complex) / np.sqrt(2.0 * wt)
-
-    def _interval_matrices(self, values):
+    def _interval_stacks(self, values, order=2):
         v = np.asarray(values, dtype=float)
         dt = self.dt
         w = v * v
-        C, S = _cs_values(w, dt)
-        A = np.empty(v.shape + (2, 2), dtype=complex)
-        A[..., 0, 0] = C
-        A[..., 0, 1] = S
-        A[..., 1, 0] = -w * S
-        A[..., 1, 1] = C
-        return A
-
-    def _interval_stacks(self, values, second=True):
-        v = np.asarray(values, dtype=float)
-        dt = self.dt
-        w = v * v
-        C, S, S1, S2 = _cs_tables(w, dt, second)
-        C1 = -0.5 * dt * S
+        C, S, S1, S2 = _factor_tables(w, dt, order)
 
         A = np.empty(v.shape + (2, 2), dtype=complex)
         A[..., 0, 0] = C
         A[..., 0, 1] = S
         A[..., 1, 0] = -w * S
         A[..., 1, 1] = C
+        if order == 0:
+            return A, None, None
 
         # dA/dw_j = 2 w_j dA/dw; the w-derivative is entrywise below
+        C1 = -0.5 * dt * S
         Aw = np.empty_like(A)
         Aw[..., 0, 0] = C1
         Aw[..., 0, 1] = S1
         Aw[..., 1, 0] = -S - w * S1
         Aw[..., 1, 1] = C1
         A1 = 2.0 * v[..., None, None] * Aw
-        if not second:
+        if order == 1:
             return A, A1, None
 
         C2 = -0.5 * dt * S1
@@ -248,33 +232,6 @@ class QhoProblem:
         Aww[..., 1, 1] = C2
         A2 = 2.0 * Aw + 4.0 * w[..., None, None] * Aww
         return A, A1, A2
-
-    def infidelity_of(self, values) -> float:
-        ket, bra = self._cost_boundary()
-        z = _chain_value(self._interval_matrices(values), ket, bra)
-        return float(abs(z) ** 2)
-
-    def infidelity_batch(self, value_rows) -> np.ndarray:
-        ket, bra = self._cost_boundary()
-        z = _chain_value_batch(self, value_rows, ket, bra)
-        return np.abs(z) ** 2
-
-
-@dataclass(frozen=True)
-class LzPropagation:
-    """Final unitary and transfer amplitude z = <1|U_T|0>."""
-
-    unitary: np.ndarray
-    overlap: complex
-
-    def __post_init__(self):
-        u = np.asarray(self.unitary, dtype=complex)
-        defect = np.abs(u.conj().T @ u - np.eye(2)).max()
-        if defect > 1e-10:
-            raise ValueError(f"propagator is not unitary (defect {defect:.2e})")
-        if abs(self.overlap) > 1.0 + 1e-10:
-            raise ValueError("transfer amplitude exceeds 1")
-        object.__setattr__(self, "unitary", u)
 
 
 @dataclass(frozen=True)
@@ -307,26 +264,12 @@ def _check_field(problem, field: ControlField):
         )
 
 
-def _chain_value(A, ket, bra):
+def _chain_state(A, ket):
+    """A_{M-1} ... A_0 ket, one interval at a time."""
     v = ket
     for m in range(A.shape[0]):
         v = A[m] @ v
-    return bra @ v
-
-
-def _chain_value_batch(problem, value_rows, ket, bra):
-    # One sequential pass over intervals, vectorized over rows.  The interval
-    # matrices are built column by column so the batch never materializes a
-    # (B, M, 2, 2) stack (B can be ~2 M^2 for a finite-difference stencil).
-    rows = np.asarray(value_rows, dtype=float)
-    v = np.broadcast_to(ket, rows.shape[:1] + (2,)).copy()
-    for m in range(rows.shape[1]):
-        a = problem._interval_matrices(rows[:, m])
-        w = np.empty_like(v)
-        w[:, 0] = a[:, 0, 0] * v[:, 0] + a[:, 0, 1] * v[:, 1]
-        w[:, 1] = a[:, 1, 0] * v[:, 0] + a[:, 1, 1] * v[:, 1]
-        v = w
-    return v @ bra
+    return v
 
 
 def _chain_sweep(A, ket, bra):
@@ -388,56 +331,40 @@ def chain_stencil_cost(problem):
     i < j elementwise.
     """
 
+    def factors(values):
+        return problem._interval_stacks(np.asarray(values, dtype=float), 0)[0]
+
     def evaluate(point, singles_idx, singles_val, pairs_i, pairs_vi, pairs_j, pairs_vj):
         point = np.asarray(point, dtype=float)
         m = point.size
         ket, bra = problem._cost_boundary()
-        A = problem._interval_matrices(point)
+        A = factors(point)
         kets, bras = _chain_sweep(A, ket, bra)
         center = abs(bras[m] @ kets[m]) ** 2
 
         singles_idx = np.asarray(singles_idx, dtype=int)
-        if singles_idx.size:
-            B = problem._interval_matrices(np.asarray(singles_val, dtype=float))
-            w = np.einsum("qab,qb->qa", B, kets[singles_idx])
-            zs = np.einsum("qa,qa->q", bras[singles_idx + 1], w)
-            singles = np.abs(zs) ** 2
-        else:
-            singles = np.empty(0)
+        w = np.einsum("qab,qb->qa", factors(singles_val), kets[singles_idx])
+        singles = np.abs(np.einsum("qa,qa->q", bras[singles_idx + 1], w)) ** 2
 
         pairs_i = np.asarray(pairs_i, dtype=int)
-        if pairs_i.size:
-            pairs_j = np.asarray(pairs_j, dtype=int)
-            if np.any(pairs_i >= pairs_j):
-                raise ValueError("pair indices must satisfy i < j")
-            # mid[i, j] = A_{j-1} ... A_{i+1} (identity when j == i + 1)
-            mid = np.zeros((m, m, 2, 2), dtype=complex)
-            idx = np.arange(m - 1)
-            mid[idx, idx + 1] = np.eye(2)
-            for j in range(2, m):
-                mid[: j - 1, j] = np.matmul(A[j - 1], mid[: j - 1, j - 1])
-            Bi = problem._interval_matrices(np.asarray(pairs_vi, dtype=float))
-            Bj = problem._interval_matrices(np.asarray(pairs_vj, dtype=float))
-            u = np.einsum("qab,qb->qa", Bi, kets[pairs_i])
-            v = np.einsum("qab,qb->qa", mid[pairs_i, pairs_j], u)
-            w = np.einsum("qab,qb->qa", Bj, v)
-            zp = np.einsum("qa,qa->q", bras[pairs_j + 1], w)
-            pairs = np.abs(zp) ** 2
-        else:
-            pairs = np.empty(0)
+        pairs_j = np.asarray(pairs_j, dtype=int)
+        if np.any(pairs_i >= pairs_j):
+            raise ValueError("pair indices must satisfy i < j")
+        # mid[i, j] = A_{j-1} ... A_{i+1} (identity when j == i + 1)
+        mid = np.zeros((m, m, 2, 2), dtype=complex)
+        idx = np.arange(m - 1)
+        mid[idx, idx + 1] = np.eye(2)
+        for j in range(2, m):
+            mid[: j - 1, j] = np.matmul(A[j - 1], mid[: j - 1, j - 1])
+        # bras[j+1] . B(vj) . mid[i, j] . B(vi) . kets[i], one factor at a time so
+        # that each (pairs, 2, 2) stack is freed before the next is built
+        w = np.einsum("qab,qb->qa", factors(pairs_vi), kets[pairs_i])
+        w = np.einsum("qab,qb->qa", mid[pairs_i, pairs_j], w)
+        w = np.einsum("qab,qb->qa", factors(pairs_vj), w)
+        pairs = np.abs(np.einsum("qa,qa->q", bras[pairs_j + 1], w)) ** 2
         return float(center), singles, pairs
 
     return evaluate
-
-
-def lz_propagate(problem: LzProblem, field: ControlField) -> LzPropagation:
-    """Total propagator U_T = U_M ... U_1 from closed-form interval factors."""
-    _check_field(problem, field)
-    A = problem._interval_matrices(field.values)
-    u = np.eye(2, dtype=complex)
-    for t in range(A.shape[0]):
-        u = A[t] @ u
-    return LzPropagation(unitary=u, overlap=complex(u[1, 0]))
 
 
 def lz_infidelity(problem: LzProblem, field: ControlField) -> float:
@@ -449,14 +376,13 @@ def lz_infidelity(problem: LzProblem, field: ControlField) -> float:
 def qho_propagate(problem: QhoProblem, field: ControlField) -> BogoliubovPair:
     """Evolve the mode function and project onto the final-trap mode pair."""
     _check_field(problem, field)
-    A = problem._interval_matrices(field.values)
     ket, bra_beta = problem._cost_boundary()
-    v = ket
-    for t in range(A.shape[0]):
-        v = A[t] @ v
+    v = _chain_state(problem._interval_stacks(field.values, 0)[0], ket)
     if not np.all(np.isfinite(v.view(float))):
         raise ValueError("non-finite mode function during propagation")
-    return BogoliubovPair(alpha=complex(problem._alpha_functional() @ v), beta=complex(bra_beta @ v))
+    wt = problem.omega_target
+    bra_alpha = np.array([wt, 1j], dtype=complex) / np.sqrt(2.0 * wt)
+    return BogoliubovPair(alpha=complex(bra_alpha @ v), beta=complex(bra_beta @ v))
 
 
 def qho_infidelity(problem: QhoProblem, field: ControlField) -> float:
@@ -489,7 +415,7 @@ def gradient_of(problem, values) -> np.ndarray:
     dI/dw_j = 2 Re(conj(z) dz/dw_j).
     """
     ket, bra = problem._cost_boundary()
-    z, zg, _ = _chain_derivatives(*problem._interval_stacks(values, second=False), ket, bra)
+    z, zg, _ = _chain_derivatives(*problem._interval_stacks(values, 1), ket, bra)
     return 2.0 * np.real(np.conj(z) * zg)
 
 
@@ -501,36 +427,40 @@ def hessian_of(problem, values) -> np.ndarray:
     return 0.5 * (h + h.T)
 
 
+class ModelSchema(NamedTuple):
+    """How a model's problem type reads and writes its config."""
+
+    problem_type: type
+    keys: dict          # config key -> problem field, in document order
+    defaults: dict      # config key -> value used when the key is absent
+    seed_bounds: tuple  # uniform range of random seed amplitudes
+
+
+MODEL_SCHEMAS = {
+    "lz": ModelSchema(LzProblem, {"delta": "gap", "T": "duration", "M": "n_pulses"},
+                      {}, (-5.0, 5.0)),
+    "qho": ModelSchema(QhoProblem, {"omega0": "omega_start", "omegaT": "omega_target",
+                                    "N0": "n_initial", "T": "duration", "M": "n_pulses"},
+                       {"omega0": 1.0, "omegaT": 1.0, "N0": 0.0}, (0.1, 3.0)),
+}
+
+
 def problem_to_dict(problem) -> dict:
-    if isinstance(problem, LzProblem):
-        return {
-            "model": "lz",
-            "delta": problem.gap,
-            "T": problem.duration,
-            "M": problem.n_pulses,
-        }
-    if isinstance(problem, QhoProblem):
-        return {
-            "model": "qho",
-            "omega0": problem.omega_start,
-            "omegaT": problem.omega_target,
-            "N0": problem.n_initial,
-            "T": problem.duration,
-            "M": problem.n_pulses,
-        }
+    for name, schema in MODEL_SCHEMAS.items():
+        if isinstance(problem, schema.problem_type):
+            return {"model": name, **{k: getattr(problem, f) for k, f in schema.keys.items()}}
     raise TypeError(f"unknown problem type {type(problem)!r}")
 
 
 def problem_from_dict(doc: dict):
-    model = doc["model"]
-    if model == "lz":
-        return LzProblem(gap=float(doc["delta"]), duration=float(doc["T"]), n_pulses=int(doc["M"]))
-    if model == "qho":
-        return QhoProblem(
-            omega_start=float(doc.get("omega0", 1.0)),
-            omega_target=float(doc.get("omegaT", 1.0)),
-            duration=float(doc["T"]),
-            n_pulses=int(doc["M"]),
-            n_initial=float(doc.get("N0", 0.0)),
-        )
-    raise ValueError(f"unknown model {model!r}")
+    schema = MODEL_SCHEMAS.get(doc["model"])
+    if schema is None:
+        raise ValueError(f"unknown model {doc['model']!r}")
+    doc = {**schema.defaults, **doc}
+    return schema.problem_type(**{f: int(doc[k]) if f == "n_pulses" else float(doc[k])
+                                  for k, f in schema.keys.items()})
+
+
+def seed_bounds(problem) -> tuple:
+    """Default uniform range of random seed amplitudes for `problem`'s model."""
+    return MODEL_SCHEMAS[problem_to_dict(problem)["model"]].seed_bounds

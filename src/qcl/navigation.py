@@ -16,10 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import ControlField
-from .landscape import FdConfig, HessianSpectrum, classify_null, eig_sym, fd_hessian
+from .landscape import (FdConfig, HessianSpectrum, NonFiniteCost, classify_null, eig_sym,
+                        fd_hessian)
 from .models import chain_stencil_cost, hessian_of
 
 __all__ = [
+    "FAILURE_CODES",
     "FixedVector",
     "NullFollow",
     "SecondaryGradient",
@@ -30,6 +32,7 @@ __all__ = [
     "navigate",
     "rk4_integrate",
     "write_jsonl",
+    "calibrate_epsilon",
 ]
 
 
@@ -121,12 +124,18 @@ class TrajectorySample:
     secondary: float | None
 
 
+# why a navigation run stopped early: a state, infidelity or stencil cost left
+# the finite range, or the infidelity rose above the abort ceiling
+FAILURE_CODES = ("NONFINITE", "CEILING")
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     samples: tuple
     hessian_mode: str
     fd_epsilon: float | None
     failed: bool = False
+    failure_code: str | None = None
     failure_reason: str | None = None
 
     def values_matrix(self) -> np.ndarray:
@@ -160,8 +169,8 @@ def rk4_integrate(f, x0, h: float, steps: int, callback=None):
     return states
 
 
-class _NavigationAbort(Exception):
-    pass
+class _NavigationFailure(Exception):
+    """Raised with (failure code, reason) to end a run as a failed trajectory."""
 
 
 def navigate(problem, start: ControlField, provider, h: float, steps: int,
@@ -172,6 +181,7 @@ def navigate(problem, start: ControlField, provider, h: float, steps: int,
 
     Parameters
     ----------
+    steps : number of RK4 steps; 0 returns the start sample alone.
     hessian_mode : "exact" for analytic Hessians, or an FdConfig whose epsilon
         sets the finite-difference step; the spectrum is recomputed at every
         RK4 stage point either way.
@@ -181,11 +191,15 @@ def navigate(problem, start: ControlField, provider, h: float, steps: int,
         FD Hessian would mistake its O(eps^2) noise floor for structure.
     abort_ceiling : if the main infidelity exceeds this the run stops and the
         trajectory is returned with `failed` set (never silently truncated).
+
+    A run that leaves the finite range (state, infidelity or a stencil cost)
+    fails with code NONFINITE, one above the ceiling with CEILING; any other
+    error propagates.
     """
     if h <= 0:
         raise ValueError("step h must be positive")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     if isinstance(hessian_mode, FdConfig):
         mode, fd_eps = "fd", hessian_mode.epsilon
     elif hessian_mode == "exact":
@@ -200,33 +214,18 @@ def navigate(problem, start: ControlField, provider, h: float, steps: int,
             f"threshold {entry_threshold:.1e}"
         )
 
-    if null_tau is not None:
-
-        def _classify(spec):
-            return classify_null(spec, tau_rel=null_tau)
-    else:
-        rank = 2 if null_rank is None else null_rank
-
-        def _classify(spec):
-            return classify_null(spec, rank=rank)
-
-    if mode == "fd":
-        config = FdConfig(fd_eps)
-        stencil = chain_stencil_cost(problem)
-
-        def spectrum_at(values):
-            hess = fd_hessian(problem.infidelity_of, values, config,
-                              stencil_cost=stencil)
-            return _classify(eig_sym(hess))
-    else:
-
-        def spectrum_at(values):
-            return _classify(eig_sym(hessian_of(problem, values)))
+    rule = ({"tau_rel": null_tau} if null_tau is not None
+            else {"rank": 2 if null_rank is None else null_rank})
+    stencil = chain_stencil_cost(problem) if mode == "fd" else None
 
     def flow(values):
         if not np.all(np.isfinite(values)):
-            raise _NavigationAbort("non-finite state")
-        spec = spectrum_at(values)
+            raise _NavigationFailure("NONFINITE", "non-finite state")
+        if mode == "fd":
+            hess = fd_hessian(problem.infidelity_of, values, hessian_mode, stencil_cost=stencil)
+        else:
+            hess = hessian_of(problem, values)
+        spec = classify_null(eig_sym(hess), **rule)
         return project(provider.direction(values, spec), spec)
 
     samples = [TrajectorySample(
@@ -235,22 +234,10 @@ def navigate(problem, start: ControlField, provider, h: float, steps: int,
         infidelity=start_inf,
         secondary=provider.secondary_cost(start.values),
     )]
-    values = start.values.copy()
-    failed = False
-    reason = None
-    for k in range(steps):
-        try:
-            k1 = flow(values)
-            k2 = flow(values + 0.5 * h * k1)
-            k3 = flow(values + 0.5 * h * k2)
-            k4 = flow(values + h * k3)
-        except (_NavigationAbort, ValueError) as exc:
-            failed, reason = True, str(exc)
-            break
-        values = values + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def record(k, values):
         if not np.all(np.isfinite(values)):
-            failed, reason = True, "non-finite state"
-            break
+            raise _NavigationFailure("NONFINITE", "non-finite state")
         inf = problem.infidelity_of(values)
         samples.append(TrajectorySample(
             zeta=(k + 1) * h,
@@ -259,13 +246,63 @@ def navigate(problem, start: ControlField, provider, h: float, steps: int,
             secondary=provider.secondary_cost(values),
         ))
         if not np.isfinite(inf):
-            failed, reason = True, "non-finite infidelity"
-            break
+            raise _NavigationFailure("NONFINITE", "non-finite infidelity")
         if inf > abort_ceiling:
-            failed, reason = True, f"infidelity {inf:.3e} exceeded ceiling {abort_ceiling:.1e}"
-            break
+            raise _NavigationFailure(
+                "CEILING", f"infidelity {inf:.3e} exceeded ceiling {abort_ceiling:.1e}")
+
+    code = reason = None
+    try:
+        rk4_integrate(flow, start.values, h, steps, callback=record)
+    except _NavigationFailure as exc:
+        code, reason = exc.args
+    except NonFiniteCost as exc:
+        code, reason = "NONFINITE", str(exc)
     return Trajectory(samples=tuple(samples), hessian_mode=mode, fd_epsilon=fd_eps,
-                      failed=failed, failure_reason=reason)
+                      failed=code is not None, failure_code=code, failure_reason=reason)
+
+
+def calibrate_epsilon(problem, solution, direction, eps_grid, steps: int = 1000,
+                      h: float = 0.1, entry_threshold: float = 1e-6,
+                      null_rank: int = 2, abort_ceiling: float = np.inf):
+    """Final infidelity of an FD-driven navigation run, per stencil step.
+
+    Restarts the same solution for every epsilon on the grid, follows the
+    projection of one fixed direction for `steps` RK4 iterations of step `h`,
+    and records the final main-objective infidelity.  A run that leaves the
+    finite range is recorded as infinite infidelity rather than aborting the
+    sweep.  Returns a list of (epsilon, final_infidelity) pairs.
+    """
+    direction = np.asarray(direction, dtype=float)
+    if not np.any(direction != 0.0):
+        raise ValueError("direction must be non-zero")
+    start_inf = problem.infidelity_of(solution.values)
+    if not start_inf < entry_threshold:
+        raise ValueError(
+            f"starting infidelity {start_inf:.3e} is not below {entry_threshold:.1e}"
+        )
+    rows = []
+    for eps in eps_grid:
+        provider = FixedVector(direction)
+        try:
+            traj = navigate(
+                problem,
+                solution,
+                provider,
+                h=h,
+                steps=steps,
+                hessian_mode=FdConfig(float(eps)),
+                null_rank=null_rank,
+                abort_ceiling=abort_ceiling,
+                entry_threshold=entry_threshold,
+            )
+            final = traj.samples[-1].infidelity
+            if traj.failure_code == "NONFINITE" or not np.isfinite(final):
+                final = np.inf
+        except FloatingPointError:
+            final = np.inf
+        rows.append((float(eps), float(final)))
+    return rows
 
 
 def write_jsonl(trajectory: Trajectory, stream, header: dict | None = None):

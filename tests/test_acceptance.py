@@ -20,10 +20,9 @@ from qcl.control import ControlField, FrequencySpec, dft
 from qcl.landscape import FdConfig, classify_null, eig_sym, eigvec_error, fd_hessian
 from qcl.models import (LzProblem, QhoProblem, chain_stencil_cost, gradient_of,
                         hessian_of, lz_infidelity, qho_propagate)
-from qcl.navigation import NullFollow, navigate, project, rk4_integrate
+from qcl.navigation import NullFollow, calibrate_epsilon, navigate, project, rk4_integrate
 from qcl.objectives import FourierObjective, compress
 from qcl.optimizer import SeedSpec, minimize, sample_seeds
-from qcl.landscape import calibrate_epsilon
 
 
 def report(num, ok, detail):

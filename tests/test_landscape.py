@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcl.control import ControlField
-from qcl.landscape import (FdConfig, HessianSpectrum, calibrate_epsilon, classify_null,
-                           eig_sym, eigvec_error, fd_hessian)
+from qcl.landscape import (FdConfig, HessianSpectrum, classify_null, eig_sym, eigvec_error,
+                           fd_hessian)
 from qcl.models import LzProblem, QhoProblem, chain_stencil_cost, hessian_of
+from qcl.navigation import calibrate_epsilon
 from qcl.optimizer import SeedSpec, minimize, polish, sample_seeds
 
 
@@ -44,11 +45,8 @@ class TestFdHessian:
         values = rng.uniform(0.1, 3.0, 5)
         config = FdConfig(1e-2)
         scalar = fd_hessian(problem.infidelity_of, values, config)
-        batch = fd_hessian(problem.infidelity_of, values, config,
-                           batch_cost=problem.infidelity_batch)
         structured = fd_hessian(problem.infidelity_of, values, config,
                                 stencil_cost=chain_stencil_cost(problem))
-        assert np.abs(scalar - batch).max() < 1e-12
         assert np.abs(scalar - structured).max() < 1e-9
 
     def test_nonfinite_cost_rejected(self):

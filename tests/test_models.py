@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,39 @@ from qcl.control import ControlField
 from qcl.landscape import FdConfig, fd_hessian
 from qcl.models import (BogoliubovPair, LzProblem, QhoProblem, chain_stencil_cost,
                         exact_gradient, exact_hessian, gradient_of, hessian_of,
-                        lz_infidelity, lz_propagate, particle_number,
-                        problem_from_dict, problem_to_dict, qho_infidelity,
-                        qho_propagate)
-from qcl.models import _SERIES_X, _chain_derivatives, _cs_tables, _cs_values
+                        lz_infidelity, particle_number, problem_from_dict,
+                        problem_to_dict, qho_infidelity, qho_propagate, seed_bounds)
+from qcl.models import _SERIES_X, _chain_derivatives, _check_field, _cs_tables, _cs_values
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+@dataclass(frozen=True)
+class LzPropagation:
+    """Final unitary and transfer amplitude z = <1|U_T|0>."""
+
+    unitary: np.ndarray
+    overlap: complex
+
+    def __post_init__(self):
+        u = np.asarray(self.unitary, dtype=complex)
+        defect = np.abs(u.conj().T @ u - np.eye(2)).max()
+        if defect > 1e-10:
+            raise ValueError(f"propagator is not unitary (defect {defect:.2e})")
+        if abs(self.overlap) > 1.0 + 1e-10:
+            raise ValueError("transfer amplitude exceeds 1")
+        object.__setattr__(self, "unitary", u)
+
+
+def lz_propagate(problem: LzProblem, field: ControlField) -> LzPropagation:
+    """Oracle: total propagator U_T = U_M ... U_1 from closed-form interval factors."""
+    _check_field(problem, field)
+    A = problem._interval_stacks(field.values, 0)[0]
+    u = np.eye(2, dtype=complex)
+    for t in range(A.shape[0]):
+        u = A[t] @ u
+    return LzPropagation(unitary=u, overlap=complex(u[1, 0]))
 
 
 def dense_lz_unitary(gap, total_time, values, substeps=20000):
@@ -117,7 +145,7 @@ class TestLzPropagation:
         rng = np.random.default_rng(4)
         problem = LzProblem(gap=2.0, duration=1.8, n_pulses=8)
         values = rng.uniform(-5, 5, 8)
-        for a in problem._interval_matrices(values):
+        for a in problem._interval_stacks(values, 0)[0]:
             assert np.abs(a.conj().T @ a - np.eye(2)).max() < 1e-10
         u = lz_propagate(problem, ControlField(values=values, total_time=1.8)).unitary
         assert np.abs(u.conj().T @ u - np.eye(2)).max() < 1e-10
@@ -355,17 +383,6 @@ class TestInvariants:
             b = fine.infidelity_of(split)
             assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
-    def test_batch_matches_scalar(self):
-        rng = np.random.default_rng(20)
-        for problem, lo, hi in [
-            (LzProblem(gap=2.0, duration=1.8, n_pulses=6), -5.0, 5.0),
-            (QhoProblem(omega_start=1.0, omega_target=1.0, duration=1.8, n_pulses=6), 0.1, 3.0),
-        ]:
-            rows = rng.uniform(lo, hi, (13, 6))
-            batch = problem.infidelity_batch(rows)
-            scalar = np.array([problem.infidelity_of(r) for r in rows])
-            assert np.abs(batch - scalar).max() < 1e-14
-
     def test_bogoliubov_type_guards_normalization(self):
         with pytest.raises(ValueError):
             BogoliubovPair(alpha=1.0 + 0j, beta=1.0 + 0j)
@@ -397,6 +414,14 @@ class TestSerialization:
         doc = problem_to_dict(QhoProblem(omega_start=1.0, omega_target=1.0,
                                          duration=1.8, n_pulses=6))
         assert set(doc) == {"model", "omega0", "omegaT", "N0", "T", "M"}
+
+    def test_schema_defaults_and_seed_bounds(self):
+        qho = problem_from_dict({"model": "qho", "T": 1.8, "M": 6})
+        assert (qho.omega_start, qho.omega_target, qho.n_initial) == (1.0, 1.0, 0.0)
+        assert seed_bounds(qho) == (0.1, 3.0)
+        assert seed_bounds(LzProblem(gap=2.0, duration=1.8, n_pulses=3)) == (-5.0, 5.0)
+        with pytest.raises(KeyError):
+            problem_from_dict({"model": "lz", "T": 1.8, "M": 3})
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcl import navigation
 from qcl.control import ControlField
 from qcl.landscape import FdConfig, HessianSpectrum, classify_null, eig_sym
 from qcl.models import QhoProblem
-from qcl.navigation import (FixedVector, NullFollow, navigate, null_direction,
-                            project, rk4_integrate, write_jsonl)
+from qcl.navigation import (FAILURE_CODES, FixedVector, NullFollow, navigate,
+                            null_direction, project, rk4_integrate, write_jsonl)
 from qcl.optimizer import SeedSpec, minimize, polish, sample_seeds
 
 
@@ -157,7 +158,22 @@ class TestNavigate:
         with pytest.raises(ValueError):
             navigate(problem, field, FixedVector(np.ones(6)), h=0.0, steps=1)
         with pytest.raises(ValueError):
-            navigate(problem, field, FixedVector(np.ones(6)), h=0.1, steps=0)
+            navigate(problem, field, FixedVector(np.ones(6)), h=0.1, steps=-1)
+
+    def test_zero_steps_returns_the_start_sample(self, qho_solution):
+        problem, field = qho_solution
+        traj = navigate(problem, field, FixedVector(np.ones(6)), h=0.1, steps=0)
+        assert not traj.failed and traj.failure_code is None
+        assert len(traj.samples) == 1
+        start = traj.samples[0]
+        assert start.zeta == 0.0 and start.field is field
+        assert start.infidelity == problem.infidelity_of(field.values)
+
+    def test_wrong_shape_direction_raises(self, qho_solution):
+        # a programming error propagates; it is not a failed trajectory
+        problem, field = qho_solution
+        with pytest.raises(ValueError, match="shape"):
+            navigate(problem, field, FixedVector(np.ones(5)), h=0.1, steps=1)
 
     def test_direction_orthogonal_to_null_space_freezes(self, qho_solution):
         problem, field = qho_solution
@@ -206,6 +222,26 @@ class TestNavigate:
         assert traj.failed
         assert "ceiling" in traj.failure_reason or "finite" in traj.failure_reason
         assert len(traj.samples) >= 1
+
+    def test_ceiling_failure_code(self, qho_solution):
+        problem, field = qho_solution
+        traj = navigate(problem, field, FixedVector(np.ones(6)), h=0.1, steps=5,
+                        abort_ceiling=0.0)
+        assert traj.failed and traj.failure_code == "CEILING"
+        assert len(traj.samples) == 2 and traj.samples[-1].infidelity > 0.0
+
+    def test_nonfinite_stencil_cost_failure_code(self, qho_solution, monkeypatch):
+        problem, field = qho_solution
+
+        def nonfinite_stencil(point, s_idx, s_val, p_i, p_vi, p_j, p_vj):
+            return float("inf"), np.zeros(len(s_idx)), np.zeros(len(p_i))
+
+        monkeypatch.setattr(navigation, "chain_stencil_cost", lambda problem: nonfinite_stencil)
+        traj = navigate(problem, field, FixedVector(np.ones(6)), h=0.1, steps=3,
+                        hessian_mode=FdConfig(1e-2))
+        assert traj.failed and traj.failure_code == "NONFINITE"
+        assert len(traj.samples) == 1
+        assert set(FAILURE_CODES) == {"CEILING", "NONFINITE"}
 
     def test_consecutive_null_directions_stay_aligned(self):
         from qcl.models import LzProblem

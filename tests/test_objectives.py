@@ -5,13 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcl.control import ControlField, FrequencySpec
+from qcl.control import ControlField, FrequencySpec, dft
 from qcl.landscape import classify_null, eig_sym
 from qcl.models import QhoProblem
 from qcl.navigation import project
-from qcl.objectives import (FourierObjective, compress, fourier_cost,
-                            fourier_cost_spectral, fourier_gradient)
+from qcl.objectives import FourierObjective, _check_dim, compress, fourier_cost, fourier_gradient
 from qcl.optimizer import SeedSpec, minimize, polish, sample_seeds
+
+
+def fourier_cost_spectral(field: ControlField, objective: FourierObjective) -> float:
+    """Same cost summed directly over the DFT; agrees with the matrix path."""
+    _check_dim(field, objective)
+    comps = dft(field).components
+    return float(sum(abs(comps[k]) ** 2 for k in objective.spec.excluded))
 
 
 def brute_excluded_power(values, kept):
