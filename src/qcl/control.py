@@ -15,7 +15,7 @@ import numpy as np
 __all__ = ["ControlField", "FrequencySpec", "Spectrum", "dft", "power"]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ControlField:
     """M real amplitudes over a total duration T; dt is always derived."""
 

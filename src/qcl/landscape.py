@@ -76,16 +76,19 @@ def _pointwise_stencil(cost):
     """Stencil evaluator with the `models.chain_stencil_cost` signature that
     calls `cost` once per point."""
 
-    def evaluate(point, singles_idx, singles_val, pairs_i, pairs_vi, pairs_j, pairs_vj):
+    def evaluate(point, singles_idx, singles_val, pairs_val):
         def at(idx, val):
             q = point.copy()
             q[idx] = val
             return cost(q)
 
         singles = np.array([at(i, v) for i, v in zip(singles_idx, singles_val)], dtype=float)
-        pairs = np.array([at([i, j], [vi, vj])
-                          for i, vi, j, vj in zip(pairs_i, pairs_vi, pairs_j, pairs_vj)],
-                         dtype=float)
+        m, k = np.shape(pairs_val)
+        pairs = np.full((m, k, m, k), np.nan)
+        for i, j in zip(*np.triu_indices(m, 1)):
+            for s, vi in enumerate(pairs_val[i]):
+                for t, vj in enumerate(pairs_val[j]):
+                    pairs[i, s, j, t] = at([i, j], [vi, vj])
         return float(cost(point)), singles, pairs
 
     return evaluate
@@ -100,9 +103,9 @@ def fd_hessian(cost, point, config: FdConfig, stencil_cost=None) -> np.ndarray:
     point : 1-D array, expansion point.
     config : FdConfig with the step epsilon.
     stencil_cost : optional structured evaluator (see
-        `models.chain_stencil_cost`) for costs at one- and two-coordinate
-        perturbations, used instead of one `cost` call per stencil point;
-        same stencil values up to association order.
+        `models.chain_stencil_cost`) for the costs at one- and two-coordinate
+        perturbations, used instead of one `cost` call per stencil point; its
+        costs agree with those calls up to rounding.
 
     Raises NonFiniteCost if any stencil cost is NaN or infinite.
     """
@@ -112,30 +115,19 @@ def fd_hessian(cost, point, config: FdConfig, stencil_cost=None) -> np.ndarray:
     eps = config.epsilon
     m = point.size
     inv = 1.0 / (4.0 * eps * eps)
-    h = np.empty((m, m))
 
     s_idx = np.repeat(np.arange(m), 2)
-    s_val = np.empty(2 * m)
-    s_val[0::2] = point + 2.0 * eps
-    s_val[1::2] = point - 2.0 * eps
-    iu, ju = np.triu_indices(m, k=1)
-    p_i = np.repeat(iu, 4)
-    p_j = np.repeat(ju, 4)
-    signs = np.tile(np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float),
-                    (iu.size, 1))
-    p_vi = point[p_i] + eps * signs[:, 0]
-    p_vj = point[p_j] + eps * signs[:, 1]
-    center, singles, pairs = stencil_cost(point, s_idx, s_val, p_i, p_vi, p_j, p_vj)
-    if not (np.isfinite(center) and np.all(np.isfinite(singles))
-            and np.all(np.isfinite(pairs))):
+    s_val = (point[:, None] + np.array([2.0 * eps, -2.0 * eps])).ravel()
+    p_val = point[:, None] + np.array([eps, -eps])
+    center, singles, pairs = stencil_cost(point, s_idx, s_val, p_val)
+    # pairs[i, s, j, t] holds the costs at (w_i + (-1)^s eps, w_j + (-1)^t eps), i < j
+    h = np.triu((pairs[:, 0, :, 0] - pairs[:, 0, :, 1] - pairs[:, 1, :, 0]
+                 + pairs[:, 1, :, 1]) * inv, 1)
+    if not (np.isfinite(center) and np.all(np.isfinite(singles)) and np.all(np.isfinite(h))):
         raise NonFiniteCost("non-finite cost at a stencil point")
-    diag = (singles[0::2] - 2.0 * center + singles[1::2]) * inv
-    h[np.diag_indices(m)] = diag
-    quads = pairs.reshape(-1, 4)
-    hoff = (quads[:, 0] - quads[:, 1] - quads[:, 2] + quads[:, 3]) * inv
-    h[iu, ju] = hoff
-    h[ju, iu] = hoff
-    return 0.5 * (h + h.T)
+    h = h + h.T
+    h[np.diag_indices(m)] = (singles[0::2] - 2.0 * center + singles[1::2]) * inv
+    return h
 
 
 def eig_sym(matrix) -> HessianSpectrum:

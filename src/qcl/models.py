@@ -14,7 +14,13 @@ involved anywhere:
 Every interval matrix is an analytic function of w^2 through
 C(x) = cos(sqrt(x) dt) and S(x) = sin(sqrt(x) dt)/sqrt(x), so first and second
 amplitude derivatives come from differentiating C and S, which keeps the
-w -> 0 limit exact (series branch below).
+w -> 0 limit exact (series branch below).  Every interval matrix also has
+det 1 (C^2 + x S^2 = 1), so a product of consecutive factors is a prefix
+product times the adjugate of another.  One kernel (`_prefix_chain`,
+`_insertion_terms`) builds on this every term with one or two factors
+replaced, for the exact Hessian (A1 and A2 insertions) and for the
+finite-difference stencil (B - A insertions) alike; the gradient and the
+cost keep their sequential sweeps.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ __all__ = [
     "exact_gradient",
     "exact_hessian",
     "chain_stencil_cost",
+    "PrefixGrowth",
     "MODEL_SCHEMAS",
     "ModelSchema",
     "seed_bounds",
@@ -48,6 +55,12 @@ __all__ = [
 # w-derivatives are evaluated by series: the closed forms divide differences of
 # nearly equal terms by x and lose ~eps/x relative accuracy to cancellation.
 _SERIES_X = 1e-6
+
+# Largest max_t ||P_t||_F^2 over the prefix products P_t = A_{t-1} ... A_0 at
+# which `_prefix_chain` trusts its adjugate inverses.  It is 2 for the unitary
+# crossing; random trap fields over the seed range reach about 30 at M = 3 and
+# 5 at M = 48, while a parametrically pumped trap reaches 1e13.
+_GROWTH_LIMIT = 1e4
 
 
 def _cs_values(w, dt):
@@ -287,82 +300,113 @@ def _chain_sweep(A, ket, bra):
     return kets, bras
 
 
-def _chain_derivatives(A, A1, A2, ket, bra):
-    """Value, gradient and Hessian of z = bra . (A_{M-1} ... A_0) . ket.
+class PrefixGrowth(ValueError):
+    """The prefix products of a chain grew past `_GROWTH_LIMIT`."""
 
-    Each amplitude enters exactly one factor, so mixed second derivatives are
-    products of two first-derivative insertions; diagonal terms use the
-    closed-form second derivative of a single interval.  With A2 None the
-    Hessian is skipped and returned as None.
+
+def _prefix_chain(A, ket, bra):
+    """z = bra . A_{M-1} ... A_0 . ket in prefix form, for one- and two-factor insertions.
+
+    Returns (z, kets, bras, P, adj), each indexed by interval j = 0 .. M-1:
+    P[j] = A_{j-1} ... A_0 (prefix products, by a log-depth scan),
+    kets[j] = P_j ket, adj[j] = adj(P_{j+1}) and bras[j] = bra A_{M-1} ... A_{j+1}.
+    Replacing A_j by D changes z to bras[j] . D . kets[j].  Every factor has
+    det 1 (C^2 + rho S^2 = 1 in both models), so adj(P_t) = P_t^-1, which gives
+    bras[j] = (bra P_M) adj(P_{j+1}) and A_{j-1} ... A_{i+1} = P_j adj(P_{i+1})
+    without a sequential sweep.
+
+    The adjugate inverse amplifies rounding by about max_t ||P_t||_F^2; past
+    `_GROWTH_LIMIT` the results would be rounding noise and PrefixGrowth is raised.
     """
     m = A.shape[0]
-    kets, bras = _chain_sweep(A, ket, bra)
-    z = bras[m] @ kets[m]
-    zg = np.einsum("ja,jab,jb->j", bras[1:], A1, kets[:m])
-    if A2 is None:
-        return z, zg, None
+    # the scan runs on the real 4x4 form [[Re, -Im], [Im, Re]] of each factor:
+    # numpy multiplies stacks of small real matrices several times faster
+    X = np.zeros((m + 1, 4, 4))
+    X[0] = np.eye(4)
+    X[1:, :2, :2] = X[1:, 2:, 2:] = A.real
+    X[1:, 2:, :2] = A.imag
+    X[1:, :2, 2:] = -A.imag
+    d = 1
+    while d <= m:
+        X[d:] = X[d:] @ X[:m + 1 - d]
+        d *= 2
+    P = X[:, :2, :2] + 1j * X[:, 2:, :2]
+    growth = 0.5 * np.einsum("tab,tab->t", X, X).max()
+    if growth > _GROWTH_LIMIT:
+        raise PrefixGrowth(f"prefix products grow to {growth:.2e} (limit {_GROWTH_LIMIT:.0e}); "
+                           "one- and two-factor insertions would be rounding noise")
+    # adj([[a, b], [c, d]]) = [[d, -b], [-c, a]]
+    adj = P[1:, ::-1, ::-1].transpose(0, 2, 1) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    g = bra @ P[m]
+    return g @ ket, P[:m] @ ket, g @ adj, P[:m], adj
 
-    zh = np.zeros((m, m), dtype=complex)
-    zh[np.diag_indices(m)] = np.einsum("ja,jab,jb->j", bras[1:], A2, kets[:m])
-    # W[i] carries A_{j-1} ... A_{i+1} A1_i kets[i], advanced one interval per j
-    W = np.zeros((m, 2), dtype=complex)
-    for j in range(m):
-        if j > 0:
-            u = bras[j + 1] @ A1[j]
-            zh[:j, j] = W[:j] @ u
-            W[:j] = W[:j] @ A[j].T
-        W[j] = A1[j] @ kets[j]
-    zh = zh + np.triu(zh, 1).T
-    return z, zg, zh
+
+def _insertion_terms(chain, D):
+    """Single and pair insertion terms of a `_prefix_chain`.
+
+    D has shape (M, k, 2, 2): k insertions per interval.  Returns a (M, k) with
+    a[j, s] = bras[j] . D[j, s] . kets[j] and cross (M, k, M, k) with
+    cross[i, s, j, t] = bras[j] . D[j, t] . A_{j-1} ... A_{i+1} . D[i, s] . kets[i]
+    for i < j (entries with i >= j are not pair terms).  All pair terms come
+    from one (Mk x 2) @ (2 x Mk) product of L_jt = bras[j] D[j, t] P_j and
+    R_is = adj(P_{i+1}) D[i, s] kets[i].
+    """
+    _, kets, bras, P, adj = chain
+    m, k = D.shape[:2]
+    right = adj[:, None] @ (D @ kets[:, None, :, None])
+    left = (bras[:, None, None, :] @ D) @ P[:, None]
+    a = np.einsum("ja,jsab,jb->js", bras, D, kets)
+    R = right.reshape(m * k, 2)
+    L = left.reshape(m * k, 2)
+    return a, (R @ L.T).reshape(m, k, m, k)
 
 
 def chain_stencil_cost(problem):
-    """Fast cost evaluation at points perturbing at most two coordinates.
-
-    A finite-difference stencil re-evaluates the chain with one or two
-    interval matrices replaced.  Reusing the center's prefix and suffix
-    products, plus all in-between partial products, turns each stencil point
-    into a handful of 2x2 operations instead of a full M-interval pass; the
-    values are the same cost evaluations up to association order.
+    """Fast cost evaluation at points perturbing one or two coordinates.
 
     Returns a callable
-        evaluate(point, singles_idx, singles_val, pairs_i, pairs_vi, pairs_j, pairs_vj)
-    giving (center_cost, single_costs, pair_costs); pair indices must satisfy
-    i < j elementwise.
+        evaluate(point, singles_idx, singles_val, pairs_val)
+    giving (center_cost, singles, pairs).  singles[q] is the cost with
+    coordinate singles_idx[q] set to singles_val[q].  `pairs_val` has shape
+    (M, k), and pairs[i, s, j, t] is the cost with w_i = pairs_val[i, s] and
+    w_j = pairs_val[j, t] for i < j; entries with i >= j are NaN.  Every cost
+    comes from the linear split of z in D = B(value) - A: |z + a_q|^2 for a
+    single and |z + a_is + a_jt + cross|^2 for a pair (`_insertion_terms`), so
+    one call builds factors for M + len(singles_val) + M k values (5M for the
+    four-point stencil) and runs a few batched products, not a chain pass per
+    point.  The costs equal direct evaluations up to rounding.
     """
 
-    def factors(values):
-        return problem._interval_stacks(np.asarray(values, dtype=float), 0)[0]
-
-    def evaluate(point, singles_idx, singles_val, pairs_i, pairs_vi, pairs_j, pairs_vj):
+    def evaluate(point, singles_idx, singles_val, pairs_val):
         point = np.asarray(point, dtype=float)
-        m = point.size
-        ket, bra = problem._cost_boundary()
-        A = factors(point)
-        kets, bras = _chain_sweep(A, ket, bra)
-        center = abs(bras[m] @ kets[m]) ** 2
-
         singles_idx = np.asarray(singles_idx, dtype=int)
-        w = np.einsum("qab,qb->qa", factors(singles_val), kets[singles_idx])
-        singles = np.abs(np.einsum("qa,qa->q", bras[singles_idx + 1], w)) ** 2
+        singles_val = np.asarray(singles_val, dtype=float)
+        pairs_val = np.asarray(pairs_val, dtype=float)
+        m, q = point.size, singles_idx.size
+        if (point.ndim != 1 or singles_idx.shape != (q,) or singles_val.shape != (q,)
+                or pairs_val.ndim != 2 or pairs_val.shape[0] != m):
+            raise ValueError(f"expected a 1-D point, equal 1-D singles_idx and singles_val "
+                             f"and pairs_val of shape (M, k); got {point.shape}, "
+                             f"{singles_idx.shape}, {singles_val.shape} and {pairs_val.shape}")
+        values = np.concatenate((point, singles_val, pairs_val.ravel()))
+        B = problem._interval_stacks(values, 0)[0]
+        A = B[:m]
+        chain = _prefix_chain(A, *problem._cost_boundary())
+        z, kets, bras = chain[:3]
 
-        pairs_i = np.asarray(pairs_i, dtype=int)
-        pairs_j = np.asarray(pairs_j, dtype=int)
-        if np.any(pairs_i >= pairs_j):
-            raise ValueError("pair indices must satisfy i < j")
-        # mid[i, j] = A_{j-1} ... A_{i+1} (identity when j == i + 1)
-        mid = np.zeros((m, m, 2, 2), dtype=complex)
-        idx = np.arange(m - 1)
-        mid[idx, idx + 1] = np.eye(2)
-        for j in range(2, m):
-            mid[: j - 1, j] = np.matmul(A[j - 1], mid[: j - 1, j - 1])
-        # bras[j+1] . B(vj) . mid[i, j] . B(vi) . kets[i], one factor at a time so
-        # that each (pairs, 2, 2) stack is freed before the next is built
-        w = np.einsum("qab,qb->qa", factors(pairs_vi), kets[pairs_i])
-        w = np.einsum("qab,qb->qa", mid[pairs_i, pairs_j], w)
-        w = np.einsum("qab,qb->qa", factors(pairs_vj), w)
-        pairs = np.abs(np.einsum("qa,qa->q", bras[pairs_j + 1], w)) ** 2
-        return float(center), singles, pairs
+        D = B[m:m + q] - A[singles_idx]
+        split = z + np.einsum("qa,qab,qb->q", bras[singles_idx], D, kets[singles_idx])
+        singles = split.real ** 2 + split.imag ** 2
+
+        D = B[m + q:].reshape(pairs_val.shape + (2, 2)) - A[:, None]
+        a, split = _insertion_terms(chain, D)
+        split += a[:, :, None, None]
+        split += z + a
+        pairs = split.real ** 2
+        pairs += split.imag ** 2
+        lower = np.arange(m)[:, None, None, None] >= np.arange(m)[:, None]
+        np.copyto(pairs, np.nan, where=lower)
+        return float(z.real ** 2 + z.imag ** 2), singles, pairs
 
     return evaluate
 
@@ -412,17 +456,33 @@ def gradient_of(problem, values) -> np.ndarray:
     """exact_gradient on a raw amplitude vector (no ControlField wrapper).
 
     Both costs are |z|^2 of a linear chain functional, so the chain rule is
-    dI/dw_j = 2 Re(conj(z) dz/dw_j).
+    dI/dw_j = 2 Re(conj(z) dz/dw_j); dz/dw_j inserts A1_j between the prefix
+    state and the suffix functional of one sequential sweep.
     """
     ket, bra = problem._cost_boundary()
-    z, zg, _ = _chain_derivatives(*problem._interval_stacks(values, 1), ket, bra)
+    A, A1, _ = problem._interval_stacks(values, 1)
+    m = A.shape[0]
+    kets, bras = _chain_sweep(A, ket, bra)
+    z = bras[m] @ kets[m]
+    zg = np.einsum("ja,jab,jb->j", bras[1:], A1, kets[:m])
     return 2.0 * np.real(np.conj(z) * zg)
 
 
 def hessian_of(problem, values) -> np.ndarray:
-    """exact_hessian on a raw amplitude vector."""
-    ket, bra = problem._cost_boundary()
-    z, zg, zh = _chain_derivatives(*problem._interval_stacks(values), ket, bra)
+    """exact_hessian on a raw amplitude vector.
+
+    Each amplitude enters exactly one factor, so the mixed second derivatives
+    of z are pair terms of two A1 insertions and the diagonal ones single A2
+    insertions (`_insertion_terms`).
+    """
+    A, A1, A2 = problem._interval_stacks(values)
+    chain = _prefix_chain(A, *problem._cost_boundary())
+    z, kets, bras = chain[:3]
+    zg, cross = _insertion_terms(chain, A1[:, None])
+    zg = zg[:, 0]
+    zh = np.triu(cross[:, 0, :, 0], 1)
+    zh = zh + zh.T
+    zh[np.diag_indices(A.shape[0])] = np.einsum("ja,jab,jb->j", bras, A2, kets)
     h = 2.0 * (np.real(np.conj(z) * zh) + np.real(np.outer(np.conj(zg), zg)))
     return 0.5 * (h + h.T)
 

@@ -18,7 +18,7 @@ import numpy as np
 from .control import ControlField
 from .landscape import (FdConfig, HessianSpectrum, NonFiniteCost, classify_null, eig_sym,
                         fd_hessian)
-from .models import chain_stencil_cost, hessian_of
+from .models import PrefixGrowth, chain_stencil_cost, hessian_of
 
 __all__ = [
     "FAILURE_CODES",
@@ -116,7 +116,7 @@ class SecondaryGradient:
         return float(self.objective.cost_of(values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectorySample:
     zeta: float
     field: ControlField
@@ -125,8 +125,9 @@ class TrajectorySample:
 
 
 # why a navigation run stopped early: a state, infidelity or stencil cost left
-# the finite range, or the infidelity rose above the abort ceiling
-FAILURE_CODES = ("NONFINITE", "CEILING")
+# the finite range, the infidelity rose above the abort ceiling, or the chain's
+# prefix products grew past what its Hessian kernel can be trusted with
+FAILURE_CODES = ("NONFINITE", "CEILING", "GROWTH")
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,8 +194,9 @@ def navigate(problem, start: ControlField, provider, h: float, steps: int,
         trajectory is returned with `failed` set (never silently truncated).
 
     A run that leaves the finite range (state, infidelity or a stencil cost)
-    fails with code NONFINITE, one above the ceiling with CEILING; any other
-    error propagates.
+    fails with code NONFINITE, one above the ceiling with CEILING, and one
+    whose Hessian the chain kernel refuses (`models.PrefixGrowth`) with
+    GROWTH; any other error propagates.
     """
     if h <= 0:
         raise ValueError("step h must be positive")
@@ -258,6 +260,8 @@ def navigate(problem, start: ControlField, provider, h: float, steps: int,
         code, reason = exc.args
     except NonFiniteCost as exc:
         code, reason = "NONFINITE", str(exc)
+    except PrefixGrowth as exc:
+        code, reason = "GROWTH", str(exc)
     return Trajectory(samples=tuple(samples), hessian_mode=mode, fd_epsilon=fd_eps,
                       failed=code is not None, failure_code=code, failure_reason=reason)
 
@@ -270,8 +274,9 @@ def calibrate_epsilon(problem, solution, direction, eps_grid, steps: int = 1000,
     Restarts the same solution for every epsilon on the grid, follows the
     projection of one fixed direction for `steps` RK4 iterations of step `h`,
     and records the final main-objective infidelity.  A run that leaves the
-    finite range is recorded as infinite infidelity rather than aborting the
-    sweep.  Returns a list of (epsilon, final_infidelity) pairs.
+    finite range (NONFINITE) or wanders where the chain's Hessian cannot be
+    trusted (GROWTH) is recorded as infinite infidelity rather than aborting
+    the sweep.  Returns a list of (epsilon, final_infidelity) pairs.
     """
     direction = np.asarray(direction, dtype=float)
     if not np.any(direction != 0.0):
@@ -297,7 +302,7 @@ def calibrate_epsilon(problem, solution, direction, eps_grid, steps: int = 1000,
                 entry_threshold=entry_threshold,
             )
             final = traj.samples[-1].infidelity
-            if traj.failure_code == "NONFINITE" or not np.isfinite(final):
+            if traj.failure_code in ("NONFINITE", "GROWTH") or not np.isfinite(final):
                 final = np.inf
         except FloatingPointError:
             final = np.inf

@@ -1,0 +1,105 @@
+"""Oracles for the chain pair terms: the sequential sweeps the prefix-product
+kernel in qcl.models replaced.
+
+`reference_chain_derivatives` advances every first-derivative insertion one
+interval at a time (the W sweep); `reference_stencil_cost` builds the O(M^2)
+table of in-between products A_{j-1} ... A_{i+1} and evaluates each stencil
+point with its own replaced factors.  Neither uses the det-1 identity, so
+neither shares the kernel's rounding amplification.
+"""
+
+import numpy as np
+
+from qcl.models import _chain_sweep
+
+
+def reference_chain_derivatives(A, A1, A2, ket, bra):
+    """Value, gradient and Hessian of z = bra . (A_{M-1} ... A_0) . ket (W sweep)."""
+    m = A.shape[0]
+    kets, bras = _chain_sweep(A, ket, bra)
+    z = bras[m] @ kets[m]
+    zg = np.einsum("ja,jab,jb->j", bras[1:], A1, kets[:m])
+    zh = np.zeros((m, m), dtype=complex)
+    zh[np.diag_indices(m)] = np.einsum("ja,jab,jb->j", bras[1:], A2, kets[:m])
+    # W[i] carries A_{j-1} ... A_{i+1} A1_i kets[i], advanced one interval per j
+    W = np.zeros((m, 2), dtype=complex)
+    for j in range(m):
+        if j > 0:
+            u = bras[j + 1] @ A1[j]
+            zh[:j, j] = W[:j] @ u
+            W[:j] = W[:j] @ A[j].T
+        W[j] = A1[j] @ kets[j]
+    zh = zh + np.triu(zh, 1).T
+    return z, zg, zh
+
+
+def reference_hessian(problem, values):
+    """d2I/dw_i dw_j from `reference_chain_derivatives`."""
+    ket, bra = problem._cost_boundary()
+    z, zg, zh = reference_chain_derivatives(*problem._interval_stacks(values), ket, bra)
+    h = 2.0 * (np.real(np.conj(z) * zh) + np.real(np.outer(np.conj(zg), zg)))
+    return 0.5 * (h + h.T)
+
+
+def reference_stencil_cost(problem):
+    """evaluate(point, singles_idx, singles_val, pairs_i, pairs_vi, pairs_j, pairs_vj)
+    -> (center, singles, pairs), one cost per listed point; pairs need i < j."""
+
+    def factors(values):
+        return problem._interval_stacks(np.asarray(values, dtype=float), 0)[0]
+
+    def evaluate(point, singles_idx, singles_val, pairs_i, pairs_vi, pairs_j, pairs_vj):
+        point = np.asarray(point, dtype=float)
+        m = point.size
+        ket, bra = problem._cost_boundary()
+        A = factors(point)
+        kets, bras = _chain_sweep(A, ket, bra)
+        center = abs(bras[m] @ kets[m]) ** 2
+
+        singles_idx = np.asarray(singles_idx, dtype=int)
+        w = np.einsum("qab,qb->qa", factors(singles_val), kets[singles_idx])
+        singles = np.abs(np.einsum("qa,qa->q", bras[singles_idx + 1], w)) ** 2
+
+        pairs_i = np.asarray(pairs_i, dtype=int)
+        pairs_j = np.asarray(pairs_j, dtype=int)
+        if np.any(pairs_i >= pairs_j):
+            raise ValueError("pair indices must satisfy i < j")
+        # mid[i, j] = A_{j-1} ... A_{i+1} (identity when j == i + 1)
+        mid = np.zeros((m, m, 2, 2), dtype=complex)
+        idx = np.arange(m - 1)
+        mid[idx, idx + 1] = np.eye(2)
+        for j in range(2, m):
+            mid[: j - 1, j] = np.matmul(A[j - 1], mid[: j - 1, j - 1])
+        w = np.einsum("qab,qb->qa", factors(pairs_vi), kets[pairs_i])
+        w = np.einsum("qab,qb->qa", mid[pairs_i, pairs_j], w)
+        w = np.einsum("qab,qb->qa", factors(pairs_vj), w)
+        pairs = np.abs(np.einsum("qa,qa->q", bras[pairs_j + 1], w)) ** 2
+        return float(center), singles, pairs
+
+    return evaluate
+
+
+def reference_fd_hessian(problem, point, eps):
+    """Four-point FD Hessian from `reference_stencil_cost` with per-point pair lists."""
+    point = np.asarray(point, dtype=float)
+    m = point.size
+    inv = 1.0 / (4.0 * eps * eps)
+    h = np.empty((m, m))
+    s_idx = np.repeat(np.arange(m), 2)
+    s_val = np.empty(2 * m)
+    s_val[0::2] = point + 2.0 * eps
+    s_val[1::2] = point - 2.0 * eps
+    iu, ju = np.triu_indices(m, k=1)
+    p_i = np.repeat(iu, 4)
+    p_j = np.repeat(ju, 4)
+    signs = np.tile(np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float),
+                    (iu.size, 1))
+    center, singles, pairs = reference_stencil_cost(problem)(
+        point, s_idx, s_val, p_i, point[p_i] + eps * signs[:, 0],
+        p_j, point[p_j] + eps * signs[:, 1])
+    h[np.diag_indices(m)] = (singles[0::2] - 2.0 * center + singles[1::2]) * inv
+    quads = pairs.reshape(-1, 4)
+    hoff = (quads[:, 0] - quads[:, 1] - quads[:, 2] + quads[:, 3]) * inv
+    h[iu, ju] = hoff
+    h[ju, iu] = hoff
+    return 0.5 * (h + h.T)

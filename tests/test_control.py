@@ -27,7 +27,8 @@ class TestControlField:
         # pair (T, M) fully determines it
         f = ControlField(values=[1.0, 2.0, 3.0], total_time=1.8)
         assert f.dt == f.total_time / f.n_pulses
-        assert "dt" not in vars(f)
+        assert ControlField.__slots__ == ("values", "total_time")
+        assert isinstance(ControlField.dt, property)
         assert f.dt * f.n_pulses == pytest.approx(f.total_time, rel=1e-15)
 
     def test_rejects_empty(self):

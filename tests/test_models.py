@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from qcl.control import ControlField
 from qcl.landscape import FdConfig, fd_hessian
-from qcl.models import (BogoliubovPair, LzProblem, QhoProblem, chain_stencil_cost,
-                        exact_gradient, exact_hessian, gradient_of, hessian_of,
-                        lz_infidelity, particle_number, problem_from_dict,
+from qcl.models import (BogoliubovPair, LzProblem, PrefixGrowth, QhoProblem,
+                        chain_stencil_cost, exact_gradient, exact_hessian, gradient_of,
+                        hessian_of, lz_infidelity, particle_number, problem_from_dict,
                         problem_to_dict, qho_infidelity, qho_propagate, seed_bounds)
-from qcl.models import _SERIES_X, _chain_derivatives, _check_field, _cs_tables, _cs_values
+from qcl.models import _SERIES_X, _check_field, _cs_tables, _cs_values
+
+from chain_oracles import reference_chain_derivatives, reference_fd_hessian, reference_hessian
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -286,14 +288,14 @@ class TestDerivatives:
     ])
     def test_gradient_equals_the_hessian_pass_gradient(self, problem, lo, hi):
         # gradient_of skips the second derivatives, but must give the gradient
-        # of the full value/gradient/Hessian pass bit for bit
+        # of the full value/gradient/Hessian sweep pass (the oracle) bit for bit
         rng = np.random.default_rng(16)
         ket, bra = problem._cost_boundary()
         for k in range(6):
             values = rng.uniform(lo, hi, problem.n_pulses)
             if k % 2:
                 values[::3] = 0.0   # series branch in the interval factors
-            z, zg, _ = _chain_derivatives(*problem._interval_stacks(values), ket, bra)
+            z, zg, _ = reference_chain_derivatives(*problem._interval_stacks(values), ket, bra)
             assert same_bytes(gradient_of(problem, values), 2.0 * np.real(np.conj(z) * zg))
 
     def test_exact_field_api_matches_raw_api(self):
@@ -346,27 +348,109 @@ class TestStencilEvaluator:
         evaluate = chain_stencil_cost(problem)
         s_idx = np.array([0, 2, 4])
         s_val = np.array([point[0] + 0.3, point[2] - 0.2, point[4] + 1.0])
-        p_i = np.array([0, 1])
-        p_j = np.array([3, 4])
-        p_vi = point[p_i] + 0.1
-        p_vj = point[p_j] - 0.4
-        center, singles, pairs = evaluate(point, s_idx, s_val, p_i, p_vi, p_j, p_vj)
+        p_val = point[:, None] + np.array([0.1, -0.4])
+        center, singles, pairs = evaluate(point, s_idx, s_val, p_val)
         assert center == pytest.approx(problem.infidelity_of(point), abs=1e-13)
         for k in range(3):
             q = point.copy()
             q[s_idx[k]] = s_val[k]
             assert singles[k] == pytest.approx(problem.infidelity_of(q), abs=1e-12)
-        for k in range(2):
-            q = point.copy()
-            q[p_i[k]] = p_vi[k]
-            q[p_j[k]] = p_vj[k]
-            assert pairs[k] == pytest.approx(problem.infidelity_of(q), abs=1e-12)
+        assert pairs.shape == (5, 2, 5, 2)
+        for i in range(5):
+            for j in range(5):
+                for s in range(2):
+                    for t in range(2):
+                        if i >= j:
+                            assert np.isnan(pairs[i, s, j, t])
+                            continue
+                        q = point.copy()
+                        q[i] = p_val[i, s]
+                        q[j] = p_val[j, t]
+                        assert pairs[i, s, j, t] == pytest.approx(problem.infidelity_of(q),
+                                                                  abs=1e-12)
 
-    def test_rejects_unordered_pairs(self):
+    def test_rejects_malformed_input(self):
         problem = LzProblem(gap=2.0, duration=1.8, n_pulses=4)
         evaluate = chain_stencil_cost(problem)
-        with pytest.raises(ValueError):
-            evaluate(np.ones(4), [], [], [2], [1.0], [1], [1.0])
+        point = np.ones(4)
+        for args in [
+            (point, [], [], np.ones((3, 2))),            # a pair row per interval
+            (point, [], [], np.ones(4)),                 # pair values are (M, k)
+            (point[None, :], [], [], np.ones((4, 2))),   # the point is 1-D
+            (point, [0, 1], [1.0], np.ones((4, 2))),     # one value per single
+        ]:
+            with pytest.raises(ValueError, match="expected"):
+                evaluate(*args)
+
+
+TRAPS_AND_CROSSINGS = [
+    (lambda m: LzProblem(gap=2.0, duration=1.8, n_pulses=m), -5.0, 5.0),
+    (lambda m: QhoProblem(omega_start=1.0, omega_target=1.0, duration=1.8, n_pulses=m),
+     0.1, 3.0),
+]
+
+
+class TestPairKernel:
+    @pytest.mark.parametrize("make,lo,hi", TRAPS_AND_CROSSINGS)
+    @pytest.mark.parametrize("m", [1, 2, 3, 6, 48, 96])
+    def test_exact_hessian_matches_the_sweep_oracle(self, make, lo, hi, m):
+        problem = make(m)
+        rng = np.random.default_rng(400 + m)
+        for k in range(4):
+            values = rng.uniform(lo, hi, m)
+            if k == 3:
+                values[::2] = 0.0   # series branch in the interval factors
+            want = reference_hessian(problem, values)
+            got = hessian_of(problem, values)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("make,lo,hi", TRAPS_AND_CROSSINGS)
+    @pytest.mark.parametrize("m", [2, 6, 48])
+    def test_fd_error_at_most_twice_the_old_stencils(self, make, lo, hi, m):
+        # error = largest entrywise distance to the exact Hessian over a set
+        # of fields; the small-eps end is rounding and feeds the fd-error curves
+        problem = make(m)
+        rng = np.random.default_rng(500 + m)
+        fields = [rng.uniform(lo, hi, m) for _ in range(8)]
+        exact = [reference_hessian(problem, v) for v in fields]
+        stencil = chain_stencil_cost(problem)
+        for eps in (1e-8, 1e-6, 1e-3, 1e-2, 1e-1):
+            config = FdConfig(eps)
+            new = max(np.abs(fd_hessian(problem.infidelity_of, v, config,
+                                        stencil_cost=stencil) - h).max()
+                      for v, h in zip(fields, exact))
+            old = max(np.abs(reference_fd_hessian(problem, v, eps) - h).max()
+                      for v, h in zip(fields, exact))
+            assert new <= 2.0 * old, (eps, new, old)
+            if m <= 6:
+                pointwise = max(np.abs(fd_hessian(problem.infidelity_of, v, config) - h).max()
+                                for v, h in zip(fields, exact))
+                assert new <= 2.0 * pointwise, (eps, new, pointwise)
+
+    def test_interval_factors_have_unit_determinant(self):
+        # the kernel's premise: adj(P) = P^-1 for every prefix product
+        rng = np.random.default_rng(41)
+        tiny = [0.0, 1e-9, -1e-7, 1e-5]
+        for problem, lo, hi in [
+            (LzProblem(gap=2.0, duration=1.8, n_pulses=6), -5.0, 5.0),
+            (LzProblem(gap=1e-3, duration=1e-2, n_pulses=4), -5.0, 5.0),
+            (QhoProblem(omega_start=1.0, omega_target=1.0, duration=1.8, n_pulses=6), 0.1, 3.0),
+        ]:
+            values = np.concatenate([rng.uniform(lo, hi, 400), tiny])
+            A = problem._interval_stacks(values, 0)[0]
+            det = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
+            assert np.abs(det - 1.0).max() <= 1e-13
+
+    def test_pumped_trap_raises_instead_of_returning_a_hessian(self):
+        # parametric pumping grows the prefix products to ~1e13: the adjugate
+        # inverses would turn the pair terms into rounding noise
+        problem = QhoProblem(omega_start=1.0, omega_target=1.0, duration=30.0, n_pulses=96)
+        values = np.tile([0.3, 0.3, 3.0, 3.0], 24)
+        with pytest.raises(PrefixGrowth, match="grow"):
+            hessian_of(problem, values)
+        with pytest.raises(PrefixGrowth, match="grow"):
+            fd_hessian(problem.infidelity_of, values, FdConfig(1e-3),
+                       stencil_cost=chain_stencil_cost(problem))
 
 
 class TestInvariants:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qcl import navigation
 from qcl.control import ControlField
 from qcl.landscape import FdConfig, HessianSpectrum, classify_null, eig_sym
-from qcl.models import QhoProblem
+from qcl.models import PrefixGrowth, QhoProblem
 from qcl.navigation import (FAILURE_CODES, FixedVector, NullFollow, navigate,
                             null_direction, project, rk4_integrate, write_jsonl)
 from qcl.optimizer import SeedSpec, minimize, polish, sample_seeds
@@ -233,15 +233,40 @@ class TestNavigate:
     def test_nonfinite_stencil_cost_failure_code(self, qho_solution, monkeypatch):
         problem, field = qho_solution
 
-        def nonfinite_stencil(point, s_idx, s_val, p_i, p_vi, p_j, p_vj):
-            return float("inf"), np.zeros(len(s_idx)), np.zeros(len(p_i))
+        def nonfinite_stencil(point, s_idx, s_val, p_val):
+            m, k = np.shape(p_val)
+            return float("inf"), np.zeros(len(s_idx)), np.zeros((m, k, m, k))
 
         monkeypatch.setattr(navigation, "chain_stencil_cost", lambda problem: nonfinite_stencil)
         traj = navigate(problem, field, FixedVector(np.ones(6)), h=0.1, steps=3,
                         hessian_mode=FdConfig(1e-2))
         assert traj.failed and traj.failure_code == "NONFINITE"
         assert len(traj.samples) == 1
-        assert set(FAILURE_CODES) == {"CEILING", "NONFINITE"}
+        assert set(FAILURE_CODES) == {"CEILING", "NONFINITE", "GROWTH"}
+
+    @pytest.mark.parametrize("mode", ["exact", FdConfig(1e-2)])
+    def test_growth_failure_code(self, qho_solution, monkeypatch, mode):
+        # the chain kernel refusing a Hessian ends the run; the samples stay
+        problem, field = qho_solution
+        calls = []
+
+        def refuse(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > 4:   # one full RK4 step first
+                raise PrefixGrowth("prefix products grow to 2e+04")
+            return real(*args, **kwargs)
+
+        if mode == "exact":
+            real = navigation.hessian_of
+            monkeypatch.setattr(navigation, "hessian_of", refuse)
+        else:
+            real = navigation.fd_hessian
+            monkeypatch.setattr(navigation, "fd_hessian", refuse)
+        traj = navigate(problem, field, FixedVector(np.ones(6)), h=0.1, steps=3,
+                        hessian_mode=mode)
+        assert traj.failed and traj.failure_code == "GROWTH"
+        assert "grow" in traj.failure_reason
+        assert len(traj.samples) == 2
 
     def test_consecutive_null_directions_stay_aligned(self):
         from qcl.models import LzProblem

@@ -3,18 +3,20 @@ import pytest
 
 from qcl.control import ControlField
 from qcl.landscape import classify_null, eig_sym
-from qcl.models import LzProblem, QhoProblem, _chain_derivatives, hessian_of
+from qcl.models import LzProblem, QhoProblem, hessian_of
 from qcl.optimizer import (STOP_CODES, OptimizationReport, SeedSpec, minimize, polish,
                            sample_seeds)
+
+from chain_oracles import reference_chain_derivatives
 
 LZ3 = LzProblem(gap=2.0, duration=1.4 * np.pi / 2, n_pulses=3)
 QHO6 = QhoProblem(omega_start=1.0, omega_target=1.0, duration=1.8, n_pulses=6)
 
 
 def full_derivative_gradient(problem, values):
-    """dI/dw through the value/gradient/Hessian chain pass, Hessian discarded."""
+    """dI/dw through the oracle's value/gradient/Hessian sweep, Hessian discarded."""
     ket, bra = problem._cost_boundary()
-    z, zg, _ = _chain_derivatives(*problem._interval_stacks(values), ket, bra)
+    z, zg, _ = reference_chain_derivatives(*problem._interval_stacks(values), ket, bra)
     return 2.0 * np.real(np.conj(z) * zg)
 
 
