@@ -12,6 +12,7 @@ reduces to the three distinct points w, w +- 2e ei.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,6 +22,7 @@ __all__ = [
     "NonFiniteCost",
     "fd_hessian",
     "eig_sym",
+    "rank2_ritz",
     "classify_null",
     "eigvec_error",
 ]
@@ -41,8 +43,10 @@ class FdConfig:
 class HessianSpectrum:
     """Eigenvalues sorted by descending magnitude, eigenvectors as rows.
 
-    `null_mask` is None until `classify_null` fills it; True marks indices
-    whose eigenvalue counts as zero.
+    The rows are either a full eigenbasis (`eig_sym`) or the k leading Ritz
+    pairs (`rank2_ritz`), so `vectors` has shape (k, M) with k <= M.
+    `null_mask` is None until classified; True marks indices whose
+    eigenvalue counts as zero.
     """
 
     eigenvalues: np.ndarray
@@ -130,6 +134,31 @@ def fd_hessian(cost, point, config: FdConfig, stencil_cost=None) -> np.ndarray:
     return h
 
 
+def _symmetrised(matrix) -> np.ndarray:
+    """0.5 (A + A^T) of a square matrix that is symmetric up to 1e-8 relative."""
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("expected a square matrix")
+    defect = np.abs(a - a.T).max() if a.size else 0.0
+    if defect > 1e-8 * max(1.0, np.abs(a).max()):
+        raise ValueError(f"matrix is not symmetric (defect {defect:.2e})")
+    return 0.5 * (a + a.T)
+
+
+def _eigh(sym):
+    try:
+        return np.linalg.eigh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError("eigendecomposition did not converge") from exc
+
+
+def _descending(vals, vecs, null_mask=None) -> HessianSpectrum:
+    """Eigenpairs (vectors as columns) sorted by descending |eigenvalue|."""
+    order = np.argsort(-np.abs(vals), kind="stable")
+    return HessianSpectrum(eigenvalues=vals[order], vectors=vecs.T[order],
+                           null_mask=null_mask)
+
+
 def eig_sym(matrix) -> HessianSpectrum:
     """Eigendecomposition of a symmetric matrix, sorted by descending |eigenvalue|.
 
@@ -137,19 +166,59 @@ def eig_sym(matrix) -> HessianSpectrum:
     machine precision and the reconstruction residual is far below the
     1e-12 * ||A|| off-diagonal target of an explicit Jacobi sweep.
     """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
-    defect = np.abs(a - a.T).max() if a.size else 0.0
-    if defect > 1e-8 * max(1.0, np.abs(a).max()):
-        raise ValueError(f"matrix is not symmetric (defect {defect:.2e})")
-    sym = 0.5 * (a + a.T)
-    try:
-        vals, vecs = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError("eigendecomposition did not converge") from exc
-    order = np.argsort(-np.abs(vals), kind="stable")
-    return HessianSpectrum(eigenvalues=vals[order], vectors=vecs.T[order])
+    return _descending(*_eigh(_symmetrised(matrix)))
+
+
+# Rayleigh-Ritz block size and subspace-iteration passes of `rank2_ritz`
+_RITZ_BLOCK = 4
+_RITZ_PASSES = 2
+# below this dimension one full `eigh` costs less than the QR passes: per
+# projector, 0.08 against 0.21 ms at M = 8, about even at M = 28 to 32, and
+# 0.44 against 0.22 ms at M = 48 (trap Hessians at solutions, 2 vCPUs)
+_RITZ_MIN_DIM = 32
+
+
+@lru_cache(maxsize=16)
+def _ritz_start(m: int) -> np.ndarray:
+    """The fixed (m, _RITZ_BLOCK) Gaussian start block, drawn once per size."""
+    block = np.random.default_rng(m).standard_normal((m, _RITZ_BLOCK))
+    block.flags.writeable = False
+    return block
+
+
+def rank2_ritz(matrix) -> HessianSpectrum:
+    """The leading eigenpairs of a symmetric matrix, the two largest in
+    magnitude classified non-null: all M of them below `_RITZ_MIN_DIM`,
+    else the four Ritz pairs of one Rayleigh-Ritz step.
+
+    The step works on the range of H^3 Omega, with a fixed Gaussian start
+    block Omega of four columns and a QR factorisation after every product
+    (randomized subspace iteration, Halko, Martinsson & Tropp, SIAM Review
+    53 (2011), section 4.5).  When H has rank two up to a remainder of
+    relative size r = |lambda_3 / lambda_2|, its two non-null eigenvectors
+    lie in that range up to about r^3, so the projector they span matches a
+    full `eigh`'s without its O(M^3) cost.  The third Ritz value estimates
+    lambda_3 (from below when H is positive semi-definite, by Cauchy
+    interlacing).  Below `_RITZ_MIN_DIM` the spectrum is
+    `classify_null(eig_sym(H), rank=2)`, bit for bit.  The same symmetry
+    check as `eig_sym` applies; the result depends on the matrix alone.
+    """
+    sym = _symmetrised(matrix)
+    m = sym.shape[0]
+    if m < 2:
+        raise ValueError(f"rank 2 exceeds dimension {m}")
+    if m < _RITZ_MIN_DIM:
+        vals, vecs = _eigh(sym)
+    else:
+        y = sym @ _ritz_start(m)
+        for _ in range(_RITZ_PASSES):
+            y = sym @ np.linalg.qr(y)[0]
+        q = np.linalg.qr(y)[0]
+        vals, u = _eigh(q.T @ sym @ q)
+        vecs = q @ u
+    mask = np.ones(vals.size, dtype=bool)
+    mask[:2] = False
+    return _descending(vals, vecs, mask)
 
 
 def classify_null(spectrum: HessianSpectrum, *, tau_rel: float | None = None,

@@ -1,11 +1,15 @@
 """Fidelity-preserving flows on the solution set.
 
-The instantaneous Hessian of the main objective is eigendecomposed at every
-RK4 stage point, the chosen direction is projected onto the span of the null
-eigenvectors, and the resulting field dw/dzeta = P(w) a(w) is integrated with
-classical fourth-order Runge-Kutta.  Because the projector removes every
-fidelity-decreasing component, the trajectory stays on the level set up to
-integration error.
+At a solution the Hessian of the main objective has rank two.  At every RK4
+stage point `navigate` takes that Hessian's two non-null eigenvectors from
+one Rayleigh-Ritz step on a block of four (`landscape.rank2_ritz`; a full
+eigendecomposition below M = 32, where that is cheaper), removes their
+components from the chosen direction, and integrates the resulting field
+dw/dzeta = P(w) a(w) with classical fourth-order Runge-Kutta.  Because the
+projector removes every fidelity-decreasing component, the trajectory stays
+on the level set up to integration error.  The third eigenvalue (or Ritz
+value) guards the rank-two premise: a run whose |lambda_3 / lambda_2|
+exceeds `RANK_COLLAPSE_RATIO` stops.
 """
 
 from __future__ import annotations
@@ -16,12 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import ControlField
-from .landscape import (FdConfig, HessianSpectrum, NonFiniteCost, classify_null, eig_sym,
-                        fd_hessian)
+from .landscape import FdConfig, HessianSpectrum, NonFiniteCost, fd_hessian, rank2_ritz
 from .models import PrefixGrowth, chain_stencil_cost, hessian_of
 
 __all__ = [
     "FAILURE_CODES",
+    "RANK_COLLAPSE_RATIO",
     "FixedVector",
     "NullFollow",
     "SecondaryGradient",
@@ -40,13 +44,15 @@ def project(a, spectrum: HessianSpectrum) -> np.ndarray:
     """Remove the components of `a` along the non-null eigenvectors.
 
     P a = a - sum_{i nonnull} v_i (a . v_i): the orthogonal projection onto
-    the span of the null-masked eigenvectors.
+    the orthogonal complement of the non-null eigenvectors, which a full
+    spectrum's null-masked eigenvectors span.
     """
     if not spectrum.classified:
         raise ValueError("spectrum has not been classified; call classify_null first")
     a = np.asarray(a, dtype=float)
-    if a.shape != (spectrum.size,):
-        raise ValueError(f"direction has shape {a.shape}, expected ({spectrum.size},)")
+    m = spectrum.vectors.shape[1]
+    if a.shape != (m,):
+        raise ValueError(f"direction has shape {a.shape}, expected ({m},)")
     v_nonnull = spectrum.vectors[~spectrum.null_mask]
     if v_nonnull.size == 0:
         return a.copy()
@@ -61,9 +67,10 @@ def null_direction(spectrum: HessianSpectrum, previous=None) -> np.ndarray:
     dot product with `previous` is negative.
     """
     idx = spectrum.null_indices()
-    if idx.size != 1:
+    dim = spectrum.vectors.shape[1] - spectrum.nonnull_indices().size
+    if dim != 1:
         raise ValueError(
-            f"null space has dimension {idx.size}; following a single null "
+            f"null space has dimension {dim}; following a single null "
             "eigenvector is only defined on a one-dimensional solution curve"
         )
     v = spectrum.vectors[idx[0]].copy()
@@ -125,9 +132,15 @@ class TrajectorySample:
 
 
 # why a navigation run stopped early: a state, infidelity or stencil cost left
-# the finite range, the infidelity rose above the abort ceiling, or the chain's
-# prefix products grew past what its Hessian kernel can be trusted with
-FAILURE_CODES = ("NONFINITE", "CEILING", "GROWTH")
+# the finite range, the infidelity rose above the abort ceiling, the chain's
+# prefix products grew past what its Hessian kernel can be trusted with, or
+# the Hessian stopped being rank two
+FAILURE_CODES = ("NONFINITE", "CEILING", "GROWTH", "RANK_COLLAPSE")
+
+# a stage whose Hessian has |lambda_3 / lambda_2| above this ends the run
+# with RANK_COLLAPSE: the null projector is no longer defined by two
+# directions
+RANK_COLLAPSE_RATIO = 0.1
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,8 +188,7 @@ class _NavigationFailure(Exception):
 
 
 def navigate(problem, start: ControlField, provider, h: float, steps: int,
-             hessian_mode="exact", *, null_rank: int | None = 2,
-             null_tau: float | None = None, abort_ceiling: float = 1e-3,
+             hessian_mode="exact", *, null_rank: int = 2, abort_ceiling: float = 1e-3,
              entry_threshold: float = 1e-6) -> Trajectory:
     """Integrate the projected flow from a solution of the main objective.
 
@@ -184,20 +196,22 @@ def navigate(problem, start: ControlField, provider, h: float, steps: int,
     ----------
     steps : number of RK4 steps; 0 returns the start sample alone.
     hessian_mode : "exact" for analytic Hessians, or an FdConfig whose epsilon
-        sets the finite-difference step; the spectrum is recomputed at every
-        RK4 stage point either way.
-    null_rank / null_tau : classification rule for the null subspace.  The
-        default keeps the two largest-magnitude eigenvalues as non-null, the
-        known structure at solutions of both models; a threshold rule on an
-        FD Hessian would mistake its O(eps^2) noise floor for structure.
+        sets the finite-difference step; the Hessian and its two non-null
+        directions are recomputed at every RK4 stage point either way.
+    null_rank : the number of non-null directions; only 2, the structure
+        at solutions of both models, is accepted.
     abort_ceiling : if the main infidelity exceeds this the run stops and the
         trajectory is returned with `failed` set (never silently truncated).
 
     A run that leaves the finite range (state, infidelity or a stencil cost)
     fails with code NONFINITE, one above the ceiling with CEILING, and one
     whose Hessian the chain kernel refuses (`models.PrefixGrowth`) with
-    GROWTH; any other error propagates.
+    GROWTH, and one whose Hessian has |lambda_3 / lambda_2| above
+    `RANK_COLLAPSE_RATIO` with RANK_COLLAPSE; any other error propagates.
     """
+    if null_rank != 2:
+        raise ValueError(f"null_rank must be 2 (the rank of the Hessian at a "
+                         f"solution), got {null_rank!r}")
     if h <= 0:
         raise ValueError("step h must be positive")
     if steps < 0:
@@ -216,8 +230,6 @@ def navigate(problem, start: ControlField, provider, h: float, steps: int,
             f"threshold {entry_threshold:.1e}"
         )
 
-    rule = ({"tau_rel": null_tau} if null_tau is not None
-            else {"rank": 2 if null_rank is None else null_rank})
     stencil = chain_stencil_cost(problem) if mode == "fd" else None
 
     def flow(values):
@@ -227,7 +239,12 @@ def navigate(problem, start: ControlField, provider, h: float, steps: int,
             hess = fd_hessian(problem.infidelity_of, values, hessian_mode, stencil_cost=stencil)
         else:
             hess = hessian_of(problem, values)
-        spec = classify_null(eig_sym(hess), **rule)
+        spec = rank2_ritz(hess)
+        lam = np.abs(spec.eigenvalues)
+        if lam.size > 2 and not lam[2] <= RANK_COLLAPSE_RATIO * lam[1]:
+            raise _NavigationFailure(
+                "RANK_COLLAPSE", f"|lambda3/lambda2| = {lam[2] / lam[1]:.2e} exceeds "
+                f"{RANK_COLLAPSE_RATIO:.0e}: the Hessian is not rank 2")
         return project(provider.direction(values, spec), spec)
 
     samples = [TrajectorySample(
@@ -274,9 +291,11 @@ def calibrate_epsilon(problem, solution, direction, eps_grid, steps: int = 1000,
     Restarts the same solution for every epsilon on the grid, follows the
     projection of one fixed direction for `steps` RK4 iterations of step `h`,
     and records the final main-objective infidelity.  A run that leaves the
-    finite range (NONFINITE) or wanders where the chain's Hessian cannot be
-    trusted (GROWTH) is recorded as infinite infidelity rather than aborting
-    the sweep.  Returns a list of (epsilon, final_infidelity) pairs.
+    finite range (NONFINITE), wanders where the chain's Hessian cannot be
+    trusted (GROWTH) or meets a Hessian that is not rank 2 (RANK_COLLAPSE,
+    as a noise-dominated stencil gives) is recorded as infinite infidelity
+    rather than aborting the sweep.  Returns a list of (epsilon,
+    final_infidelity) pairs.
     """
     direction = np.asarray(direction, dtype=float)
     if not np.any(direction != 0.0):
@@ -302,7 +321,8 @@ def calibrate_epsilon(problem, solution, direction, eps_grid, steps: int = 1000,
                 entry_threshold=entry_threshold,
             )
             final = traj.samples[-1].infidelity
-            if traj.failure_code in ("NONFINITE", "GROWTH") or not np.isfinite(final):
+            if (traj.failure_code in ("NONFINITE", "GROWTH", "RANK_COLLAPSE")
+                    or not np.isfinite(final)):
                 final = np.inf
         except FloatingPointError:
             final = np.inf

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from qcl.control import ControlField
 from qcl.landscape import (FdConfig, HessianSpectrum, classify_null, eig_sym, eigvec_error,
-                           fd_hessian)
+                           fd_hessian, rank2_ritz)
 from qcl.models import LzProblem, QhoProblem, chain_stencil_cost, hessian_of
-from qcl.navigation import calibrate_epsilon
+from qcl.navigation import FixedVector, calibrate_epsilon, navigate, project
 from qcl.optimizer import SeedSpec, minimize, polish, sample_seeds
 
 
@@ -129,6 +129,104 @@ class TestEigSym:
             eig_sym(np.zeros((2, 3)))
 
 
+def _projector(spectrum):
+    v = spectrum.vectors[~spectrum.null_mask]
+    return v.T @ v
+
+
+@pytest.fixture(scope="module")
+def ritz_solutions():
+    """One deep solution per model at M in {3, 6, 48, 96}."""
+    out = []
+    for m in (3, 6, 48, 96):
+        for problem, bounds in [
+            (LzProblem(gap=2.0, duration=1.8, n_pulses=m), (-5.0, 5.0)),
+            (QhoProblem(omega_start=1.0, omega_target=1.0, duration=1.8, n_pulses=m),
+             (0.1, 3.0)),
+        ]:
+            for s in sample_seeds(SeedSpec(count=20, bounds=bounds, rng_seed=81), problem):
+                rep = minimize(problem, s, tol=1e-6, max_iter=2000)
+                deep = polish(problem, rep.field) if rep.converged else None
+                if deep is not None and deep.converged:
+                    out.append((problem, deep.field.values))
+                    break
+            else:
+                raise RuntimeError(f"no solution found for {problem}")
+    return out
+
+
+class TestRank2Ritz:
+    def test_projector_matches_eig_sym_at_solutions(self, ritz_solutions):
+        rng = np.random.default_rng(37)
+        for problem, values in ritz_solutions:
+            m = values.size
+            for hess in (hessian_of(problem, values),
+                         fd_hessian(problem.infidelity_of, values, FdConfig(1e-2),
+                                    stencil_cost=chain_stencil_cost(problem))):
+                full = classify_null(eig_sym(hess), rank=2)
+                ritz = rank2_ritz(hess)
+                assert ritz.vectors.shape == ((m, m) if m < 32 else (4, m))
+                assert np.abs(_projector(ritz) - _projector(full)).max() <= 1e-8
+                a = rng.normal(size=m)
+                assert np.abs(project(a, ritz) - project(a, full)).max() <= 1e-8
+                assert np.allclose(ritz.eigenvalues[:2], full.eigenvalues[:2],
+                                   rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 6, 31])
+    def test_small_dimension_is_eig_sym_bit_for_bit(self, m):
+        # below M = 32 one full eigh is cheaper than the Ritz step
+        rng = np.random.default_rng(38 + m)
+        for _ in range(20):
+            a = rng.normal(size=(m, m))
+            a = a + a.T
+            full = classify_null(eig_sym(a), rank=2)
+            ritz = rank2_ritz(a)
+            assert np.array_equal(ritz.eigenvalues, full.eigenvalues)
+            assert np.array_equal(ritz.vectors, full.vectors)
+            assert np.array_equal(ritz.null_mask, full.null_mask)
+            x = rng.normal(size=m)
+            assert np.array_equal(project(x, ritz), project(x, full))
+
+    def test_ritz_pairs_of_a_large_matrix(self):
+        # an exactly rank-2 matrix plus a small remainder: orthonormal rows,
+        # the two dominant pairs non-null, the third value below lambda_3
+        rng = np.random.default_rng(39)
+        m = 48
+        basis = np.linalg.qr(rng.normal(size=(m, m)))[0]
+        lam = np.concatenate([[3.0, -1.5], 1e-3 * rng.uniform(0.0, 1.0, m - 2)])
+        a = basis @ np.diag(lam) @ basis.T
+        spec = rank2_ritz(a)
+        assert rank2_ritz(a[:32, :32]).vectors.shape == (4, 32)
+        assert spec.vectors.shape == (4, m)
+        assert list(spec.null_mask) == [False, False, True, True]
+        assert np.abs(spec.vectors @ spec.vectors.T - np.eye(4)).max() <= 1e-12
+        assert np.abs(spec.eigenvalues[:2] - [3.0, -1.5]).max() <= 1e-12
+        assert abs(spec.eigenvalues[2]) <= np.sort(lam[2:])[-1] * (1 + 1e-12)
+        assert np.abs(_projector(spec) - basis[:, :2] @ basis[:, :2].T).max() <= 1e-8
+
+    def test_depends_on_the_matrix_alone(self):
+        rng = np.random.default_rng(40)
+        a = rng.normal(size=(40, 40))
+        a = a + a.T
+        first = rank2_ritz(a)
+        for m in (6, 40, 60):
+            b = rng.normal(size=(m, m))
+            rank2_ritz(b + b.T)
+        again = rank2_ritz(a.copy())
+        assert np.array_equal(first.eigenvalues, again.eigenvalues)
+        assert np.array_equal(first.vectors, again.vectors)
+
+    def test_rejects_asymmetric_and_too_small(self):
+        a = np.zeros((6, 6))
+        a[0, 1] = 1.0
+        with pytest.raises(ValueError, match="symmetric"):
+            rank2_ritz(a)
+        with pytest.raises(ValueError):
+            rank2_ritz(np.ones((1, 1)))
+        with pytest.raises(ValueError):
+            rank2_ritz(np.zeros((2, 3)))
+
+
 class TestClassifyNull:
     def test_threshold_example(self):
         spec = HessianSpectrum(eigenvalues=np.array([1.0, 0.5, 1e-12]),
@@ -245,3 +343,21 @@ class TestCalibration:
         assert final["1e-02"] < 1e-6
         assert final["1e-10"] > 1e-3  # round-off dominated step degrades the run
         assert len(rows) == 4 and all(np.isfinite(e) for e, _ in rows)
+
+    def test_rank_collapse_is_recorded_as_infinite(self, solution):
+        # at eps = 1e-10 the stencil is rounding noise, so the Hessian loses its
+        # rank-2 structure and the run ends with RANK_COLLAPSE
+        problem, field = solution
+        direction = np.random.default_rng(52).normal(size=6)
+        direction /= np.linalg.norm(direction)
+        traj = navigate(problem, field, FixedVector(direction), h=0.1, steps=150,
+                        hessian_mode=FdConfig(1e-10), abort_ceiling=np.inf)
+        assert traj.failed and traj.failure_code == "RANK_COLLAPSE"
+        rows = calibrate_epsilon(problem, field, direction, [1e-10], steps=150, h=0.1)
+        assert rows == [(1e-10, np.inf)]
+
+    def test_null_rank_must_be_two(self, solution):
+        problem, field = solution
+        with pytest.raises(ValueError, match="null_rank"):
+            calibrate_epsilon(problem, field, np.ones(6), [1e-2], steps=1, h=0.1,
+                              null_rank=3)

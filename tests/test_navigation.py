@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcl import navigation
-from qcl.control import ControlField
-from qcl.landscape import FdConfig, HessianSpectrum, classify_null, eig_sym
-from qcl.models import PrefixGrowth, QhoProblem
-from qcl.navigation import (FAILURE_CODES, FixedVector, NullFollow, navigate,
-                            null_direction, project, rk4_integrate, write_jsonl)
+from qcl import landscape, navigation
+from qcl.control import ControlField, FrequencySpec
+from qcl.landscape import FdConfig, HessianSpectrum, classify_null, eig_sym, rank2_ritz
+from qcl.models import LzProblem, PrefixGrowth, QhoProblem, hessian_of
+from qcl.navigation import (FAILURE_CODES, FixedVector, NullFollow, SecondaryGradient,
+                            navigate, null_direction, project, rk4_integrate, write_jsonl)
+from qcl.objectives import FourierObjective
 from qcl.optimizer import SeedSpec, minimize, polish, sample_seeds
 
 
@@ -136,6 +137,15 @@ class TestRk4:
 
 
 @pytest.fixture(scope="module")
+def qho48_solution():
+    problem = QhoProblem(omega_start=1.0, omega_target=1.0, duration=1.8, n_pulses=48)
+    seeds = sample_seeds(SeedSpec(count=20, bounds=(0.1, 3.0), rng_seed=77), problem)
+    rep = next(r for r in (minimize(problem, s, tol=1e-6, max_iter=2000) for s in seeds)
+               if r.converged)
+    return problem, polish(problem, rep.field, target=1e-16).field
+
+
+@pytest.fixture(scope="module")
 def qho_solution():
     problem = QhoProblem(omega_start=1.0, omega_target=1.0, duration=1.8, n_pulses=6)
     seeds = sample_seeds(SeedSpec(count=10, bounds=(0.1, 3.0), rng_seed=71), problem)
@@ -211,7 +221,11 @@ class TestNavigate:
         diff = np.abs(t_exact.values_matrix() - t_fd.values_matrix()).max()
         assert diff < 1e-5
 
-    def test_abort_ceiling_flags_failure(self, qho_solution):
+    def test_abort_ceiling_flags_failure(self, qho_solution, monkeypatch):
+        # the rank guard stops this run at its first stage (see
+        # test_rank_collapse_preempts_the_ceiling); with it off, the ceiling
+        # is what catches the wandering run
+        monkeypatch.setattr(navigation, "RANK_COLLAPSE_RATIO", np.inf)
         problem, field = qho_solution
         rng = np.random.default_rng(74)
         a = rng.normal(size=6)
@@ -242,7 +256,7 @@ class TestNavigate:
                         hessian_mode=FdConfig(1e-2))
         assert traj.failed and traj.failure_code == "NONFINITE"
         assert len(traj.samples) == 1
-        assert set(FAILURE_CODES) == {"CEILING", "NONFINITE", "GROWTH"}
+        assert set(FAILURE_CODES) == {"CEILING", "NONFINITE", "GROWTH", "RANK_COLLAPSE"}
 
     @pytest.mark.parametrize("mode", ["exact", FdConfig(1e-2)])
     def test_growth_failure_code(self, qho_solution, monkeypatch, mode):
@@ -268,9 +282,115 @@ class TestNavigate:
         assert "grow" in traj.failure_reason
         assert len(traj.samples) == 2
 
-    def test_consecutive_null_directions_stay_aligned(self):
-        from qcl.models import LzProblem
+    def test_rank_collapse_preempts_the_ceiling(self, qho_solution):
+        # a noise-floor stencil has no rank-2 structure: the guard ends the run
+        # in its first step, before it can wander
+        problem, field = qho_solution
+        a = np.random.default_rng(74).normal(size=6)
+        traj = navigate(problem, field, FixedVector(a), h=0.5, steps=400,
+                        hessian_mode=FdConfig(1e-12), abort_ceiling=1e-3)
+        assert traj.failed and traj.failure_code == "RANK_COLLAPSE"
+        assert "lambda3/lambda2" in traj.failure_reason
+        assert len(traj.samples) == 1
 
+    @pytest.mark.parametrize("factor, code", [(0.99, None), (1.01, "RANK_COLLAPSE")])
+    def test_rank_collapse_threshold(self, qho_solution, monkeypatch, factor, code):
+        # the guard compares |lambda_3| with RANK_COLLAPSE_RATIO |lambda_2|
+        problem, field = qho_solution
+
+        def third_value_at(hess):
+            spec = rank2_ritz(hess)
+            spec.eigenvalues[2] = (-factor * navigation.RANK_COLLAPSE_RATIO
+                                   * abs(spec.eigenvalues[1]))
+            return spec
+
+        monkeypatch.setattr(navigation, "rank2_ritz", third_value_at)
+        traj = navigate(problem, field, FixedVector(np.ones(6)), h=0.1, steps=3)
+        assert traj.failure_code == code
+        assert len(traj.samples) == (4 if code is None else 1)
+
+    def test_null_rank_must_be_two(self, qho_solution):
+        problem, field = qho_solution
+        for rank in (1, 3, None):
+            with pytest.raises(ValueError, match="null_rank"):
+                navigate(problem, field, FixedVector(np.ones(6)), h=0.1, steps=1,
+                         null_rank=rank)
+        traj = navigate(problem, field, FixedVector(np.ones(6)), h=0.1, steps=1, null_rank=2)
+        assert not traj.failed
+
+    def test_null_follow_needs_a_curve(self, qho_solution, qho48_solution):
+        # the solution set has dimension M - 2, whether the spectrum is full
+        # (M = 6) or four Ritz pairs (M = 48)
+        for (problem, field), dim in ((qho_solution, 4), (qho48_solution, 46)):
+            with pytest.raises(ValueError, match=f"dimension {dim};"):
+                navigate(problem, field, NullFollow(), h=0.1, steps=1)
+
+    @pytest.mark.parametrize("m", [6, 48])
+    def test_no_full_eigendecomposition(self, qho_solution, qho48_solution, monkeypatch, m):
+        problem, field = qho_solution if m == 6 else qho48_solution
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("navigate called a full-spectrum routine")
+
+        monkeypatch.setattr(landscape, "eig_sym", refuse)
+        monkeypatch.setattr(landscape, "classify_null", refuse)
+        for mode in ("exact", FdConfig(1e-2)):
+            traj = navigate(problem, field, FixedVector(np.ones(m)), h=0.01, steps=2,
+                            hessian_mode=mode)
+            assert not traj.failed
+
+    @pytest.mark.parametrize("mode", ["exact", FdConfig(1e-2)])
+    def test_chunked_runs_match_one_call(self, qho48_solution, mode):
+        # every stage depends on its own point alone (the Ritz start block is
+        # fixed), so a run restarted from its last sample continues exactly as
+        # one long call
+        problem, field = qho48_solution
+        objective = FourierObjective(FrequencySpec.closure([1, 2], 48))
+        provider = SecondaryGradient(objective)
+        whole = navigate(problem, field, provider, h=0.005, steps=20, hessian_mode=mode)
+        first = navigate(problem, field, provider, h=0.005, steps=10, hessian_mode=mode)
+        second = navigate(problem, first.samples[-1].field, provider, h=0.005,
+                          steps=10, hessian_mode=mode)
+        chunked = first.samples + second.samples[1:]
+        assert not whole.failed and len(chunked) == len(whole.samples) == 21
+        assert np.array_equal(np.stack([s.field.values for s in chunked]),
+                              whole.values_matrix())
+        assert [s.infidelity for s in chunked] == list(whole.infidelities())
+
+    def test_three_pulse_drive_equals_the_full_spectrum_path(self, monkeypatch):
+        # at M <= 4 the Ritz block is the whole space: the NullFollow loop is
+        # bit for bit the one driven by eig_sym and classify_null
+        problem = LzProblem(gap=2.0, duration=1.4 * np.pi / 2, n_pulses=3)
+        seeds = sample_seeds(SeedSpec(count=40, bounds=(-5.0, 5.0), rng_seed=75), problem)
+        rep = next(r for r in (minimize(problem, s, tol=1e-6, max_iter=2000) for s in seeds)
+                   if r.converged)
+        field = polish(problem, rep.field).field
+        ritz = navigate(problem, field, NullFollow(), h=0.01, steps=100,
+                        hessian_mode=FdConfig(1e-2))
+        monkeypatch.setattr(navigation, "rank2_ritz",
+                            lambda hess: classify_null(eig_sym(hess), rank=2))
+        full = navigate(problem, field, NullFollow(), h=0.01, steps=100,
+                        hessian_mode=FdConfig(1e-2))
+        assert not ritz.failed
+        assert np.array_equal(ritz.values_matrix(), full.values_matrix())
+
+    def test_projector_along_a_compression(self, qho48_solution):
+        # 200 exact steps of the trap M=48 compression: at every sample the
+        # Ritz projector is the full eigendecomposition's to 1e-8
+        problem, start = qho48_solution
+        objective = FourierObjective(FrequencySpec.closure([1, 2], 48))
+        traj = navigate(problem, start, SecondaryGradient(objective), h=0.005, steps=200)
+        assert not traj.failed and len(traj.samples) == 201
+        assert traj.secondary_costs()[-1] < 0.5 * traj.secondary_costs()[0]
+        worst = 0.0
+        for values in traj.values_matrix():
+            hess = hessian_of(problem, values)
+            full = classify_null(eig_sym(hess), rank=2).vectors[:2]
+            ritz = rank2_ritz(hess).vectors[:2]
+            worst = max(worst, np.abs(ritz.T @ ritz - full.T @ full).max())
+        assert worst <= 1e-8
+
+    def test_consecutive_null_directions_stay_aligned(self):
         problem = LzProblem(gap=2.0, duration=1.4 * np.pi / 2, n_pulses=3)
         seeds = sample_seeds(SeedSpec(count=40, bounds=(-5.0, 5.0), rng_seed=75), problem)
         field = None
