@@ -89,6 +89,9 @@ def _load_config(path: str, command: str) -> dict:
     if not isinstance(cfg, dict):
         raise ValueError("a config must be a JSON object")
     unknown = sorted(set(cfg) - _CONFIG_KEYS[command])
+    rule = cfg.get("classify")
+    if command == "spectrum" and isinstance(rule, dict):
+        unknown += [f"classify.{k}" for k in sorted(set(rule) - {"tau_rel"})]
     problem = cfg.get("problem")
     if isinstance(problem, dict) and problem.get("model") in MODEL_SCHEMAS:
         known = {"model"} | set(MODEL_SCHEMAS[problem["model"]].keys)
@@ -215,15 +218,14 @@ def cmd_spectrum(cfg: dict, out: Path) -> int:
     else:
         raise ValueError(f"unknown hessian mode {mode!r}")
     spec = eig_sym(hess)
-    rule = cfg.get("classify", {"tau_rel": 1e-6})
-    spec = classify_null(spec, **{k: rule[k] for k in ("tau_rel", "rank") if k in rule})
+    is_null = classify_null(spec, tau_rel=cfg.get("classify", {}).get("tau_rel", 1e-6))
     lam_max = np.abs(spec.eigenvalues).max()
     rows = [(i, float(spec.eigenvalues[i]),
              float(abs(spec.eigenvalues[i]) / lam_max) if lam_max else 0.0,
-             int(spec.null_mask[i]))
+             int(is_null[i]))
             for i in range(spec.size)]
     _write_csv(out / "spectrum.csv", seed, "index,eigenvalue,ratio_to_max,is_null", rows)
-    n_nonnull = int((~spec.null_mask).sum())
+    n_nonnull = int((~is_null).sum())
     print(f"spectrum: {n_nonnull} non-null of {spec.size} eigenvalues -> {out / 'spectrum.csv'}")
     return 0
 
@@ -240,16 +242,15 @@ def cmd_fd_error(cfg: dict, out: Path) -> int:
     stencil = chain_stencil_cost(problem)
     for k, rep in enumerate(sols):
         vals = rep.field.values
-        exact = classify_null(eig_sym(hessian_of(problem, vals)), rank=2)
-        nn = exact.nonnull_indices()
+        exact = eig_sym(hessian_of(problem, vals))
         rows = []
         for eps in grid:
             approx = eig_sym(fd_hessian(problem.infidelity_of, vals, FdConfig(eps),
                                         stencil_cost=stencil))
             errs = []
-            for i in nn:
+            for i in (0, 1):
                 try:
-                    errs.append(eigvec_error(exact, approx, int(i)))
+                    errs.append(eigvec_error(exact, approx, i))
                 except ValueError:
                     errs.append(float("nan"))
             rows.append((eps, errs[0], errs[1]))
@@ -270,7 +271,7 @@ def cmd_drive(cfg: dict, out: Path) -> int:
     header = {"seed": seed, "problem": problem_to_dict(problem), "epsilon": eps,
               "h": h, "steps": steps}
     traj = navigate(problem, start, NullFollow(), h=h, steps=steps,
-                    hessian_mode=FdConfig(eps), null_rank=2)
+                    hessian_mode=FdConfig(eps))
     with path.open("w") as fh:
         write_jsonl(traj, fh, header=header)
     vmat = traj.values_matrix()

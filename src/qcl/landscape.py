@@ -11,7 +11,7 @@ reduces to the three distinct points w, w +- 2e ei.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -44,32 +44,18 @@ class HessianSpectrum:
     """Eigenvalues sorted by descending magnitude, eigenvectors as rows.
 
     The rows are either a full eigenbasis (`eig_sym`) or the k leading Ritz
-    pairs (`rank2_ritz`), so `vectors` has shape (k, M) with k <= M.
-    `null_mask` is None until classified; True marks indices whose
-    eigenvalue counts as zero.
+    pairs (`rank2_ritz`), so `vectors` has shape (k, M) with k <= M.  At a
+    solution of either model the Hessian has rank two, so rows 0 and 1 are
+    the non-null pair and every later row is null; the row order is the
+    only place that premise is encoded.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    null_mask: np.ndarray | None = None
 
     @property
     def size(self) -> int:
         return self.eigenvalues.size
-
-    @property
-    def classified(self) -> bool:
-        return self.null_mask is not None
-
-    def null_indices(self) -> np.ndarray:
-        if self.null_mask is None:
-            raise ValueError("spectrum has not been classified")
-        return np.flatnonzero(self.null_mask)
-
-    def nonnull_indices(self) -> np.ndarray:
-        if self.null_mask is None:
-            raise ValueError("spectrum has not been classified")
-        return np.flatnonzero(~self.null_mask)
 
 
 class NonFiniteCost(ValueError):
@@ -152,11 +138,10 @@ def _eigh(sym):
         raise RuntimeError("eigendecomposition did not converge") from exc
 
 
-def _descending(vals, vecs, null_mask=None) -> HessianSpectrum:
+def _descending(vals, vecs) -> HessianSpectrum:
     """Eigenpairs (vectors as columns) sorted by descending |eigenvalue|."""
     order = np.argsort(-np.abs(vals), kind="stable")
-    return HessianSpectrum(eigenvalues=vals[order], vectors=vecs.T[order],
-                           null_mask=null_mask)
+    return HessianSpectrum(eigenvalues=vals[order], vectors=vecs.T[order])
 
 
 def eig_sym(matrix) -> HessianSpectrum:
@@ -187,9 +172,9 @@ def _ritz_start(m: int) -> np.ndarray:
 
 
 def rank2_ritz(matrix) -> HessianSpectrum:
-    """The leading eigenpairs of a symmetric matrix, the two largest in
-    magnitude classified non-null: all M of them below `_RITZ_MIN_DIM`,
-    else the four Ritz pairs of one Rayleigh-Ritz step.
+    """The leading eigenpairs of a symmetric matrix, rows 0 and 1 the two
+    largest in magnitude: all M of them below `_RITZ_MIN_DIM`, else the
+    four Ritz pairs of one Rayleigh-Ritz step.
 
     The step works on the range of H^3 Omega, with a fixed Gaussian start
     block Omega of four columns and a QR factorisation after every product
@@ -199,9 +184,9 @@ def rank2_ritz(matrix) -> HessianSpectrum:
     lie in that range up to about r^3, so the projector they span matches a
     full `eigh`'s without its O(M^3) cost.  The third Ritz value estimates
     lambda_3 (from below when H is positive semi-definite, by Cauchy
-    interlacing).  Below `_RITZ_MIN_DIM` the spectrum is
-    `classify_null(eig_sym(H), rank=2)`, bit for bit.  The same symmetry
-    check as `eig_sym` applies; the result depends on the matrix alone.
+    interlacing).  Below `_RITZ_MIN_DIM` the spectrum is `eig_sym(H)`, bit
+    for bit.  The same symmetry check as `eig_sym` applies; the result
+    depends on the matrix alone.
     """
     sym = _symmetrised(matrix)
     m = sym.shape[0]
@@ -216,45 +201,28 @@ def rank2_ritz(matrix) -> HessianSpectrum:
         q = np.linalg.qr(y)[0]
         vals, u = _eigh(q.T @ sym @ q)
         vecs = q @ u
-    mask = np.ones(vals.size, dtype=bool)
-    mask[:2] = False
-    return _descending(vals, vecs, mask)
+    return _descending(vals, vecs)
 
 
-def classify_null(spectrum: HessianSpectrum, *, tau_rel: float | None = None,
-                  rank: int | None = None) -> HessianSpectrum:
-    """Split the spectrum into null and non-null indices.
+def classify_null(spectrum: HessianSpectrum, *, tau_rel: float = 1e-6) -> np.ndarray:
+    """Boolean mask, True where |lambda_i| <= tau_rel * |lambda_max|.
 
-    Threshold mode (default, tau_rel = 1e-6): index i is non-null iff
-    |lambda_i| > tau_rel * |lambda_max|.  Rank mode: exactly the `rank`
-    largest-magnitude indices are non-null, which encodes the known
-    two-directions-of-decreasing-fidelity structure of both models.
+    A threshold reading of the spectrum for reports; navigation does not use
+    it, since the rank-2 premise puts the non-null pair in rows 0 and 1.
     """
-    if tau_rel is not None and rank is not None:
-        raise ValueError("give either tau_rel or rank, not both")
-    m = spectrum.size
-    if rank is not None:
-        if rank > m:
-            raise ValueError(f"rank {rank} exceeds dimension {m}")
-        mask = np.ones(m, dtype=bool)
-        mask[:rank] = False  # eigenvalues are sorted by descending magnitude
-    else:
-        tau = 1e-6 if tau_rel is None else float(tau_rel)
-        lam_max = np.abs(spectrum.eigenvalues).max() if m else 0.0
-        mask = ~(np.abs(spectrum.eigenvalues) > tau * lam_max)
-    return replace(spectrum, null_mask=mask)
+    lam = np.abs(spectrum.eigenvalues)
+    return lam <= float(tau_rel) * (lam.max() if lam.size else 0.0)
 
 
 def eigvec_error(exact: HessianSpectrum, approx: HessianSpectrum, i: int) -> float:
     """E_i = 1 - |v_i . v~_i| with vectors paired by descending-|lambda| order.
 
-    Only meaningful for non-null, non-degenerate indices of the exact
-    spectrum; the degenerate null subspace has no preferred basis.
+    Only defined for the non-null pair, i = 0 or 1, and only when lambda_i is
+    non-degenerate; the degenerate null subspace has no preferred basis.
     """
-    if not exact.classified:
-        raise ValueError("exact spectrum has not been classified")
-    if exact.null_mask[i]:
-        raise ValueError(f"index {i} is classified null; its eigenvector is not unique")
+    if i not in (0, 1):
+        raise ValueError(f"index {i} is null; only the non-null pair (0 or 1) "
+                         "has a unique eigenvector")
     lam = exact.eigenvalues
     tol = 1e-9 * max(np.abs(lam).max(), 1e-300)
     others = np.delete(np.arange(exact.size), i)

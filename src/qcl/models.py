@@ -81,29 +81,25 @@ def _cs_values(w, dt):
     return C, S
 
 
-def _cs_tables(w, dt, second=True):
-    """C, S, dS/dw and, if `second`, d2S/dw2 (else None); see `_cs_values`."""
+def _factor_tables(w, dt, order):
+    """C and S, then S' = dS/dw if order >= 1 and S'' = d2S/dw2 if order >= 2
+    (else None); see `_cs_values`."""
     C, S = _cs_values(w, dt)
+    if order == 0:
+        return C, S, None, None
     w = np.asarray(w, dtype=float)
     x = w * dt * dt
     series = x < _SERIES_X
     safe_w = np.where(series, 1.0, w)
     S1 = (C * dt - S) / (2.0 * safe_w)
-    S2 = (-(dt * dt / 2.0) * S - 3.0 * S1) / (2.0 * safe_w) if second else None
+    S2 = (-(dt * dt / 2.0) * S - 3.0 * S1) / (2.0 * safe_w) if order > 1 else None
     if series.any():
         S1 = np.where(series, dt**3 * (-1.0 / 6.0 + x / 60.0 - x * x / 1680.0
                                        + x**3 / 90720.0), S1)
-        if second:
+        if order > 1:
             S2 = np.where(series, dt**5 * (1.0 / 60.0 - x / 840.0 + x * x / 30240.0
                                            - x**3 / 1995840.0), S2)
     return C, S, S1, S2
-
-
-def _factor_tables(w, dt, order):
-    """C and S, then S' if order >= 1 and S'' if order >= 2 (else None)."""
-    if order == 0:
-        return _cs_values(w, dt) + (None, None)
-    return _cs_tables(w, dt, second=order > 1)
 
 
 class _ChainProblem:

@@ -43,37 +43,31 @@ __all__ = [
 def project(a, spectrum: HessianSpectrum) -> np.ndarray:
     """Remove the components of `a` along the non-null eigenvectors.
 
-    P a = a - sum_{i nonnull} v_i (a . v_i): the orthogonal projection onto
-    the orthogonal complement of the non-null eigenvectors, which a full
-    spectrum's null-masked eigenvectors span.
+    P a = a - v_0 (a . v_0) - v_1 (a . v_1): the orthogonal projection onto
+    the complement of the non-null pair, rows 0 and 1 of the spectrum.
     """
-    if not spectrum.classified:
-        raise ValueError("spectrum has not been classified; call classify_null first")
     a = np.asarray(a, dtype=float)
     m = spectrum.vectors.shape[1]
     if a.shape != (m,):
         raise ValueError(f"direction has shape {a.shape}, expected ({m},)")
-    v_nonnull = spectrum.vectors[~spectrum.null_mask]
-    if v_nonnull.size == 0:
-        return a.copy()
+    v_nonnull = spectrum.vectors[:2]
     return a - v_nonnull.T @ (v_nonnull @ a)
 
 
 def null_direction(spectrum: HessianSpectrum, previous=None) -> np.ndarray:
     """Unit null eigenvector, sign-aligned with the previous direction.
 
-    Requires a one-dimensional null space (a solution curve); the eigensolver
-    emits arbitrary signs, so continuity is restored by flipping whenever the
-    dot product with `previous` is negative.
+    Requires a one-dimensional null space (a solution curve, M = 3), whose
+    vector is row 2; the eigensolver emits arbitrary signs, so continuity is
+    restored by flipping whenever the dot product with `previous` is negative.
     """
-    idx = spectrum.null_indices()
-    dim = spectrum.vectors.shape[1] - spectrum.nonnull_indices().size
+    dim = spectrum.vectors.shape[1] - 2
     if dim != 1:
         raise ValueError(
             f"null space has dimension {dim}; following a single null "
             "eigenvector is only defined on a one-dimensional solution curve"
         )
-    v = spectrum.vectors[idx[0]].copy()
+    v = spectrum.vectors[2].copy()
     if previous is not None and float(np.dot(v, previous)) < 0.0:
         v = -v
     return v
@@ -148,9 +142,12 @@ class Trajectory:
     samples: tuple
     hessian_mode: str
     fd_epsilon: float | None
-    failed: bool = False
     failure_code: str | None = None
     failure_reason: str | None = None
+
+    @property
+    def failed(self) -> bool:
+        return self.failure_code is not None
 
     def values_matrix(self) -> np.ndarray:
         return np.stack([s.field.values for s in self.samples])
@@ -280,12 +277,12 @@ def navigate(problem, start: ControlField, provider, h: float, steps: int,
     except PrefixGrowth as exc:
         code, reason = "GROWTH", str(exc)
     return Trajectory(samples=tuple(samples), hessian_mode=mode, fd_epsilon=fd_eps,
-                      failed=code is not None, failure_code=code, failure_reason=reason)
+                      failure_code=code, failure_reason=reason)
 
 
 def calibrate_epsilon(problem, solution, direction, eps_grid, steps: int = 1000,
                       h: float = 0.1, entry_threshold: float = 1e-6,
-                      null_rank: int = 2, abort_ceiling: float = np.inf):
+                      abort_ceiling: float = np.inf):
     """Final infidelity of an FD-driven navigation run, per stencil step.
 
     Restarts the same solution for every epsilon on the grid, follows the
@@ -307,24 +304,11 @@ def calibrate_epsilon(problem, solution, direction, eps_grid, steps: int = 1000,
         )
     rows = []
     for eps in eps_grid:
-        provider = FixedVector(direction)
-        try:
-            traj = navigate(
-                problem,
-                solution,
-                provider,
-                h=h,
-                steps=steps,
-                hessian_mode=FdConfig(float(eps)),
-                null_rank=null_rank,
-                abort_ceiling=abort_ceiling,
-                entry_threshold=entry_threshold,
-            )
-            final = traj.samples[-1].infidelity
-            if (traj.failure_code in ("NONFINITE", "GROWTH", "RANK_COLLAPSE")
-                    or not np.isfinite(final)):
-                final = np.inf
-        except FloatingPointError:
+        traj = navigate(problem, solution, FixedVector(direction), h=h, steps=steps,
+                        hessian_mode=FdConfig(float(eps)), abort_ceiling=abort_ceiling,
+                        entry_threshold=entry_threshold)
+        final = traj.samples[-1].infidelity
+        if traj.failure_code in ("NONFINITE", "GROWTH", "RANK_COLLAPSE"):
             final = np.inf
         rows.append((float(eps), float(final)))
     return rows

@@ -1,10 +1,11 @@
 """Secondary costs evaluated along the solution set.
 
 The spectral-compression cost charges all DFT power outside a kept index set:
-C = sum_{k not kept} |X_k|^2.  Because the DFT is linear, C is an explicit
-quadratic form w^T Q w with Q_nm = sum_{k not kept} cos(2 pi k (n - m) / M),
-so its gradient 2 Q w is analytic and only the main objective ever needs
-finite differences.
+C = sum_{k not kept} |X_k|^2.  Because the DFT is linear, C = ||G w||^2 with a
+real factor G that stacks the rows cos(2 pi k n / M) and sin(2 pi k n / M) of
+every excluded k, so C cannot be negative and its gradient 2 Q w, with
+Q = G^T G, is analytic; only the main objective ever needs finite
+differences.
 """
 
 from __future__ import annotations
@@ -23,23 +24,17 @@ class FourierObjective:
     def __init__(self, spec: FrequencySpec):
         self.spec = spec
         m = spec.m
-        excluded = np.asarray(spec.excluded, dtype=float)
-        n = np.arange(m)
-        diff = n[:, None] - n[None, :]
-        if excluded.size:
-            self.penalty_matrix = np.cos(
-                2.0 * np.pi * excluded[:, None, None] * diff[None, :, :] / m
-            ).sum(axis=0)
-        else:
-            self.penalty_matrix = np.zeros((m, m))
+        phase = 2.0 * np.pi * np.outer(np.asarray(spec.excluded, dtype=float), np.arange(m)) / m
+        self.factor = np.concatenate([np.cos(phase), np.sin(phase)])
+        self.penalty_matrix = self.factor.T @ self.factor
 
     @property
     def m(self) -> int:
         return self.spec.m
 
     def cost_of(self, values) -> float:
-        values = np.asarray(values, dtype=float)
-        return float(values @ self.penalty_matrix @ values)
+        r = self.factor @ np.asarray(values, dtype=float)
+        return float(r @ r)
 
     def gradient_of(self, values) -> np.ndarray:
         values = np.asarray(values, dtype=float)
@@ -54,7 +49,7 @@ def _check_dim(field: ControlField, objective: FourierObjective):
 
 
 def fourier_cost(field: ControlField, objective: FourierObjective) -> float:
-    """C = sum over excluded k of |X_k|^2, via the quadratic form."""
+    """C = sum over excluded k of |X_k|^2, as ||G w||^2."""
     _check_dim(field, objective)
     return objective.cost_of(field.values)
 

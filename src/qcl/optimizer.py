@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import ControlField
+from .landscape import rank2_ritz
 from .models import gradient_of, hessian_of
 
 __all__ = ["SeedSpec", "OptimizationReport", "sample_seeds", "minimize", "polish"]
@@ -138,16 +139,15 @@ def minimize(problem, seed: ControlField, tol: float = 1e-6,
 
 
 def polish(problem, field: ControlField, target: float = 1e-16,
-           max_iter: int = 60, rank: int = 2) -> OptimizationReport:
+           max_iter: int = 60) -> OptimizationReport:
     """Newton refinement of a near-solution, restricted to the non-null subspace.
 
     Gradient descent alone crawls once the infidelity is tiny (the valley is
     ill conditioned), while the Hessian-rank structure of deep solutions is
     only visible below ~1e-16.  Starting from a `minimize` result, a Newton
-    step along the `rank` non-null eigendirections converges quadratically.
+    step along the two non-null eigendirections (`landscape.rank2_ritz`)
+    converges quadratically.
     """
-    from .landscape import classify_null, eig_sym
-
     values = field.values.copy()
     cost = problem.infidelity_of(values)
     iterations = 0
@@ -157,10 +157,9 @@ def polish(problem, field: ControlField, target: float = 1e-16,
             iterations -= 1
             break
         grad = gradient_of(problem, values)
-        spec = classify_null(eig_sym(hessian_of(problem, values)), rank=rank)
-        nonnull = spec.nonnull_indices()
-        basis = spec.vectors[nonnull]
-        lam = spec.eigenvalues[nonnull]
+        spec = rank2_ritz(hessian_of(problem, values))
+        basis = spec.vectors[:2]
+        lam = spec.eigenvalues[:2]
         if np.any(lam == 0.0):
             # the Newton step along a zero eigenvalue would be non-finite
             stop = "NONFINITE"

@@ -17,7 +17,7 @@ import numpy as np
 
 import conftest
 from qcl.control import ControlField, FrequencySpec, dft
-from qcl.landscape import FdConfig, classify_null, eig_sym, eigvec_error, fd_hessian
+from qcl.landscape import FdConfig, eig_sym, eigvec_error, fd_hessian
 from qcl.models import (LzProblem, QhoProblem, chain_stencil_cost, gradient_of,
                         hessian_of, lz_infidelity, qho_propagate)
 from qcl.navigation import NullFollow, calibrate_epsilon, navigate, project, rk4_integrate
@@ -115,13 +115,12 @@ def test_05_fd_eigenvector_fidelity(solution_bank):
         stencil = chain_stencil_cost(problem)
         best_worst = []
         for field in pool[:3]:
-            exact = classify_null(eig_sym(hessian_of(problem, field.values)), rank=2)
+            exact = eig_sym(hessian_of(problem, field.values))
             per_eps = []
             for eps in grid:
                 approx = eig_sym(fd_hessian(problem.infidelity_of, field.values,
                                             FdConfig(eps), stencil_cost=stencil))
-                errs = [eigvec_error(exact, approx, int(i))
-                        for i in exact.nonnull_indices()]
+                errs = [eigvec_error(exact, approx, i) for i in (0, 1)]
                 per_eps.append(max(errs))
             best_worst.append(min(per_eps))
         ok = ok and all(b < 1e-8 for b in best_worst)
@@ -275,15 +274,14 @@ def test_10_property_suites():
 
     # projector properties
     a = rng.normal(size=(6, 6))
-    spectrum = classify_null(eig_sym(a + a.T), rank=2)
+    spectrum = eig_sym(a + a.T)
     x, y = rng.normal(size=6), rng.normal(size=6)
     px = project(x, spectrum)
     checks["projector idempotent"] = np.abs(project(px, spectrum) - px).max() <= 1e-12
     checks["projector symmetric"] = abs(x @ project(y, spectrum)
                                         - project(x, spectrum) @ y) <= 1e-12
-    flipped = classify_null(eig_sym(a + a.T), rank=2)
-    flipped = type(spectrum)(eigenvalues=flipped.eigenvalues,
-                             vectors=-flipped.vectors, null_mask=flipped.null_mask)
+    flipped = eig_sym(a + a.T)
+    flipped = type(spectrum)(eigenvalues=flipped.eigenvalues, vectors=-flipped.vectors)
     checks["projector basis-free"] = np.abs(project(x, flipped) - px).max() <= 1e-10
 
     # fourth-order convergence of the integrator on a linear flow

@@ -260,6 +260,17 @@ class TestConfigKeys:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["keys"] == ["problem.omega_0"]
 
+    def test_classify_takes_only_tau_rel(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json",
+                           {"problem": LZ3, "seed": 5,
+                            "classify": {"tau_rel": 1e-6, "rank": 2}})
+        rc = main(["spectrum", "--config", cfg, "--out", str(tmp_path)])
+        assert rc != 0
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "UnknownConfigKeys"
+        assert err["keys"] == ["classify.rank"]
+        assert not (tmp_path / "spectrum.csv").exists()
+
     def test_non_object_config_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", [1, 2])
         assert main(["optimize", "--config", cfg, "--out", str(tmp_path)]) != 0

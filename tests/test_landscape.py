@@ -130,7 +130,7 @@ class TestEigSym:
 
 
 def _projector(spectrum):
-    v = spectrum.vectors[~spectrum.null_mask]
+    v = spectrum.vectors[:2]
     return v.T @ v
 
 
@@ -163,7 +163,7 @@ class TestRank2Ritz:
             for hess in (hessian_of(problem, values),
                          fd_hessian(problem.infidelity_of, values, FdConfig(1e-2),
                                     stencil_cost=chain_stencil_cost(problem))):
-                full = classify_null(eig_sym(hess), rank=2)
+                full = eig_sym(hess)
                 ritz = rank2_ritz(hess)
                 assert ritz.vectors.shape == ((m, m) if m < 32 else (4, m))
                 assert np.abs(_projector(ritz) - _projector(full)).max() <= 1e-8
@@ -179,17 +179,16 @@ class TestRank2Ritz:
         for _ in range(20):
             a = rng.normal(size=(m, m))
             a = a + a.T
-            full = classify_null(eig_sym(a), rank=2)
+            full = eig_sym(a)
             ritz = rank2_ritz(a)
             assert np.array_equal(ritz.eigenvalues, full.eigenvalues)
             assert np.array_equal(ritz.vectors, full.vectors)
-            assert np.array_equal(ritz.null_mask, full.null_mask)
             x = rng.normal(size=m)
             assert np.array_equal(project(x, ritz), project(x, full))
 
     def test_ritz_pairs_of_a_large_matrix(self):
         # an exactly rank-2 matrix plus a small remainder: orthonormal rows,
-        # the two dominant pairs non-null, the third value below lambda_3
+        # the two dominant pairs in rows 0 and 1, the third value below lambda_3
         rng = np.random.default_rng(39)
         m = 48
         basis = np.linalg.qr(rng.normal(size=(m, m)))[0]
@@ -198,7 +197,6 @@ class TestRank2Ritz:
         spec = rank2_ritz(a)
         assert rank2_ritz(a[:32, :32]).vectors.shape == (4, 32)
         assert spec.vectors.shape == (4, m)
-        assert list(spec.null_mask) == [False, False, True, True]
         assert np.abs(spec.vectors @ spec.vectors.T - np.eye(4)).max() <= 1e-12
         assert np.abs(spec.eigenvalues[:2] - [3.0, -1.5]).max() <= 1e-12
         assert abs(spec.eigenvalues[2]) <= np.sort(lam[2:])[-1] * (1 + 1e-12)
@@ -221,7 +219,7 @@ class TestRank2Ritz:
         a[0, 1] = 1.0
         with pytest.raises(ValueError, match="symmetric"):
             rank2_ritz(a)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exceeds dimension"):
             rank2_ritz(np.ones((1, 1)))
         with pytest.raises(ValueError):
             rank2_ritz(np.zeros((2, 3)))
@@ -232,48 +230,36 @@ class TestClassifyNull:
         spec = HessianSpectrum(eigenvalues=np.array([1.0, 0.5, 1e-12]),
                                vectors=np.eye(3))
         out = classify_null(spec, tau_rel=1e-6)
-        assert list(out.nonnull_indices()) == [0, 1]
-        assert list(out.null_indices()) == [2]
-
-    def test_rank_mode(self):
-        spec = HessianSpectrum(eigenvalues=np.array([1.0, 0.5, 0.3]), vectors=np.eye(3))
-        out = classify_null(spec, rank=2)
-        assert list(out.nonnull_indices()) == [0, 1]
+        assert list(out) == [False, False, True]
 
     def test_all_zero_matrix_is_all_null(self):
         out = classify_null(eig_sym(np.zeros((4, 4))))
-        assert out.null_mask.all()
-
-    def test_rank_exceeding_dimension(self):
-        spec = HessianSpectrum(eigenvalues=np.zeros(3), vectors=np.eye(3))
-        with pytest.raises(ValueError):
-            classify_null(spec, rank=4)
-
-    def test_mutually_exclusive_rules(self):
-        spec = HessianSpectrum(eigenvalues=np.zeros(3), vectors=np.eye(3))
-        with pytest.raises(ValueError):
-            classify_null(spec, tau_rel=1e-6, rank=2)
+        assert out.all()
 
     def test_default_is_threshold(self):
         spec = HessianSpectrum(eigenvalues=np.array([2.0, 1e-7, 1e-12]), vectors=np.eye(3))
         out = classify_null(spec)
-        assert list(out.nonnull_indices()) == [0]
+        assert list(out) == [False, True, True]
+
+    def test_threshold_is_the_only_rule(self):
+        spec = HessianSpectrum(eigenvalues=np.array([1.0, 0.5, 0.3]), vectors=np.eye(3))
+        with pytest.raises(TypeError):
+            classify_null(spec, rank=2)
 
 
 class TestEigvecError:
-    def _classified(self, eigenvalues, vectors):
-        return classify_null(HessianSpectrum(eigenvalues=np.asarray(eigenvalues, float),
-                                             vectors=np.asarray(vectors, float)),
-                             tau_rel=1e-6)
+    def _spectrum(self, eigenvalues, vectors):
+        return HessianSpectrum(eigenvalues=np.asarray(eigenvalues, float),
+                               vectors=np.asarray(vectors, float))
 
     def test_identical_spectra_have_zero_error(self):
-        spec = self._classified([2.0, 1.0, 1e-12], np.eye(3))
+        spec = self._spectrum([2.0, 1.0, 1e-12], np.eye(3))
         assert eigvec_error(spec, spec, 0) == pytest.approx(0.0, abs=1e-15)
         assert eigvec_error(spec, spec, 1) == pytest.approx(0.0, abs=1e-15)
 
     def test_sign_flip_invariance(self):
-        exact = self._classified([2.0, 1.0, 1e-12], np.eye(3))
-        flipped = self._classified([2.0, 1.0, 1e-12], np.diag([1.0, -1.0, 1.0]))
+        exact = self._spectrum([2.0, 1.0, 1e-12], np.eye(3))
+        flipped = self._spectrum([2.0, 1.0, 1e-12], np.diag([1.0, -1.0, 1.0]))
         assert eigvec_error(exact, flipped, 1) == pytest.approx(0.0, abs=1e-15)
 
     @settings(max_examples=25, deadline=None)
@@ -282,29 +268,26 @@ class TestEigvecError:
         rng = np.random.default_rng(abs(seed) % 2**32)
         a = rng.normal(size=(4, 4))
         a = a + a.T
-        exact = classify_null(eig_sym(a), rank=4)
+        exact = eig_sym(a)
         signs = rng.choice([-1.0, 1.0], size=4)
         approx = HessianSpectrum(eigenvalues=exact.eigenvalues,
                                  vectors=signs[:, None] * exact.vectors)
-        i = int(rng.integers(0, 4))
+        i = int(rng.integers(0, 2))
         try:
             assert eigvec_error(exact, approx, i) == pytest.approx(0.0, abs=1e-12)
         except ValueError:
             pass  # a random matrix may trip the degeneracy guard
 
     def test_null_index_rejected(self):
-        spec = self._classified([2.0, 1.0, 1e-12], np.eye(3))
-        with pytest.raises(ValueError, match="null"):
-            eigvec_error(spec, spec, 2)
+        # rows 0 and 1 are the non-null pair; every other index is null
+        spec = self._spectrum([2.0, 1.0, 0.5], np.eye(3))
+        for i in (2, -1):
+            with pytest.raises(ValueError, match="null"):
+                eigvec_error(spec, spec, i)
 
     def test_degenerate_pair_rejected(self):
-        spec = self._classified([1.0, 1.0 + 1e-12, 1e-12], np.eye(3))
+        spec = self._spectrum([1.0, 1.0 + 1e-12, 1e-12], np.eye(3))
         with pytest.raises(ValueError, match="degenerate"):
-            eigvec_error(spec, spec, 0)
-
-    def test_unclassified_rejected(self):
-        spec = HessianSpectrum(eigenvalues=np.array([1.0, 0.5]), vectors=np.eye(2))
-        with pytest.raises(ValueError):
             eigvec_error(spec, spec, 0)
 
 
@@ -355,9 +338,3 @@ class TestCalibration:
         assert traj.failed and traj.failure_code == "RANK_COLLAPSE"
         rows = calibrate_epsilon(problem, field, direction, [1e-10], steps=150, h=0.1)
         assert rows == [(1e-10, np.inf)]
-
-    def test_null_rank_must_be_two(self, solution):
-        problem, field = solution
-        with pytest.raises(ValueError, match="null_rank"):
-            calibrate_epsilon(problem, field, np.ones(6), [1e-2], steps=1, h=0.1,
-                              null_rank=3)

@@ -11,7 +11,7 @@ from qcl.models import (BogoliubovPair, LzProblem, PrefixGrowth, QhoProblem,
                         chain_stencil_cost, exact_gradient, exact_hessian, gradient_of,
                         hessian_of, lz_infidelity, particle_number, problem_from_dict,
                         problem_to_dict, qho_infidelity, qho_propagate, seed_bounds)
-from qcl.models import _SERIES_X, _check_field, _cs_tables, _cs_values
+from qcl.models import _SERIES_X, _check_field, _cs_values, _factor_tables
 
 from chain_oracles import reference_chain_derivatives, reference_fd_hessian, reference_hessian
 
@@ -322,10 +322,10 @@ class TestIntervalFactors:
         ref = reference_cs_tables(w, self.DT)
         C, S = _cs_values(w, self.DT)
         assert same_bytes(C, ref[0]) and same_bytes(S, ref[1])
-        tables = _cs_tables(w, self.DT)
+        tables = _factor_tables(w, self.DT, 2)
         for got, want in zip(tables, ref):
             assert same_bytes(got, want)
-        C, S, S1, S2 = _cs_tables(w, self.DT, second=False)
+        C, S, S1, S2 = _factor_tables(w, self.DT, 1)
         assert S2 is None
         for got, want in zip((C, S, S1), ref):
             assert same_bytes(got, want)

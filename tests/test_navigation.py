@@ -8,85 +8,78 @@ from hypothesis import strategies as st
 
 from qcl import landscape, navigation
 from qcl.control import ControlField, FrequencySpec
-from qcl.landscape import FdConfig, HessianSpectrum, classify_null, eig_sym, rank2_ritz
+from qcl.landscape import FdConfig, HessianSpectrum, eig_sym, rank2_ritz
 from qcl.models import LzProblem, PrefixGrowth, QhoProblem, hessian_of
 from qcl.navigation import (FAILURE_CODES, FixedVector, NullFollow, SecondaryGradient,
-                            navigate, null_direction, project, rk4_integrate, write_jsonl)
+                            Trajectory, navigate, null_direction, project, rk4_integrate,
+                            write_jsonl)
 from qcl.objectives import FourierObjective
 from qcl.optimizer import SeedSpec, minimize, polish, sample_seeds
 
 
-def random_classified_spectrum(rng, m=5, nonnull=2):
+def random_spectrum(rng, m=5):
     a = rng.normal(size=(m, m))
-    a = a + a.T
-    return classify_null(eig_sym(a), rank=nonnull)
+    return eig_sym(a + a.T)
 
 
 class TestProject:
     def test_null_eigenvector_passes_through(self):
         rng = np.random.default_rng(61)
-        spec = random_classified_spectrum(rng)
-        v_null = spec.vectors[spec.null_indices()[0]]
+        spec = random_spectrum(rng)
+        v_null = spec.vectors[2]
         assert np.abs(project(v_null, spec) - v_null).max() < 1e-12
 
     def test_nonnull_eigenvector_is_removed(self):
         rng = np.random.default_rng(62)
-        spec = random_classified_spectrum(rng)
-        v = spec.vectors[spec.nonnull_indices()[0]]
+        spec = random_spectrum(rng)
+        v = spec.vectors[0]
         assert np.abs(project(v, spec)).max() < 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers())
     def test_idempotent_and_orthogonal(self, seed):
         rng = np.random.default_rng(abs(seed) % 2**32)
-        spec = random_classified_spectrum(rng)
+        spec = random_spectrum(rng)
         a = rng.normal(size=5)
         pa = project(a, spec)
         assert np.abs(project(pa, spec) - pa).max() <= 1e-12 * max(1, np.abs(a).max())
-        for i in spec.nonnull_indices():
+        for i in (0, 1):
             assert abs(pa @ spec.vectors[i]) <= 1e-12 * max(1, np.linalg.norm(a))
 
     def test_operator_symmetry(self):
         rng = np.random.default_rng(63)
-        spec = random_classified_spectrum(rng)
+        spec = random_spectrum(rng)
         a, b = rng.normal(size=5), rng.normal(size=5)
         assert a @ project(b, spec) == pytest.approx(project(a, spec) @ b, abs=1e-12)
 
     def test_basis_independence(self):
         # flipping signs and reordering eigenvectors must not change P
         rng = np.random.default_rng(64)
-        spec = random_classified_spectrum(rng)
+        spec = random_spectrum(rng)
         a = rng.normal(size=5)
         flipped = HessianSpectrum(
             eigenvalues=spec.eigenvalues.copy(),
             vectors=np.array([-1, 1, -1, 1, -1])[:, None] * spec.vectors,
-            null_mask=spec.null_mask.copy(),
         )
         order = [1, 0, 2, 3, 4]  # swap the two non-null rows
         swapped = HessianSpectrum(
             eigenvalues=spec.eigenvalues[order],
             vectors=spec.vectors[order],
-            null_mask=spec.null_mask[order],
         )
         pa = project(a, spec)
         assert np.abs(project(a, flipped) - pa).max() < 1e-10
         assert np.abs(project(a, swapped) - pa).max() < 1e-10
 
-    def test_unclassified_rejected(self):
-        spec = eig_sym(np.eye(3))
-        with pytest.raises(ValueError, match="classified"):
-            project(np.ones(3), spec)
-
     def test_dimension_check(self):
         rng = np.random.default_rng(65)
-        spec = random_classified_spectrum(rng)
+        spec = random_spectrum(rng)
         with pytest.raises(ValueError):
             project(np.ones(4), spec)
 
 
 class TestNullDirection:
     def _one_null_spectrum(self, rng):
-        return random_classified_spectrum(rng, m=3, nonnull=2)
+        return random_spectrum(rng, m=3)
 
     def test_sign_continuity(self):
         rng = np.random.default_rng(66)
@@ -99,11 +92,11 @@ class TestNullDirection:
         rng = np.random.default_rng(67)
         spec = self._one_null_spectrum(rng)
         v = null_direction(spec, previous=None)
-        assert np.abs(v - spec.vectors[spec.null_indices()[0]]).max() < 1e-15
+        assert np.abs(v - spec.vectors[2]).max() < 1e-15
 
     def test_requires_one_dimensional_null_space(self):
         rng = np.random.default_rng(68)
-        spec = random_classified_spectrum(rng, m=5, nonnull=2)  # null dim 3
+        spec = random_spectrum(rng, m=5)  # null dim 3
         with pytest.raises(ValueError, match="dimension"):
             null_direction(spec)
 
@@ -187,10 +180,7 @@ class TestNavigate:
 
     def test_direction_orthogonal_to_null_space_freezes(self, qho_solution):
         problem, field = qho_solution
-        spec = classify_null(eig_sym(
-            __import__("qcl.models", fromlist=["hessian_of"]).hessian_of(problem, field.values)),
-            rank=2)
-        a = spec.vectors[spec.nonnull_indices()[0]]
+        a = eig_sym(hessian_of(problem, field.values)).vectors[0]
         traj = navigate(problem, field, FixedVector(a), h=0.1, steps=5, hessian_mode="exact")
         drift = np.abs(traj.values_matrix() - field.values).max()
         assert drift < 1e-10
@@ -243,6 +233,14 @@ class TestNavigate:
                         abort_ceiling=0.0)
         assert traj.failed and traj.failure_code == "CEILING"
         assert len(traj.samples) == 2 and traj.samples[-1].infidelity > 0.0
+
+    def test_failed_follows_the_failure_code(self):
+        for code in (None,) + FAILURE_CODES:
+            traj = Trajectory(samples=(), hessian_mode="exact", fd_epsilon=None,
+                              failure_code=code)
+            assert traj.failed == (code is not None)
+        with pytest.raises(TypeError):
+            Trajectory(samples=(), hessian_mode="exact", fd_epsilon=None, failed=True)
 
     def test_nonfinite_stencil_cost_failure_code(self, qho_solution, monkeypatch):
         problem, field = qho_solution
@@ -359,7 +357,7 @@ class TestNavigate:
 
     def test_three_pulse_drive_equals_the_full_spectrum_path(self, monkeypatch):
         # at M <= 4 the Ritz block is the whole space: the NullFollow loop is
-        # bit for bit the one driven by eig_sym and classify_null
+        # bit for bit the one driven by eig_sym
         problem = LzProblem(gap=2.0, duration=1.4 * np.pi / 2, n_pulses=3)
         seeds = sample_seeds(SeedSpec(count=40, bounds=(-5.0, 5.0), rng_seed=75), problem)
         rep = next(r for r in (minimize(problem, s, tol=1e-6, max_iter=2000) for s in seeds)
@@ -367,8 +365,7 @@ class TestNavigate:
         field = polish(problem, rep.field).field
         ritz = navigate(problem, field, NullFollow(), h=0.01, steps=100,
                         hessian_mode=FdConfig(1e-2))
-        monkeypatch.setattr(navigation, "rank2_ritz",
-                            lambda hess: classify_null(eig_sym(hess), rank=2))
+        monkeypatch.setattr(navigation, "rank2_ritz", eig_sym)
         full = navigate(problem, field, NullFollow(), h=0.01, steps=100,
                         hessian_mode=FdConfig(1e-2))
         assert not ritz.failed
@@ -385,7 +382,7 @@ class TestNavigate:
         worst = 0.0
         for values in traj.values_matrix():
             hess = hessian_of(problem, values)
-            full = classify_null(eig_sym(hess), rank=2).vectors[:2]
+            full = eig_sym(hess).vectors[:2]
             ritz = rank2_ritz(hess).vectors[:2]
             worst = max(worst, np.abs(ritz.T @ ritz - full.T @ full).max())
         assert worst <= 1e-8

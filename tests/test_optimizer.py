@@ -204,10 +204,10 @@ class TestPolish:
             if not deep.converged:
                 continue
             spectrum = eig_sym(hessian_of(LZ3, deep.field.values))
-            by_threshold = classify_null(spectrum, tau_rel=1e-6)
-            by_rank = classify_null(spectrum, rank=2)
-            assert np.array_equal(by_threshold.null_mask, by_rank.null_mask)
-            assert len(by_threshold.nonnull_indices()) == 2
+            # the threshold reading agrees with the row-order premise: the
+            # non-null pair is rows 0 and 1
+            is_null = classify_null(spectrum, tau_rel=1e-6)
+            assert list(np.flatnonzero(~is_null)) == [0, 1]
             checked += 1
             if checked >= 5:
                 break
