@@ -217,12 +217,15 @@ def classify_null(spectrum: HessianSpectrum, *, tau_rel: float = 1e-6) -> np.nda
 def eigvec_error(exact: HessianSpectrum, approx: HessianSpectrum, i: int) -> float:
     """E_i = 1 - |v_i . v~_i| with vectors paired by descending-|lambda| order.
 
-    Only defined for the non-null pair, i = 0 or 1, and only when lambda_i is
-    non-degenerate; the degenerate null subspace has no preferred basis.
+    Only defined for the non-null pair, i = 0 or 1, of spectra with at least
+    two rows, and only when lambda_i is non-degenerate; the degenerate null
+    subspace has no preferred basis.
     """
     if i not in (0, 1):
         raise ValueError(f"index {i} is null; only the non-null pair (0 or 1) "
                          "has a unique eigenvector")
+    if min(exact.size, approx.size) < 2:
+        raise ValueError(f"rank 2 exceeds dimension {min(exact.size, approx.size)}")
     lam = exact.eigenvalues
     tol = 1e-9 * max(np.abs(lam).max(), 1e-300)
     others = np.delete(np.arange(exact.size), i)

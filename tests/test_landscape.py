@@ -241,6 +241,14 @@ class TestClassifyNull:
         out = classify_null(spec)
         assert list(out) == [False, True, True]
 
+    def test_rank_exceeding_dimension(self):
+        # the threshold reading has no rank, so a 1x1 spectrum is read as is;
+        # the rank-2 premise, which rank2_ritz encodes, cannot fit in it
+        spec = HessianSpectrum(eigenvalues=np.array([1.0]), vectors=np.eye(1))
+        assert list(classify_null(spec)) == [False]
+        with pytest.raises(ValueError, match="exceeds dimension"):
+            rank2_ritz(np.ones((1, 1)))
+
     def test_threshold_is_the_only_rule(self):
         spec = HessianSpectrum(eigenvalues=np.array([1.0, 0.5, 0.3]), vectors=np.eye(3))
         with pytest.raises(TypeError):
@@ -284,6 +292,15 @@ class TestEigvecError:
         for i in (2, -1):
             with pytest.raises(ValueError, match="null"):
                 eigvec_error(spec, spec, i)
+
+    def test_unclassified_rejected(self):
+        # a spectrum of fewer than two rows holds no non-null pair
+        one = self._spectrum([1.0], np.eye(1))
+        two = self._spectrum([1.0, 0.5], np.eye(2))
+        for exact, approx in ((one, one), (two, one), (one, two)):
+            for i in (0, 1):
+                with pytest.raises(ValueError, match="exceeds dimension"):
+                    eigvec_error(exact, approx, i)
 
     def test_degenerate_pair_rejected(self):
         spec = self._spectrum([1.0, 1.0 + 1e-12, 1e-12], np.eye(3))
