@@ -16,6 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .models import _on_or_below_diagonal
+
 __all__ = [
     "FdConfig",
     "HessianSpectrum",
@@ -84,6 +86,14 @@ def _pointwise_stencil(cost):
     return evaluate
 
 
+@lru_cache(maxsize=16)
+def _singles_index(m: int) -> np.ndarray:
+    """Read-only [0, 0, 1, 1, ..., m-1, m-1]: the coordinate of each w +- 2 eps e_i."""
+    idx = np.repeat(np.arange(m), 2)
+    idx.flags.writeable = False
+    return idx
+
+
 def fd_hessian(cost, point, config: FdConfig, stencil_cost=None) -> np.ndarray:
     """Symmetric finite-difference Hessian of a scalar cost at `point`.
 
@@ -106,13 +116,13 @@ def fd_hessian(cost, point, config: FdConfig, stencil_cost=None) -> np.ndarray:
     m = point.size
     inv = 1.0 / (4.0 * eps * eps)
 
-    s_idx = np.repeat(np.arange(m), 2)
+    s_idx = _singles_index(m)
     s_val = (point[:, None] + np.array([2.0 * eps, -2.0 * eps])).ravel()
     p_val = point[:, None] + np.array([eps, -eps])
     center, singles, pairs = stencil_cost(point, s_idx, s_val, p_val)
     # pairs[i, s, j, t] holds the costs at (w_i + (-1)^s eps, w_j + (-1)^t eps), i < j
-    h = np.triu((pairs[:, 0, :, 0] - pairs[:, 0, :, 1] - pairs[:, 1, :, 0]
-                 + pairs[:, 1, :, 1]) * inv, 1)
+    h = np.where(_on_or_below_diagonal(m), 0.0, (pairs[:, 0, :, 0] - pairs[:, 0, :, 1]
+                                                 - pairs[:, 1, :, 0] + pairs[:, 1, :, 1]) * inv)
     if not (np.isfinite(center) and np.all(np.isfinite(singles)) and np.all(np.isfinite(h))):
         raise NonFiniteCost("non-finite cost at a stencil point")
     h = h + h.T
@@ -121,10 +131,16 @@ def fd_hessian(cost, point, config: FdConfig, stencil_cost=None) -> np.ndarray:
 
 
 def _symmetrised(matrix) -> np.ndarray:
-    """0.5 (A + A^T) of a square matrix that is symmetric up to 1e-8 relative."""
+    """0.5 (A + A^T) of a square matrix that is symmetric up to 1e-8 relative.
+
+    An exactly symmetric A (every Hessian `hessian_of` and `fd_hessian`
+    return) is 0.5 (A + A^T) bit for bit and comes back as it is.
+    """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
+    if np.array_equal(a, a.T):
+        return a
     defect = np.abs(a - a.T).max() if a.size else 0.0
     if defect > 1e-8 * max(1.0, np.abs(a).max()):
         raise ValueError(f"matrix is not symmetric (defect {defect:.2e})")

@@ -14,18 +14,22 @@ involved anywhere:
 Every interval matrix is an analytic function of w^2 through
 C(x) = cos(sqrt(x) dt) and S(x) = sin(sqrt(x) dt)/sqrt(x), so first and second
 amplitude derivatives come from differentiating C and S, which keeps the
-w -> 0 limit exact (series branch below).  Every interval matrix also has
-det 1 (C^2 + x S^2 = 1), so a product of consecutive factors is a prefix
-product times the adjugate of another.  One kernel (`_prefix_chain`,
-`_insertion_terms`) builds on this every term with one or two factors
-replaced, for the exact Hessian (A1 and A2 insertions) and for the
-finite-difference stencil (B - A insertions) alike; the gradient and the
-cost keep their sequential sweeps.
+w -> 0 limit exact (series branch below).  `_factor_tables` is the one
+builder of the tables C, S, S' and S''; each model's `_interval_stacks`
+assembles its factors from them, the crossing by writing the real and
+imaginary planes of each complex entry with real arithmetic (the trap's
+entries are real).  Every interval matrix also has det 1 (C^2 + x S^2 = 1),
+so a product of consecutive factors is a prefix product times the adjugate
+of another.  One kernel (`_prefix_chain`, `_insertion_terms`) builds on
+this every term with one or two factors replaced, for the exact Hessian (A1
+and A2 insertions) and for the finite-difference stencil (B - A insertions)
+alike; the gradient and the cost keep their sequential sweeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -62,38 +66,43 @@ _SERIES_X = 1e-6
 # 5 at M = 48, while a parametrically pumped trap reaches 1e13.
 _GROWTH_LIMIT = 1e4
 
+_EYE4 = np.eye(4)
+# adj([[a, b], [c, d]]) = [[d, -b], [-c, a]]: the signs after the swaps
+_ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+_EYE4.flags.writeable = _ADJ_SIGNS.flags.writeable = False
 
-def _cs_values(w, dt):
-    """C = cos(sqrt(w) dt) and S = sin(sqrt(w) dt)/sqrt(w), without derivatives.
+
+@lru_cache(maxsize=16)
+def _on_or_below_diagonal(m: int) -> np.ndarray:
+    """The read-only (m, m) mask i >= j of entries that are not pair terms i < j."""
+    mask = np.tri(m, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _factor_tables(w, dt, order):
+    """C = cos(sqrt(w) dt) and S = sin(sqrt(w) dt)/sqrt(w), then S' = dS/dw if
+    order >= 1 and S'' = d2S/dw2 if order >= 2 (else None).
 
     w >= 0 always (it is either w_j^2 or gap^2/4 + w_j^2).  The series branch
-    is only evaluated when some entry needs it.
+    is only evaluated, and blended in, when some entry needs it.
     """
     w = np.asarray(w, dtype=float)
     x = w * dt * dt
     series = x < _SERIES_X
-    theta = np.sqrt(np.where(series, 1.0, x))
+    blend = np.count_nonzero(series) > 0
+    theta = np.sqrt(np.where(series, 1.0, x) if blend else x)
     C = np.cos(theta)
     S = dt * np.sin(theta) / theta
-    if series.any():
+    if blend:
         C = np.where(series, 1.0 - x / 2.0 + x * x / 24.0 - x**3 / 720.0, C)
         S = np.where(series, dt * (1.0 - x / 6.0 + x * x / 120.0 - x**3 / 5040.0), S)
-    return C, S
-
-
-def _factor_tables(w, dt, order):
-    """C and S, then S' = dS/dw if order >= 1 and S'' = d2S/dw2 if order >= 2
-    (else None); see `_cs_values`."""
-    C, S = _cs_values(w, dt)
     if order == 0:
         return C, S, None, None
-    w = np.asarray(w, dtype=float)
-    x = w * dt * dt
-    series = x < _SERIES_X
-    safe_w = np.where(series, 1.0, w)
-    S1 = (C * dt - S) / (2.0 * safe_w)
-    S2 = (-(dt * dt / 2.0) * S - 3.0 * S1) / (2.0 * safe_w) if order > 1 else None
-    if series.any():
+    two_w = 2.0 * (np.where(series, 1.0, w) if blend else w)
+    S1 = (C * dt - S) / two_w
+    S2 = (-(dt * dt / 2.0) * S - 3.0 * S1) / two_w if order > 1 else None
+    if blend:
         S1 = np.where(series, dt**3 * (-1.0 / 6.0 + x / 60.0 - x * x / 1680.0
                                        + x**3 / 90720.0), S1)
         if order > 1:
@@ -105,7 +114,7 @@ def _factor_tables(w, dt, order):
 class _ChainProblem:
     """A cost |bra . A_{M-1} ... A_0 . ket|^2 over M equal intervals.
 
-    A model supplies its fields, `_cost_boundary` (ket, bra) and
+    A model supplies its fields, `_boundary_vectors()` (ket, bra) and
     `_interval_stacks(values, order)`, which gives the per-interval factors A
     and, up to `order`, their amplitude derivatives A1 and A2 (None beyond).
     """
@@ -115,6 +124,13 @@ class _ChainProblem:
             raise ValueError("duration must be positive")
         if self.n_pulses < 1:
             raise ValueError("n_pulses must be >= 1")
+        ket, bra = self._boundary_vectors()
+        ket.flags.writeable = bra.flags.writeable = False
+        object.__setattr__(self, "_boundary", (ket, bra))
+
+    def _cost_boundary(self):
+        """(ket, bra), built once per problem; both arrays are read-only."""
+        return self._boundary
 
     @property
     def dt(self) -> float:
@@ -139,7 +155,7 @@ class LzProblem(_ChainProblem):
             raise ValueError("gap must be positive")
         super().__post_init__()
 
-    def _cost_boundary(self):
+    def _boundary_vectors(self):
         # 1 - |<1|U|0>|^2 equals |<0|U|0>|^2 exactly for unitary U; the latter
         # form survives near-perfect fidelity without cancellation.
         ket0 = np.array([1.0, 0.0], dtype=complex)
@@ -147,39 +163,55 @@ class LzProblem(_ChainProblem):
         return ket0, bra0
 
     def _interval_stacks(self, values, order=2):
-        """Propagators and their amplitude derivatives, each of shape values.shape + (2, 2)."""
+        """Propagators and their amplitude derivatives, each of shape values.shape + (2, 2).
+
+        The real and imaginary planes of every entry are written with real
+        arithmetic.  Beyond these real products, the complex forms in the
+        comments (H = [[v, g/2], [g/2, -v]]) only multiply by exact zeros and
+        ones, so the planes equal them bit for bit, up to the sign of a zero;
+        the off-diagonal real planes are zero.
+        """
         v = np.asarray(values, dtype=float)
         dt = self.dt
         half_gap = 0.5 * self.gap
         rho = half_gap * half_gap + v * v
         C, S, S1, S2 = _factor_tables(rho, dt, order)
+        shape = v.shape + (2, 2)
 
-        A = np.empty(v.shape + (2, 2), dtype=complex)
-        A[..., 0, 0] = C - 1j * S * v
-        A[..., 0, 1] = -1j * half_gap * S
-        A[..., 1, 0] = A[..., 0, 1]
-        A[..., 1, 1] = C + 1j * S * v
+        # U = C I - i S H
+        A = np.zeros(shape, dtype=complex)
+        re, im = A.real, A.imag
+        Sv = S * v
+        re[..., 0, 0] = re[..., 1, 1] = C
+        im[..., 0, 0] = -Sv
+        im[..., 0, 1] = im[..., 1, 0] = -half_gap * S
+        im[..., 1, 1] = Sv
         if order == 0:
             return A, None, None
 
         # dU/dw = 2w (C' I - i S' H) - i S sigma_z
         C1 = -0.5 * dt * S
-        A1 = np.empty_like(A)
-        A1[..., 0, 0] = 2.0 * v * (C1 - 1j * S1 * v) - 1j * S
-        A1[..., 0, 1] = -2j * half_gap * v * S1
-        A1[..., 1, 0] = A1[..., 0, 1]
-        A1[..., 1, 1] = 2.0 * v * (C1 + 1j * S1 * v) + 1j * S
+        S1v = S1 * v
+        twice_v = 2.0 * v
+        A1 = np.zeros(shape, dtype=complex)
+        re, im = A1.real, A1.imag
+        re[..., 0, 0] = re[..., 1, 1] = twice_v * C1
+        im[..., 0, 0] = -(twice_v * S1v) - S
+        im[..., 0, 1] = im[..., 1, 0] = -2.0 * half_gap * v * S1
+        im[..., 1, 1] = twice_v * S1v + S
         if order == 1:
             return A, A1, None
 
         # d2U/dw2 = 2 (C' I - i S' H) + 4w^2 (C'' I - i S'' H) - 4 i w S' sigma_z
         C2 = -0.5 * dt * S1
-        A2 = np.empty_like(A)
-        v2 = v * v
-        A2[..., 0, 0] = 2.0 * (C1 - 1j * S1 * v) + 4.0 * v2 * (C2 - 1j * S2 * v) - 4j * v * S1
-        A2[..., 0, 1] = -1j * half_gap * (2.0 * S1 + 4.0 * v2 * S2)
-        A2[..., 1, 0] = A2[..., 0, 1]
-        A2[..., 1, 1] = 2.0 * (C1 + 1j * S1 * v) + 4.0 * v2 * (C2 + 1j * S2 * v) + 4j * v * S1
+        four_v2 = 4.0 * (v * v)
+        S2v = S2 * v
+        A2 = np.zeros(shape, dtype=complex)
+        re, im = A2.real, A2.imag
+        re[..., 0, 0] = re[..., 1, 1] = 2.0 * C1 + four_v2 * C2
+        im[..., 0, 0] = -2.0 * S1v - four_v2 * S2v - 4.0 * v * S1
+        im[..., 0, 1] = im[..., 1, 0] = -half_gap * (2.0 * S1 + four_v2 * S2)
+        im[..., 1, 1] = 2.0 * S1v + four_v2 * S2v + 4.0 * v * S1
         return A, A1, A2
 
 
@@ -200,7 +232,7 @@ class QhoProblem(_ChainProblem):
         if self.n_initial < 0:
             raise ValueError("n_initial must be nonnegative")
 
-    def _cost_boundary(self):
+    def _boundary_vectors(self):
         w0, wt = self.omega_start, self.omega_target
         # initial positive-frequency mode of the starting trap
         ket0 = np.array([1.0 / np.sqrt(2.0 * w0), -1j * np.sqrt(w0 / 2.0)], dtype=complex)
@@ -284,16 +316,13 @@ def _chain_state(A, ket):
 def _chain_sweep(A, ket, bra):
     """Prefix states kets[t] = A_{t-1} ... A_0 ket and suffix functionals
     bras[t] = bra A_{M-1} ... A_t, for t = 0 .. M."""
-    m = A.shape[0]
-    kets = np.empty((m + 1, 2), dtype=complex)
-    kets[0] = ket
-    for t in range(m):
-        kets[t + 1] = A[t] @ kets[t]
-    bras = np.empty((m + 1, 2), dtype=complex)
-    bras[m] = bra
-    for t in range(m - 1, -1, -1):
-        bras[t] = bras[t + 1] @ A[t]
-    return kets, bras
+    kets = [ket]
+    for a in A:
+        kets.append(a @ kets[-1])
+    bras = [bra]
+    for a in A[::-1]:
+        bras.append(bras[-1] @ a)
+    return np.array(kets), np.array(bras[::-1])
 
 
 class PrefixGrowth(ValueError):
@@ -318,7 +347,7 @@ def _prefix_chain(A, ket, bra):
     # the scan runs on the real 4x4 form [[Re, -Im], [Im, Re]] of each factor:
     # numpy multiplies stacks of small real matrices several times faster
     X = np.zeros((m + 1, 4, 4))
-    X[0] = np.eye(4)
+    X[0] = _EYE4
     X[1:, :2, :2] = X[1:, 2:, 2:] = A.real
     X[1:, 2:, :2] = A.imag
     X[1:, :2, 2:] = -A.imag
@@ -331,13 +360,12 @@ def _prefix_chain(A, ket, bra):
     if growth > _GROWTH_LIMIT:
         raise PrefixGrowth(f"prefix products grow to {growth:.2e} (limit {_GROWTH_LIMIT:.0e}); "
                            "one- and two-factor insertions would be rounding noise")
-    # adj([[a, b], [c, d]]) = [[d, -b], [-c, a]]
-    adj = P[1:, ::-1, ::-1].transpose(0, 2, 1) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    adj = P[1:, ::-1, ::-1].transpose(0, 2, 1) * _ADJ_SIGNS
     g = bra @ P[m]
     return g @ ket, P[:m] @ ket, g @ adj, P[:m], adj
 
 
-def _insertion_terms(chain, D):
+def _insertion_terms(chain, D, out=None):
     """Single and pair insertion terms of a `_prefix_chain`.
 
     D has shape (M, k, 2, 2): k insertions per interval.  Returns a (M, k) with
@@ -345,7 +373,8 @@ def _insertion_terms(chain, D):
     cross[i, s, j, t] = bras[j] . D[j, t] . A_{j-1} ... A_{i+1} . D[i, s] . kets[i]
     for i < j (entries with i >= j are not pair terms).  All pair terms come
     from one (Mk x 2) @ (2 x Mk) product of L_jt = bras[j] D[j, t] P_j and
-    R_is = adj(P_{i+1}) D[i, s] kets[i].
+    R_is = adj(P_{i+1}) D[i, s] kets[i], written into `out` (a complex
+    (Mk, Mk) array) when it is given; cross is then a view of `out`.
     """
     _, kets, bras, P, adj = chain
     m, k = D.shape[:2]
@@ -354,7 +383,7 @@ def _insertion_terms(chain, D):
     a = np.einsum("ja,jsab,jb->js", bras, D, kets)
     R = right.reshape(m * k, 2)
     L = left.reshape(m * k, 2)
-    return a, (R @ L.T).reshape(m, k, m, k)
+    return a, np.matmul(R, L.T, out=out).reshape(m, k, m, k)
 
 
 def chain_stencil_cost(problem):
@@ -371,9 +400,16 @@ def chain_stencil_cost(problem):
     one call builds factors for M + len(singles_val) + M k values (5M for the
     four-point stencil) and runs a few batched products, not a chain pass per
     point.  The costs equal direct evaluations up to rounding.
+
+    The callable keeps one complex (Mk, Mk) workspace for the pair products
+    across calls, so repeated stencils at M = 48 do not map and unmap a block
+    above the allocator's mmap threshold each time; the returned arrays never
+    alias it.
     """
+    work = np.empty((0, 0), dtype=complex)
 
     def evaluate(point, singles_idx, singles_val, pairs_val):
+        nonlocal work
         point = np.asarray(point, dtype=float)
         singles_idx = np.asarray(singles_idx, dtype=int)
         singles_val = np.asarray(singles_val, dtype=float)
@@ -395,13 +431,14 @@ def chain_stencil_cost(problem):
         singles = split.real ** 2 + split.imag ** 2
 
         D = B[m + q:].reshape(pairs_val.shape + (2, 2)) - A[:, None]
-        a, split = _insertion_terms(chain, D)
+        if work.shape[0] != pairs_val.size:
+            work = np.empty((pairs_val.size, pairs_val.size), dtype=complex)
+        a, split = _insertion_terms(chain, D, out=work)
         split += a[:, :, None, None]
         split += z + a
         pairs = split.real ** 2
         pairs += split.imag ** 2
-        lower = np.arange(m)[:, None, None, None] >= np.arange(m)[:, None]
-        np.copyto(pairs, np.nan, where=lower)
+        np.copyto(pairs, np.nan, where=_on_or_below_diagonal(m)[:, None, :, None])
         return float(z.real ** 2 + z.imag ** 2), singles, pairs
 
     return evaluate
@@ -476,7 +513,7 @@ def hessian_of(problem, values) -> np.ndarray:
     z, kets, bras = chain[:3]
     zg, cross = _insertion_terms(chain, A1[:, None])
     zg = zg[:, 0]
-    zh = np.triu(cross[:, 0, :, 0], 1)
+    zh = np.where(_on_or_below_diagonal(A.shape[0]), 0.0, cross[:, 0, :, 0])
     zh = zh + zh.T
     zh[np.diag_indices(A.shape[0])] = np.einsum("ja,jab,jb->j", bras, A2, kets)
     h = 2.0 * (np.real(np.conj(z) * zh) + np.real(np.outer(np.conj(zg), zg)))

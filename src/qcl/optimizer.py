@@ -8,6 +8,7 @@ reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -108,7 +109,7 @@ def minimize(problem, seed: ControlField, tol: float = 1e-6,
             break
         grad = gradient_of(problem, values)
         slope = float(grad @ grad)
-        if np.sqrt(slope) < _GRAD_FLOOR:
+        if math.sqrt(slope) < _GRAD_FLOOR:
             iterations -= 1
             stop = "GRAD_FLOOR"
             break

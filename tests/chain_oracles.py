@@ -1,7 +1,9 @@
-"""Oracles for the chain pair terms: the sequential sweeps the prefix-product
-kernel in qcl.models replaced.
+"""Oracles for the chain kernel: the complex-form interval factors and the
+sequential sweeps the prefix-product kernel in qcl.models replaced.
 
-`reference_chain_derivatives` advances every first-derivative insertion one
+`reference_interval_stacks` builds every factor entry as a complex
+expression, as qcl.models did before it wrote the real and imaginary planes
+separately; the planes must equal it bit for bit.  `reference_chain_derivatives` advances every first-derivative insertion one
 interval at a time (the W sweep); `reference_stencil_cost` builds the O(M^2)
 table of in-between products A_{j-1} ... A_{i+1} and evaluates each stencil
 point with its own replaced factors.  Neither uses the det-1 identity, so
@@ -10,7 +12,57 @@ neither shares the kernel's rounding amplification.
 
 import numpy as np
 
-from qcl.models import _chain_sweep
+from qcl.models import LzProblem, _chain_sweep, _factor_tables
+
+
+def reference_interval_stacks(problem, values, order=2):
+    """(A, A1, A2) of `problem._interval_stacks`, each entry one complex expression."""
+    v = np.asarray(values, dtype=float)
+    dt = problem.dt
+    A = np.empty(v.shape + (2, 2), dtype=complex)
+    A1 = A2 = None
+    if isinstance(problem, LzProblem):
+        half_gap = 0.5 * problem.gap
+        C, S, S1, S2 = _factor_tables(half_gap * half_gap + v * v, dt, order)
+        A[..., 0, 0] = C - 1j * S * v
+        A[..., 0, 1] = A[..., 1, 0] = -1j * half_gap * S
+        A[..., 1, 1] = C + 1j * S * v
+        if order >= 1:
+            C1 = -0.5 * dt * S
+            A1 = np.empty_like(A)
+            A1[..., 0, 0] = 2.0 * v * (C1 - 1j * S1 * v) - 1j * S
+            A1[..., 0, 1] = A1[..., 1, 0] = -2j * half_gap * v * S1
+            A1[..., 1, 1] = 2.0 * v * (C1 + 1j * S1 * v) + 1j * S
+        if order >= 2:
+            C2 = -0.5 * dt * S1
+            v2 = v * v
+            A2 = np.empty_like(A)
+            A2[..., 0, 0] = (2.0 * (C1 - 1j * S1 * v) + 4.0 * v2 * (C2 - 1j * S2 * v)
+                             - 4j * v * S1)
+            A2[..., 0, 1] = A2[..., 1, 0] = -1j * half_gap * (2.0 * S1 + 4.0 * v2 * S2)
+            A2[..., 1, 1] = (2.0 * (C1 + 1j * S1 * v) + 4.0 * v2 * (C2 + 1j * S2 * v)
+                             + 4j * v * S1)
+    else:
+        w = v * v
+        C, S, S1, S2 = _factor_tables(w, dt, order)
+        A[..., 0, 0] = A[..., 1, 1] = C
+        A[..., 0, 1] = S
+        A[..., 1, 0] = -w * S
+        if order >= 1:
+            C1 = -0.5 * dt * S
+            Aw = np.empty_like(A)
+            Aw[..., 0, 0] = Aw[..., 1, 1] = C1
+            Aw[..., 0, 1] = S1
+            Aw[..., 1, 0] = -S - w * S1
+            A1 = 2.0 * v[..., None, None] * Aw
+        if order >= 2:
+            C2 = -0.5 * dt * S1
+            Aww = np.empty_like(A)
+            Aww[..., 0, 0] = Aww[..., 1, 1] = C2
+            Aww[..., 0, 1] = S2
+            Aww[..., 1, 0] = -2.0 * S1 - w * S2
+            A2 = 2.0 * Aw + 4.0 * w[..., None, None] * Aww
+    return A, A1, A2
 
 
 def reference_chain_derivatives(A, A1, A2, ket, bra):

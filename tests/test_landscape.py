@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcl.control import ControlField
-from qcl.landscape import (FdConfig, HessianSpectrum, classify_null, eig_sym, eigvec_error,
-                           fd_hessian, rank2_ritz)
+from qcl.landscape import (FdConfig, HessianSpectrum, _symmetrised, classify_null, eig_sym,
+                           eigvec_error, fd_hessian, rank2_ritz)
 from qcl.models import LzProblem, QhoProblem, chain_stencil_cost, hessian_of
 from qcl.navigation import FixedVector, calibrate_epsilon, navigate, project
 from qcl.optimizer import SeedSpec, minimize, polish, sample_seeds
@@ -127,6 +127,27 @@ class TestEigSym:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             eig_sym(np.zeros((2, 3)))
+
+
+class TestSymmetrised:
+    def test_symmetric_input_gives_the_bits_of_the_average(self):
+        rng = np.random.default_rng(38)
+        problem = QhoProblem(omega_start=1.0, omega_target=1.0, duration=1.8, n_pulses=6)
+        a = rng.normal(size=(7, 7))
+        values = rng.uniform(0.1, 3.0, 6)
+        for sym in (a + a.T, hessian_of(problem, values),
+                    fd_hessian(problem.infidelity_of, values, FdConfig(1e-3),
+                               stencil_cost=chain_stencil_cost(problem))):
+            assert (0.5 * (sym + sym.T)).tobytes() == _symmetrised(sym).tobytes()
+
+    def test_near_symmetric_input_is_averaged(self):
+        a = np.array([[1.0, 2.0], [2.0 + 1e-12, 3.0]])
+        assert np.array_equal(_symmetrised(a), 0.5 * (a + a.T))
+
+    def test_still_rejects_a_defect_of_1e_minus_7(self):
+        a = np.array([[1.0, 2.0], [2.0 + 1e-7, 3.0]])
+        with pytest.raises(ValueError, match="not symmetric"):
+            _symmetrised(a)
 
 
 def _projector(spectrum):

@@ -11,9 +11,10 @@ from qcl.models import (BogoliubovPair, LzProblem, PrefixGrowth, QhoProblem,
                         chain_stencil_cost, exact_gradient, exact_hessian, gradient_of,
                         hessian_of, lz_infidelity, particle_number, problem_from_dict,
                         problem_to_dict, qho_infidelity, qho_propagate, seed_bounds)
-from qcl.models import _SERIES_X, _check_field, _cs_values, _factor_tables
+from qcl.models import _SERIES_X, _chain_state, _check_field, _factor_tables
 
-from chain_oracles import reference_chain_derivatives, reference_fd_hessian, reference_hessian
+from chain_oracles import (reference_chain_derivatives, reference_fd_hessian, reference_hessian,
+                           reference_interval_stacks)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -320,7 +321,8 @@ class TestIntervalFactors:
         # inputs on both sides of the series switch, all-series and no-series
         w = np.asarray(x) / (self.DT * self.DT)
         ref = reference_cs_tables(w, self.DT)
-        C, S = _cs_values(w, self.DT)
+        C, S, S1, S2 = _factor_tables(w, self.DT, 0)
+        assert S1 is None and S2 is None
         assert same_bytes(C, ref[0]) and same_bytes(S, ref[1])
         tables = _factor_tables(w, self.DT, 2)
         for got, want in zip(tables, ref):
@@ -332,9 +334,54 @@ class TestIntervalFactors:
 
     def test_scalar_input(self):
         for w in (0.0, 1e-9, 2.5):
-            C, S = _cs_values(w, self.DT)
+            C, S = _factor_tables(w, self.DT, 0)[:2]
             ref = reference_cs_tables(w, self.DT)
             assert float(C) == float(ref[0]) and float(S) == float(ref[1])
+
+
+# amplitudes mixing series-range entries (w = 0 and |w| dt < 1e-3) with ordinary ones
+PARITY_PROBLEMS = [
+    (LzProblem(gap=2.0, duration=1.8, n_pulses=7), [0.0, 3e-4, -2e-4, 0.7, -4.5, 0.0, 2.2]),
+    # a small gap puts the crossing's rho = gap^2/4 + w^2 in the series range too
+    (LzProblem(gap=1e-3, duration=1e-2, n_pulses=7), [0.0, 3e-4, -0.2, 0.7, -4.5, 1e-6, 2.2]),
+    (QhoProblem(omega_start=1.0, omega_target=1.3, duration=1.8, n_pulses=7),
+     [0.0, 3e-4, 2e-3, 0.7, 2.9, 0.0, 1.4]),
+]
+
+
+class TestBitParity:
+    @pytest.mark.parametrize("problem,values", PARITY_PROBLEMS)
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_interval_stacks_equal_the_complex_form(self, problem, values, order):
+        x = problem._interval_stacks(np.array(values), 0)[0]
+        got = problem._interval_stacks(np.array(values), order)
+        want = reference_interval_stacks(problem, np.array(values), order)
+        assert np.array_equal(got[0], x)
+        for g, w in zip(got, want):
+            if w is None:
+                assert g is None
+            else:
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+
+    @pytest.mark.parametrize("problem,values", PARITY_PROBLEMS)
+    def test_cost_and_gradient_equal_the_complex_form(self, problem, values):
+        rng = np.random.default_rng(23)
+        ket, bra = problem._cost_boundary()
+        lo, hi = seed_bounds(problem)
+        for v in (np.array(values), rng.uniform(lo, hi, problem.n_pulses)):
+            A = reference_interval_stacks(problem, v, 0)[0]
+            assert problem.infidelity_of(v) == float(abs(bra @ _chain_state(A, ket)) ** 2)
+            z, zg, _ = reference_chain_derivatives(*reference_interval_stacks(problem, v), ket, bra)
+            assert np.all(gradient_of(problem, v) == 2.0 * np.real(np.conj(z) * zg))
+
+    def test_cost_boundary_is_built_once_and_read_only(self):
+        for problem, _ in PARITY_PROBLEMS:
+            ket, bra = problem._cost_boundary()
+            assert problem._cost_boundary()[0] is ket
+            with pytest.raises(ValueError, match="read-only"):
+                ket[0] = 2.0
+            with pytest.raises(ValueError, match="read-only"):
+                bra[0] = 2.0
 
 
 class TestStencilEvaluator:
@@ -368,6 +415,24 @@ class TestStencilEvaluator:
                         q[j] = p_val[j, t]
                         assert pairs[i, s, j, t] == pytest.approx(problem.infidelity_of(q),
                                                                   abs=1e-12)
+
+    @pytest.mark.parametrize("problem,lo,hi", [
+        (LzProblem(gap=2.0, duration=1.8, n_pulses=48), -5.0, 5.0),
+        (QhoProblem(omega_start=1.0, omega_target=1.0, duration=1.8, n_pulses=48), 0.1, 3.0),
+    ])
+    def test_consecutive_calls_return_independent_pairs(self, problem, lo, hi):
+        # the evaluator reuses one pair-product workspace across calls
+        rng = np.random.default_rng(78)
+        evaluate = chain_stencil_cost(problem)
+        calls = []
+        for k in (2, 2, 1):
+            point = rng.uniform(lo, hi, problem.n_pulses)
+            p_val = point[:, None] + rng.uniform(-0.1, 0.1, (problem.n_pulses, k))
+            calls.append((point, p_val, evaluate(point, [0], [point[0] + 0.1], p_val)[2]))
+        for n, (point, p_val, pairs) in enumerate(calls):
+            fresh = chain_stencil_cost(problem)(point, [0], [point[0] + 0.1], p_val)[2]
+            assert same_bytes(pairs, fresh)
+            assert not any(np.shares_memory(pairs, other) for _, _, other in calls[n + 1:])
 
     def test_rejects_malformed_input(self):
         problem = LzProblem(gap=2.0, duration=1.8, n_pulses=4)
