@@ -339,10 +339,11 @@ class TestIntervalFactors:
             assert float(C) == float(ref[0]) and float(S) == float(ref[1])
 
 
-# amplitudes mixing series-range entries (w = 0 and |w| dt < 1e-3) with ordinary ones
+# amplitudes mixing w = 0 and |w| dt < 1e-3 with ordinary ones: series-range
+# factor entries for the trap, and for the crossing once its gap is small too
+# (rho = gap^2/4 + w^2)
 PARITY_PROBLEMS = [
     (LzProblem(gap=2.0, duration=1.8, n_pulses=7), [0.0, 3e-4, -2e-4, 0.7, -4.5, 0.0, 2.2]),
-    # a small gap puts the crossing's rho = gap^2/4 + w^2 in the series range too
     (LzProblem(gap=1e-3, duration=1e-2, n_pulses=7), [0.0, 3e-4, -0.2, 0.7, -4.5, 1e-6, 2.2]),
     (QhoProblem(omega_start=1.0, omega_target=1.3, duration=1.8, n_pulses=7),
      [0.0, 3e-4, 2e-3, 0.7, 2.9, 0.0, 1.4]),
@@ -353,10 +354,9 @@ class TestBitParity:
     @pytest.mark.parametrize("problem,values", PARITY_PROBLEMS)
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_interval_stacks_equal_the_complex_form(self, problem, values, order):
-        x = problem._interval_stacks(np.array(values), 0)[0]
         got = problem._interval_stacks(np.array(values), order)
         want = reference_interval_stacks(problem, np.array(values), order)
-        assert np.array_equal(got[0], x)
+        assert np.array_equal(got[0], problem._interval_stacks(np.array(values), 0)[0])
         for g, w in zip(got, want):
             if w is None:
                 assert g is None
