@@ -308,6 +308,9 @@ def cmd_compress(cfg: dict, out: Path) -> int:
     kept_raw = cfg.get("kept", [1, 2])
     spec = FrequencySpec.closure(kept_raw, problem.n_pulses)
     modes = cfg.get("modes", ["exact", "fd"])
+    for mode in modes:
+        if mode not in ("exact", "fd"):
+            raise ValueError(f"unknown compress mode {mode!r}")
     eps = float(cfg.get("epsilon", 1e-2))
     h = float(cfg.get("h", 0.005))
     steps = int(cfg.get("steps", 800))

@@ -23,7 +23,10 @@ so a product of consecutive factors is a prefix product times the adjugate
 of another.  One kernel (`_prefix_chain`, `_insertion_terms`) builds on
 this every term with one or two factors replaced, for the exact Hessian (A1
 and A2 insertions) and for the finite-difference stencil (B - A insertions)
-alike; the gradient and the cost keep their sequential sweeps.
+alike.  The cost and the gradient keep sequential sweeps: `ChainBatch` runs
+one forward sweep over a stack of points and, for a chosen row, the backward
+sweep that completes its gradient, so a line search costs one factor build
+and its accepted point's gradient reuses that point's forward states.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ __all__ = [
     "particle_number",
     "exact_gradient",
     "exact_hessian",
+    "ChainBatch",
     "chain_stencil_cost",
     "PrefixGrowth",
     "MODEL_SCHEMAS",
@@ -313,16 +317,51 @@ def _chain_state(A, ket):
     return v
 
 
-def _chain_sweep(A, ket, bra):
-    """Prefix states kets[t] = A_{t-1} ... A_0 ket and suffix functionals
-    bras[t] = bra A_{M-1} ... A_t, for t = 0 .. M."""
-    kets = [ket]
-    for a in A:
-        kets.append(a @ kets[-1])
-    bras = [bra]
-    for a in A[::-1]:
-        bras.append(bras[-1] @ a)
-    return np.array(kets), np.array(bras[::-1])
+class ChainBatch:
+    """Costs of a (K, M) stack of points from one factor build and one forward sweep.
+
+    `costs[k]` equals `problem.infidelity_of(points[k])` and `gradient(k)`
+    equals `gradient_of(problem, points[k])`, both bit for bit: every row runs
+    the 2x2 products of the sequential sweeps, in their order.  `gradient(k)`
+    runs only the backward sweep over row k's factors and reuses its forward
+    states.
+    """
+
+    __slots__ = ("points", "costs", "_bra", "_A", "_A1", "_kets", "_z")
+
+    def __init__(self, problem, points):
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2:
+            raise ValueError(f"expected a (K, M) stack of points, got shape {points.shape}")
+        ket, bra = problem._cost_boundary()
+        A, A1, _ = problem._interval_stacks(points, 1)
+        rows, m = points.shape
+        # kets[t, r] = A_{t-1} ... A_0 ket of row r; each step is one stacked
+        # (2x2) @ (2x1) product per row, the product _chain_state takes
+        by_interval = A.transpose(1, 0, 2, 3)
+        kets = np.empty((m + 1, rows, 2, 1), dtype=complex)
+        kets[0, :, :, 0] = ket
+        for t in range(m):
+            np.matmul(by_interval[t], kets[t], out=kets[t + 1])
+        # bra (2,) against a stack of (2, 1) columns: one 1-D dot per row, as bra @ v
+        z = np.matmul(bra, kets[m])[:, 0]
+        self.points = points
+        # abs of the complex scalar: the array abs may round differently
+        self.costs = [float(abs(zr) ** 2) for zr in z]
+        self._bra, self._A, self._A1, self._kets, self._z = bra, A, A1, kets[..., 0], z
+
+    def gradient(self, k) -> np.ndarray:
+        """dI/dw of row k: 2 Re(conj(z) dz/dw_j), with dz/dw_j = bras[j+1] A1_j kets[j]."""
+        A = self._A[k]
+        m = A.shape[0]
+        kets = np.ascontiguousarray(self._kets[:m, k])
+        # bras[t] = bra A_{M-1} ... A_t, collected from t = M down
+        bras = [self._bra]
+        for a in A[::-1]:
+            bras.append(bras[-1] @ a)
+        bras = np.array(bras[::-1])
+        zg = np.einsum("ja,jab,jb->j", bras[1:], self._A1[k], kets)
+        return 2.0 * np.real(np.conj(self._z[k]) * zg)
 
 
 class PrefixGrowth(ValueError):
@@ -490,15 +529,9 @@ def gradient_of(problem, values) -> np.ndarray:
 
     Both costs are |z|^2 of a linear chain functional, so the chain rule is
     dI/dw_j = 2 Re(conj(z) dz/dw_j); dz/dw_j inserts A1_j between the prefix
-    state and the suffix functional of one sequential sweep.
+    state and the suffix functional (`ChainBatch.gradient`, on a batch of one).
     """
-    ket, bra = problem._cost_boundary()
-    A, A1, _ = problem._interval_stacks(values, 1)
-    m = A.shape[0]
-    kets, bras = _chain_sweep(A, ket, bra)
-    z = bras[m] @ kets[m]
-    zg = np.einsum("ja,jab,jb->j", bras[1:], A1, kets[:m])
-    return 2.0 * np.real(np.conj(z) * zg)
+    return ChainBatch(problem, [values]).gradient(0)
 
 
 def hessian_of(problem, values) -> np.ndarray:

@@ -1,9 +1,13 @@
 """Oracles for the chain kernel: the complex-form interval factors and the
 sequential sweeps the prefix-product kernel in qcl.models replaced.
 
+`chain_sweep` and `reference_gradient` are the one-point sweep and gradient
+that `qcl.models.ChainBatch` batches; its rows must equal them bit for bit.
+
 `reference_interval_stacks` builds every factor entry as a complex
 expression, as qcl.models did before it wrote the real and imaginary planes
-separately; the planes must equal it bit for bit.  `reference_chain_derivatives` advances every first-derivative insertion one
+separately; the planes must equal it bit for bit.
+`reference_chain_derivatives` advances every first-derivative insertion one
 interval at a time (the W sweep); `reference_stencil_cost` builds the O(M^2)
 table of in-between products A_{j-1} ... A_{i+1} and evaluates each stencil
 point with its own replaced factors.  Neither uses the det-1 identity, so
@@ -12,7 +16,30 @@ neither shares the kernel's rounding amplification.
 
 import numpy as np
 
-from qcl.models import LzProblem, _chain_sweep, _factor_tables
+from qcl.models import LzProblem, _factor_tables
+
+
+def chain_sweep(A, ket, bra):
+    """Prefix states kets[t] = A_{t-1} ... A_0 ket and suffix functionals
+    bras[t] = bra A_{M-1} ... A_t, for t = 0 .. M."""
+    kets = [ket]
+    for a in A:
+        kets.append(a @ kets[-1])
+    bras = [bra]
+    for a in A[::-1]:
+        bras.append(bras[-1] @ a)
+    return np.array(kets), np.array(bras[::-1])
+
+
+def reference_gradient(problem, values):
+    """dI/dw_j = 2 Re(conj(z) dz/dw_j) from one sequential sweep of one point."""
+    ket, bra = problem._cost_boundary()
+    A, A1, _ = problem._interval_stacks(values, 1)
+    m = A.shape[0]
+    kets, bras = chain_sweep(A, ket, bra)
+    z = bras[m] @ kets[m]
+    zg = np.einsum("ja,jab,jb->j", bras[1:], A1, kets[:m])
+    return 2.0 * np.real(np.conj(z) * zg)
 
 
 def reference_interval_stacks(problem, values, order=2):
@@ -68,7 +95,7 @@ def reference_interval_stacks(problem, values, order=2):
 def reference_chain_derivatives(A, A1, A2, ket, bra):
     """Value, gradient and Hessian of z = bra . (A_{M-1} ... A_0) . ket (W sweep)."""
     m = A.shape[0]
-    kets, bras = _chain_sweep(A, ket, bra)
+    kets, bras = chain_sweep(A, ket, bra)
     z = bras[m] @ kets[m]
     zg = np.einsum("ja,jab,jb->j", bras[1:], A1, kets[:m])
     zh = np.zeros((m, m), dtype=complex)
@@ -105,7 +132,7 @@ def reference_stencil_cost(problem):
         m = point.size
         ket, bra = problem._cost_boundary()
         A = factors(point)
-        kets, bras = _chain_sweep(A, ket, bra)
+        kets, bras = chain_sweep(A, ket, bra)
         center = abs(bras[m] @ kets[m]) ** 2
 
         singles_idx = np.asarray(singles_idx, dtype=int)

@@ -188,6 +188,19 @@ class TestCompress:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ValueError"
 
+    def test_unknown_mode_rejected(self, tmp_path, capsys):
+        # any mode but "exact" used to run as FD under its own name
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "cfg.json",
+                           {"problem": QHO8, "seed": 11, "modes": ["exact", "fdd"],
+                            "steps": 2, "search_count": 10})
+        rc = main(["compress", "--config", cfg, "--out", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError"
+        assert "'fdd'" in err["message"]
+        assert list(out.iterdir()) == []
+
 
 class TestBenchmark:
     def test_self_ratio_is_near_one(self):

@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from qcl.control import ControlField
 from qcl.landscape import FdConfig, fd_hessian
-from qcl.models import (BogoliubovPair, LzProblem, PrefixGrowth, QhoProblem,
+from qcl.models import (BogoliubovPair, ChainBatch, LzProblem, PrefixGrowth, QhoProblem,
                         chain_stencil_cost, exact_gradient, exact_hessian, gradient_of,
                         hessian_of, lz_infidelity, particle_number, problem_from_dict,
                         problem_to_dict, qho_infidelity, qho_propagate, seed_bounds)
 from qcl.models import _SERIES_X, _chain_state, _check_field, _factor_tables
 
-from chain_oracles import (reference_chain_derivatives, reference_fd_hessian, reference_hessian,
-                           reference_interval_stacks)
+from chain_oracles import (reference_chain_derivatives, reference_fd_hessian, reference_gradient,
+                           reference_hessian, reference_interval_stacks)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -382,6 +382,58 @@ class TestBitParity:
                 ket[0] = 2.0
             with pytest.raises(ValueError, match="read-only"):
                 bra[0] = 2.0
+
+
+def batch_problem(kind, m):
+    if kind == "lz":
+        return LzProblem(gap=2.0, duration=1.8, n_pulses=m)
+    if kind == "lz_small_gap":
+        return LzProblem(gap=1e-3, duration=1e-2, n_pulses=m)
+    return QhoProblem(omega_start=1.0, omega_target=1.3, duration=1.8, n_pulses=m)
+
+
+class TestChainBatch:
+    @pytest.mark.parametrize("kind", ["lz", "lz_small_gap", "qho"])
+    @pytest.mark.parametrize("m", [1, 3, 48])
+    def test_rows_equal_the_single_point_cost_and_gradient(self, kind, m):
+        problem = batch_problem(kind, m)
+        lo, hi = seed_bounds(problem)
+        rng = np.random.default_rng(31 + m)
+        points = rng.uniform(lo, hi, (6, m))
+        # series-range entries in some rows only, so those rows blend the
+        # series tables and the others do not, as they would alone
+        points[1, ::2] = 0.0
+        points[3, -1] = 3e-4
+        points[4] = 1e-6
+        if kind == "lz_small_gap":
+            assert np.count_nonzero(problem.dt ** 2 * (2.5e-7 + points ** 2) < _SERIES_X) > 0
+        batch = ChainBatch(problem, points)
+        assert len(batch.costs) == len(points)
+        for k, v in enumerate(points):
+            assert batch.points[k].tobytes() == v.tobytes()
+            assert batch.costs[k] == problem.infidelity_of(v)
+            assert np.array_equal(batch.gradient(k), gradient_of(problem, v))
+            assert np.array_equal(batch.gradient(k), reference_gradient(problem, v))
+
+    def test_a_batch_of_one_is_gradient_of(self):
+        problem = batch_problem("qho", 5)
+        v = np.array([0.3, 1.1, 0.0, 2.2, 1.7])
+        batch = ChainBatch(problem, v[None])
+        assert batch.costs == [problem.infidelity_of(v)]
+        assert np.array_equal(batch.gradient(0), gradient_of(problem, v))
+
+    def test_non_finite_rows_stay_in_their_row(self):
+        problem = batch_problem("qho", 6)
+        points = np.tile(np.linspace(0.5, 1.5, 6), (3, 1))
+        points[1] *= 1e154
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = ChainBatch(problem, points)
+        assert not np.isfinite(batch.costs[1])
+        assert batch.costs[0] == batch.costs[2] == problem.infidelity_of(points[0])
+
+    def test_rejects_a_single_point(self):
+        with pytest.raises(ValueError, match="stack of points"):
+            ChainBatch(batch_problem("lz", 3), np.ones(3))
 
 
 class TestStencilEvaluator:

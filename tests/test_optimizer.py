@@ -1,13 +1,17 @@
+import math
+from collections import deque
+
 import numpy as np
 import pytest
 
+import qcl.optimizer as optimizer
 from qcl.control import ControlField
 from qcl.landscape import classify_null, eig_sym
-from qcl.models import LzProblem, QhoProblem, hessian_of
+from qcl.models import ChainBatch, LzProblem, QhoProblem, hessian_of
 from qcl.optimizer import (STOP_CODES, OptimizationReport, SeedSpec, minimize, polish,
                            sample_seeds)
 
-from chain_oracles import reference_chain_derivatives
+from chain_oracles import reference_chain_derivatives, reference_gradient
 
 LZ3 = LzProblem(gap=2.0, duration=1.4 * np.pi / 2, n_pulses=3)
 QHO6 = QhoProblem(omega_start=1.0, omega_target=1.0, duration=1.8, n_pulses=6)
@@ -52,6 +56,101 @@ def reference_descent(problem, seed, tol, max_iter):
         if not accepted:
             break
     return values, cost, iterations, bool(cost < tol)
+
+
+def scalar_minimize(problem, seed, tol, max_iter, trials=None):
+    """`minimize` as it was before its line search ran in batches: one cost
+    call per backtracking step and each gradient from its own sweep.
+
+    `trials`, when given, collects the number of steps each line search tried.
+    """
+    values = seed.values.copy()
+    cost = problem.infidelity_of(values)
+    if not np.isfinite(cost):
+        return OptimizationReport(field=seed, final_infidelity=float(cost),
+                                  iterations=0, converged=False, stop="NONFINITE")
+    recent = deque([cost], maxlen=21)
+    step = 1.0
+    iterations = 0
+    stop = "MAX_ITER"
+    for iterations in range(1, max_iter + 1):
+        if cost < tol:
+            iterations -= 1
+            break
+        if len(recent) > 20 and recent[0] - cost <= 1e-6 * recent[0]:
+            iterations -= 1
+            stop = "STALLED"
+            break
+        grad = reference_gradient(problem, values)
+        slope = float(grad @ grad)
+        if math.sqrt(slope) < 1e-10:
+            iterations -= 1
+            stop = "GRAD_FLOOR"
+            break
+        t = min(step * 2.0, 1e6)
+        accepted = False
+        n_trials = 0
+        while t > 1e-18:
+            trial = values - t * grad
+            trial_cost = problem.infidelity_of(trial)
+            n_trials += 1
+            if not np.isfinite(trial_cost):
+                return OptimizationReport(
+                    field=ControlField(values, seed.total_time),
+                    final_infidelity=float(cost), iterations=iterations,
+                    converged=False, stop="NONFINITE")
+            if trial_cost <= cost - 1e-4 * t * slope:
+                values, cost, step = trial, trial_cost, t
+                recent.append(cost)
+                accepted = True
+                break
+            t *= 0.5
+        if trials is not None:
+            trials.append(n_trials)
+        if not accepted:
+            stop = "LINE_SEARCH"
+            break
+    converged = bool(cost < tol)
+    return OptimizationReport(field=ControlField(values, seed.total_time),
+                              final_infidelity=float(cost), iterations=iterations,
+                              converged=converged, stop="TOL" if converged else stop)
+
+
+def assert_same_report(got, want):
+    assert got.field.values.tobytes() == want.field.values.tobytes()
+    assert got.field.total_time == want.field.total_time
+    assert (np.float64(got.final_infidelity).tobytes()
+            == np.float64(want.final_infidelity).tobytes())
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    assert got.stop == want.stop
+
+
+# gap 1 at T = 1.4 pi/2 sits below the minimum flip time: every descent stalls
+LZ3_GAP1 = LzProblem(gap=1.0, duration=1.4 * np.pi / 2, n_pulses=3)
+QHO48 = QhoProblem(omega_start=1.0, omega_target=1.0, duration=1.8, n_pulses=48)
+# a one-pulse trap whose descent ends with no acceptable step (found by search)
+QHO1_LONG = QhoProblem(omega_start=1.0, omega_target=1.0, duration=10.0, n_pulses=1)
+
+# case -> (problem, seeds, tol, max_iter, a stop code the case must reach)
+ORACLE_CASES = {
+    "lz_m3": (LZ3, lambda: sample_seeds(SeedSpec(50, (-5.0, 5.0), 1), LZ3),
+              1e-6, 2000, "STALLED"),
+    "qho_m6": (QHO6, lambda: sample_seeds(SeedSpec(6, (0.1, 3.0), 41), QHO6),
+               1e-6, 2000, "TOL"),
+    # the compress start search at qho M=48: 40 seeds from config seed 5
+    "qho_m48_compress": (QHO48, lambda: sample_seeds(SeedSpec(40, (0.1, 3.0), 5), QHO48),
+                         1e-6, 2000, "TOL"),
+    "infeasible_gap1": (LZ3_GAP1, lambda: sample_seeds(SeedSpec(6, (-5.0, 5.0), 606), LZ3_GAP1),
+                        1e-6, 2000, "STALLED"),
+    "grad_floor": (LZ3, lambda: sample_seeds(SeedSpec(5, (-5.0, 5.0), 3), LZ3)[4:],
+                   0.0, 3000, "GRAD_FLOOR"),
+    "line_search": (QHO1_LONG, lambda: [ControlField([10.52336061003243], 10.0)],
+                    0.0, 600, "LINE_SEARCH"),
+    # the trap's w^2 overflows at the first trial (and at the second seed itself)
+    "nonfinite": (QHO6, lambda: [ControlField(np.linspace(0.5, 1.5, 6) * s, 1.8)
+                                 for s in (1e150, 1e154)], 1e-6, 50, "NONFINITE"),
+}
 
 
 class TestSampleSeeds:
@@ -181,6 +280,75 @@ class TestMinimize:
             assert report.stop == "STALLED"
             assert report.iterations < 200
             assert report.final_infidelity >= floor - 1e-9
+
+
+class TestBatchedLineSearch:
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_reports_equal_the_scalar_descent(self, case):
+        # every report, converged or not, byte for byte
+        problem, seeds, tol, max_iter, reached = ORACLE_CASES[case]
+        stops = set()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in seeds():
+                report = minimize(problem, s, tol=tol, max_iter=max_iter)
+                assert_same_report(report, scalar_minimize(problem, s, tol, max_iter))
+                stops.add(report.stop)
+        assert reached in stops
+
+    @staticmethod
+    def poisoned(row):
+        """A ChainBatch factory whose first line-search batch reads NaN at `row`."""
+        sizes = []
+
+        def make(problem, points):
+            batch = ChainBatch(problem, points)
+            sizes.append(len(points))
+            if len(sizes) == 2:
+                batch.costs[row] = float("nan")
+            return batch
+        return make, sizes
+
+    def test_rows_after_the_accepted_one_are_ignored(self, monkeypatch):
+        seeds = sample_seeds(SeedSpec(count=10, bounds=(-5.0, 5.0), rng_seed=1), LZ3)
+        for s in seeds:
+            trials = []
+            want = scalar_minimize(LZ3, s, 1e-6, 2000, trials)
+            if trials[0] == 2:
+                break
+        else:
+            pytest.fail("no seed accepts its second trial step first")
+        for row in (2, 3):
+            make, sizes = self.poisoned(row)
+            monkeypatch.setattr(optimizer, "ChainBatch", make)
+            assert_same_report(minimize(LZ3, s, tol=1e-6, max_iter=2000), want)
+            assert sizes[:2] == [1, 4]
+        for row in (0, 1):
+            make, _ = self.poisoned(row)
+            monkeypatch.setattr(optimizer, "ChainBatch", make)
+            report = minimize(LZ3, s, tol=1e-6, max_iter=2000)
+            assert report.stop == "NONFINITE" and report.iterations == 1
+            assert report.field.values.tobytes() == s.values.tobytes()
+            assert report.final_infidelity == LZ3.infidelity_of(s.values)
+
+    @pytest.mark.parametrize("case", ["lz_m3", "line_search"])
+    def test_one_factor_build_per_trial_batch(self, case, monkeypatch):
+        problem, seeds, tol, max_iter, _ = ORACLE_CASES[case]
+        builds = []
+        build = type(problem)._interval_stacks
+
+        def counted(self, values, order=2):
+            builds.append(np.shape(values))
+            return build(self, values, order)
+
+        monkeypatch.setattr(type(problem), "_interval_stacks", counted)
+        for s in seeds()[:20]:
+            trials = []
+            scalar_minimize(problem, s, tol, max_iter, trials)
+            del builds[:]
+            minimize(problem, s, tol=tol, max_iter=max_iter)
+            batches = [-(-n // optimizer._LINE_SEARCH_BATCH) for n in trials]
+            assert len(builds) == 1 + sum(batches)
+            assert builds[0] == (1, problem.n_pulses)
 
 
 class TestPolish:
