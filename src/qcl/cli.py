@@ -147,6 +147,9 @@ def _solution_from_config(cfg: dict, problem, seed):
         if not records:
             raise ValueError(f"no converged solutions in {cfg['solution_path']}")
         idx = int(cfg.get("solution_index", 0))
+        if not 0 <= idx < len(records):
+            raise ValueError(f"solution_index {idx} is out of range: {cfg['solution_path']} "
+                             f"has {len(records)} converged records")
         doc = records[idx]["field"]
         return ControlField(values=np.asarray(doc["values"], float), total_time=float(doc["T"]))
     rep = _find_solutions(problem, seed, cfg.get("bounds", seed_bounds(problem)),

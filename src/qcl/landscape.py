@@ -105,7 +105,8 @@ def fd_hessian(cost, point, config: FdConfig, stencil_cost=None) -> np.ndarray:
     stencil_cost : optional structured evaluator (see
         `models.chain_stencil_cost`) for the costs at one- and two-coordinate
         perturbations, used instead of one `cost` call per stencil point; its
-        costs agree with those calls up to rounding.
+        costs agree with those calls up to rounding, and bit for bit up to
+        M = `models._DIRECT_STENCIL_MAX_M`.
 
     Raises NonFiniteCost if any stencil cost is NaN or infinite.
     """

@@ -23,10 +23,13 @@ so a product of consecutive factors is a prefix product times the adjugate
 of another.  One kernel (`_prefix_chain`, `_insertion_terms`) builds on
 this every term with one or two factors replaced, for the exact Hessian (A1
 and A2 insertions) and for the finite-difference stencil (B - A insertions)
-alike.  The cost and the gradient keep sequential sweeps: `ChainBatch` runs
-one forward sweep over a stack of points and, for a chosen row, the backward
-sweep that completes its gradient, so a line search costs one factor build
-and its accepted point's gradient reuses that point's forward states.
+alike.  The cost and the gradient keep sequential sweeps: `_stacked_sweep`
+runs one forward sweep over a stack of points.  `ChainBatch` adds, for a
+chosen row, the backward sweep that completes its gradient, so a line search
+costs one factor build and its accepted point's gradient reuses that point's
+forward states.  Up to M = `_DIRECT_STENCIL_MAX_M` the stencil's few points
+cost less through that sweep than through the pair kernel, so there every
+stencil cost is a direct evaluation, bit for bit `infidelity_of`.
 """
 
 from __future__ import annotations
@@ -64,6 +67,12 @@ __all__ = [
 # nearly equal terms by x and lose ~eps/x relative accuracy to cancellation.
 _SERIES_X = 1e-6
 
+# Largest M at which `chain_stencil_cost` evaluates every stencil point as its
+# own chain instead of running the pair kernel.  Per four-point stencil call,
+# direct against pair kernel for both models: 60 against 140 us at M = 2,
+# level to 10% faster at M = 6 and 15-20% slower from M = 7 (2 vCPUs)
+_DIRECT_STENCIL_MAX_M = 6
+
 # Largest max_t ||P_t||_F^2 over the prefix products P_t = A_{t-1} ... A_0 at
 # which `_prefix_chain` trusts its adjugate inverses.  It is 2 for the unitary
 # crossing; random trap fields over the seed range reach about 30 at M = 3 and
@@ -82,6 +91,28 @@ def _on_or_below_diagonal(m: int) -> np.ndarray:
     mask = np.tri(m, dtype=bool)
     mask.flags.writeable = False
     return mask
+
+
+@lru_cache(maxsize=16)
+def _pair_layout(m: int, k: int) -> tuple:
+    """Read-only flat indices that lay out the pair points i < j of an (m, k) pairs_val.
+
+    Row (p k + s) k + t of a (P, m) block of points is the point with
+    w_i = pairs_val[i, s] and w_j = pairs_val[j, t], for the p-th pair (i, j)
+    in row-major order.  Returns (dest, src, slots): block.flat[dest] =
+    pairs_val.flat[src] writes the two perturbed entries of every row, and
+    row r's cost belongs at pairs.flat[slots[r]] of the (m, k, m, k) output.
+    """
+    i, j = np.triu_indices(m, 1)
+    i, s, j, t = np.broadcast_arrays(i[:, None, None], np.arange(k)[:, None],
+                                     j[:, None, None], np.arange(k))
+    row = np.arange(i.size).reshape(i.shape)
+    dest = np.concatenate(((row * m + i).ravel(), (row * m + j).ravel()))
+    src = np.concatenate(((i * k + s).ravel(), (j * k + t).ravel()))
+    slots = (((i * k + s) * m + j) * k + t).ravel()
+    for a in (dest, src, slots):
+        a.flags.writeable = False
+    return dest, src, slots
 
 
 def _factor_tables(w, dt, order):
@@ -317,6 +348,26 @@ def _chain_state(A, ket):
     return v
 
 
+def _stacked_sweep(A, ket, bra):
+    """The forward sweep of a (K, M, 2, 2) stack of chains, every row at once.
+
+    Returns (kets, z, costs): kets[t, r] = A_{t-1} ... A_0 ket of row r,
+    z[r] = bra . kets[M, r] and the list costs[r] = |z[r]|^2.  Each step is
+    one stacked (2x2) @ (2x1) product per row, the product `_chain_state`
+    takes, so costs[r] equals `infidelity_of` of row r bit for bit.
+    """
+    rows, m = A.shape[:2]
+    by_interval = A.transpose(1, 0, 2, 3)
+    kets = np.empty((m + 1, rows, 2, 1), dtype=complex)
+    kets[0, :, :, 0] = ket
+    for t in range(m):
+        np.matmul(by_interval[t], kets[t], out=kets[t + 1])
+    # bra (2,) against a stack of (2, 1) columns: one 1-D dot per row, as bra @ v
+    z = np.matmul(bra, kets[m])[:, 0]
+    # abs of the complex scalar: the array abs may round differently
+    return kets[..., 0], z, [float(abs(zr) ** 2) for zr in z]
+
+
 class ChainBatch:
     """Costs of a (K, M) stack of points from one factor build and one forward sweep.
 
@@ -335,20 +386,9 @@ class ChainBatch:
             raise ValueError(f"expected a (K, M) stack of points, got shape {points.shape}")
         ket, bra = problem._cost_boundary()
         A, A1, _ = problem._interval_stacks(points, 1)
-        rows, m = points.shape
-        # kets[t, r] = A_{t-1} ... A_0 ket of row r; each step is one stacked
-        # (2x2) @ (2x1) product per row, the product _chain_state takes
-        by_interval = A.transpose(1, 0, 2, 3)
-        kets = np.empty((m + 1, rows, 2, 1), dtype=complex)
-        kets[0, :, :, 0] = ket
-        for t in range(m):
-            np.matmul(by_interval[t], kets[t], out=kets[t + 1])
-        # bra (2,) against a stack of (2, 1) columns: one 1-D dot per row, as bra @ v
-        z = np.matmul(bra, kets[m])[:, 0]
+        kets, z, self.costs = _stacked_sweep(A, ket, bra)
         self.points = points
-        # abs of the complex scalar: the array abs may round differently
-        self.costs = [float(abs(zr) ** 2) for zr in z]
-        self._bra, self._A, self._A1, self._kets, self._z = bra, A, A1, kets[..., 0], z
+        self._bra, self._A, self._A1, self._kets, self._z = bra, A, A1, kets, z
 
     def gradient(self, k) -> np.ndarray:
         """dI/dw of row k: 2 Re(conj(z) dz/dw_j), with dz/dw_j = bras[j+1] A1_j kets[j]."""
@@ -425,6 +465,24 @@ def _insertion_terms(chain, D, out=None):
     return a, np.matmul(R, L.T, out=out).reshape(m, k, m, k)
 
 
+def _direct_stencil(problem, point, singles_idx, singles_val, pairs_val):
+    """`chain_stencil_cost`'s (center, singles, pairs), every stencil point
+    evaluated as its own chain: one factor build and one `_stacked_sweep`
+    over the stack [center; singles; pairs i < j]."""
+    m, k = pairs_val.shape
+    q = singles_idx.size
+    dest, src, slots = _pair_layout(m, k)
+    points = np.empty((1 + q + slots.size, m))
+    points[:] = point
+    points[np.arange(1, 1 + q), singles_idx] = singles_val
+    points[1 + q:].reshape(-1)[dest] = pairs_val.reshape(-1)[src]
+    ket, bra = problem._cost_boundary()
+    costs = np.array(_stacked_sweep(problem._interval_stacks(points, 0)[0], ket, bra)[2])
+    pairs = np.full((m, k, m, k), np.nan)
+    pairs.reshape(-1)[slots] = costs[1 + q:]
+    return float(costs[0]), costs[1:1 + q], pairs
+
+
 def chain_stencil_cost(problem):
     """Fast cost evaluation at points perturbing one or two coordinates.
 
@@ -433,17 +491,24 @@ def chain_stencil_cost(problem):
     giving (center_cost, singles, pairs).  singles[q] is the cost with
     coordinate singles_idx[q] set to singles_val[q].  `pairs_val` has shape
     (M, k), and pairs[i, s, j, t] is the cost with w_i = pairs_val[i, s] and
-    w_j = pairs_val[j, t] for i < j; entries with i >= j are NaN.  Every cost
-    comes from the linear split of z in D = B(value) - A: |z + a_q|^2 for a
-    single and |z + a_is + a_jt + cross|^2 for a pair (`_insertion_terms`), so
-    one call builds factors for M + len(singles_val) + M k values (5M for the
-    four-point stencil) and runs a few batched products, not a chain pass per
-    point.  The costs equal direct evaluations up to rounding.
+    w_j = pairs_val[j, t] for i < j; entries with i >= j are NaN.
 
-    The callable keeps one complex (Mk, Mk) workspace for the pair products
-    across calls, so repeated stencils at M = 48 do not map and unmap a block
-    above the allocator's mmap threshold each time; the returned arrays never
-    alias it.
+    Up to M = `_DIRECT_STENCIL_MAX_M` every point is evaluated directly: the
+    1 + len(singles_val) + k^2 M (M - 1) / 2 points (2M^2 + 1 for the
+    four-point stencil, 19 at M = 3) go through one factor build and one
+    `_stacked_sweep`, and every cost equals `problem.infidelity_of` at its
+    point bit for bit.  Above it every cost comes from the linear split of z
+    in D = B(value) - A: |z + a_q|^2 for a single and
+    |z + a_is + a_jt + cross|^2 for a pair (`_insertion_terms`), so one call
+    builds factors for M + len(singles_val) + M k values (5M for the
+    four-point stencil) and runs a few batched products, not a chain pass per
+    point.  Those costs equal direct evaluations up to rounding, and a chain
+    whose prefix products grow too large raises `PrefixGrowth`.
+
+    Above the direct range the callable keeps one complex (Mk, Mk) workspace
+    for the pair products across calls, so repeated stencils at M = 48 do not
+    map and unmap a block above the allocator's mmap threshold each time; the
+    returned arrays never alias it.
     """
     work = np.empty((0, 0), dtype=complex)
 
@@ -459,6 +524,8 @@ def chain_stencil_cost(problem):
             raise ValueError(f"expected a 1-D point, equal 1-D singles_idx and singles_val "
                              f"and pairs_val of shape (M, k); got {point.shape}, "
                              f"{singles_idx.shape}, {singles_val.shape} and {pairs_val.shape}")
+        if m <= _DIRECT_STENCIL_MAX_M:
+            return _direct_stencil(problem, point, singles_idx, singles_val, pairs_val)
         values = np.concatenate((point, singles_val, pairs_val.ravel()))
         B = problem._interval_stacks(values, 0)[0]
         A = B[:m]
@@ -519,7 +586,7 @@ def exact_gradient(problem, field: ControlField) -> np.ndarray:
 
 
 def exact_hessian(problem, field: ControlField) -> np.ndarray:
-    """Analytic d2I/dw_i dw_j, symmetrized."""
+    """Analytic d2I/dw_i dw_j, an exactly symmetric matrix."""
     _check_field(problem, field)
     return hessian_of(problem, field.values)
 
@@ -539,7 +606,9 @@ def hessian_of(problem, values) -> np.ndarray:
 
     Each amplitude enters exactly one factor, so the mixed second derivatives
     of z are pair terms of two A1 insertions and the diagonal ones single A2
-    insertions (`_insertion_terms`).
+    insertions (`_insertion_terms`).  Every term is formed symmetrically in
+    (i, j), so the matrix is exactly symmetric without averaging it with its
+    transpose.
     """
     A, A1, A2 = problem._interval_stacks(values)
     chain = _prefix_chain(A, *problem._cost_boundary())
@@ -549,8 +618,7 @@ def hessian_of(problem, values) -> np.ndarray:
     zh = np.where(_on_or_below_diagonal(A.shape[0]), 0.0, cross[:, 0, :, 0])
     zh = zh + zh.T
     zh[np.diag_indices(A.shape[0])] = np.einsum("ja,jab,jb->j", bras, A2, kets)
-    h = 2.0 * (np.real(np.conj(z) * zh) + np.real(np.outer(np.conj(zg), zg)))
-    return 0.5 * (h + h.T)
+    return 2.0 * (np.real(np.conj(z) * zh) + np.real(np.outer(np.conj(zg), zg)))
 
 
 class ModelSchema(NamedTuple):

@@ -102,6 +102,21 @@ class TestSpectrum:
         nonnull = [r for r in rows if r[3] == "0"]
         assert len(nonnull) == 2
 
+    @pytest.mark.parametrize("index", [-1, 10**6])
+    def test_solution_index_out_of_range_rejected(self, optimize_run, tmp_path, capsys, index):
+        archive = optimize_run / "solutions.jsonl"
+        n = sum(json.loads(line).get("converged", False)
+                for line in archive.read_text().strip().split("\n")[1:])
+        cfg = write_config(tmp_path / "cfg.json",
+                           {"problem": LZ3, "seed": 5, "solution_path": str(archive),
+                            "solution_index": index})
+        rc = main(["spectrum", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError"
+        assert f"{n} converged records" in err["message"]
+        assert not (tmp_path / "spectrum.csv").exists()
+
     def test_non_solution_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json",
                            {"problem": LZ3, "seed": 5,

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcl.control import ControlField
-from qcl.landscape import FdConfig, fd_hessian
+from qcl.landscape import FdConfig, NonFiniteCost, _pointwise_stencil, fd_hessian
 from qcl.models import (BogoliubovPair, ChainBatch, LzProblem, PrefixGrowth, QhoProblem,
                         chain_stencil_cost, exact_gradient, exact_hessian, gradient_of,
                         hessian_of, lz_infidelity, particle_number, problem_from_dict,
                         problem_to_dict, qho_infidelity, qho_propagate, seed_bounds)
-from qcl.models import _SERIES_X, _chain_state, _check_field, _factor_tables
+from qcl.models import (_DIRECT_STENCIL_MAX_M, _SERIES_X, _chain_state, _check_field,
+                        _factor_tables)
 
 from chain_oracles import (reference_chain_derivatives, reference_fd_hessian, reference_gradient,
                            reference_hessian, reference_interval_stacks)
@@ -267,6 +268,19 @@ class TestDerivatives:
         h = hessian_of(problem, rng.uniform(-5, 5, 7))
         assert np.abs(h - h.T).max() <= 1e-8
 
+    @pytest.mark.parametrize("kind", ["lz", "lz_small_gap", "qho"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 6, 12, 48, 96])
+    def test_hessian_is_exactly_symmetric_without_averaging(self, kind, m):
+        problem = batch_problem(kind, m)
+        lo, hi = seed_bounds(problem)
+        rng = np.random.default_rng(140 + m)
+        for k in range(8):
+            values = rng.uniform(lo, hi, m)
+            if k % 4 == 3:
+                values[::2] = 0.0   # series branch in the interval factors
+            h = hessian_of(problem, values)
+            assert np.array_equal(h, h.T)
+
     def test_gradient_vanishes_at_optimum(self):
         # static trap is an exact solution of the trap problem
         problem = QhoProblem(omega_start=1.0, omega_target=1.0, duration=1.8, n_pulses=5)
@@ -437,13 +451,19 @@ class TestChainBatch:
 
 
 class TestStencilEvaluator:
+    # one M on each side of the direct-evaluation range, so both stencil paths run
     @pytest.mark.parametrize("problem,lo,hi", [
-        (LzProblem(gap=2.0, duration=1.8, n_pulses=5), -5.0, 5.0),
-        (QhoProblem(omega_start=1.0, omega_target=1.0, duration=1.8, n_pulses=5), 0.1, 3.0),
+        (LzProblem(gap=2.0, duration=1.8, n_pulses=_DIRECT_STENCIL_MAX_M - 1), -5.0, 5.0),
+        (QhoProblem(omega_start=1.0, omega_target=1.0, duration=1.8,
+                    n_pulses=_DIRECT_STENCIL_MAX_M - 1), 0.1, 3.0),
+        (LzProblem(gap=2.0, duration=1.8, n_pulses=_DIRECT_STENCIL_MAX_M + 1), -5.0, 5.0),
+        (QhoProblem(omega_start=1.0, omega_target=1.0, duration=1.8,
+                    n_pulses=_DIRECT_STENCIL_MAX_M + 1), 0.1, 3.0),
     ])
     def test_matches_direct_cost_evaluation(self, problem, lo, hi):
+        m = problem.n_pulses
         rng = np.random.default_rng(77)
-        point = rng.uniform(lo, hi, 5)
+        point = rng.uniform(lo, hi, m)
         evaluate = chain_stencil_cost(problem)
         s_idx = np.array([0, 2, 4])
         s_val = np.array([point[0] + 0.3, point[2] - 0.2, point[4] + 1.0])
@@ -454,9 +474,9 @@ class TestStencilEvaluator:
             q = point.copy()
             q[s_idx[k]] = s_val[k]
             assert singles[k] == pytest.approx(problem.infidelity_of(q), abs=1e-12)
-        assert pairs.shape == (5, 2, 5, 2)
-        for i in range(5):
-            for j in range(5):
+        assert pairs.shape == (m, 2, m, 2)
+        for i in range(m):
+            for j in range(m):
                 for s in range(2):
                     for t in range(2):
                         if i >= j:
@@ -487,17 +507,67 @@ class TestStencilEvaluator:
             assert not any(np.shares_memory(pairs, other) for _, _, other in calls[n + 1:])
 
     def test_rejects_malformed_input(self):
-        problem = LzProblem(gap=2.0, duration=1.8, n_pulses=4)
+        # the shape checks run ahead of the choice between the two paths
+        for m in (4, _DIRECT_STENCIL_MAX_M + 1):
+            problem = LzProblem(gap=2.0, duration=1.8, n_pulses=m)
+            evaluate = chain_stencil_cost(problem)
+            point = np.ones(m)
+            for args in [
+                (point, [], [], np.ones((m - 1, 2))),        # a pair row per interval
+                (point, [], [], np.ones(m)),                 # pair values are (M, k)
+                (point[None, :], [], [], np.ones((m, 2))),   # the point is 1-D
+                (point, [0, 1], [1.0], np.ones((m, 2))),     # one value per single
+            ]:
+                with pytest.raises(ValueError, match="expected"):
+                    evaluate(*args)
+
+
+class TestDirectStencil:
+    @pytest.mark.parametrize("kind", ["lz", "lz_small_gap", "qho"])
+    @pytest.mark.parametrize("m", range(1, _DIRECT_STENCIL_MAX_M + 1))
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_every_cost_is_the_pointwise_cost(self, kind, m, k):
+        problem = batch_problem(kind, m)
+        lo, hi = seed_bounds(problem)
+        rng = np.random.default_rng(90 + 10 * m + k)
+        if kind == "lz_small_gap":   # zeroed amplitudes take the series branch
+            assert problem.dt ** 2 * (0.5 * problem.gap) ** 2 < _SERIES_X
         evaluate = chain_stencil_cost(problem)
-        point = np.ones(4)
-        for args in [
-            (point, [], [], np.ones((3, 2))),            # a pair row per interval
-            (point, [], [], np.ones(4)),                 # pair values are (M, k)
-            (point[None, :], [], [], np.ones((4, 2))),   # the point is 1-D
-            (point, [0, 1], [1.0], np.ones((4, 2))),     # one value per single
-        ]:
-            with pytest.raises(ValueError, match="expected"):
-                evaluate(*args)
+        pointwise = _pointwise_stencil(problem.infidelity_of)
+        for n in range(3):
+            point = rng.uniform(lo, hi, m)
+            s_idx = rng.integers(0, m, 2 * m)
+            s_val = rng.uniform(lo, hi, 2 * m)
+            p_val = rng.uniform(lo, hi, (m, k))
+            if n == 2:
+                point[::2] = s_val[::2] = p_val[::2] = 0.0
+            got, want = evaluate(point, s_idx, s_val, p_val), pointwise(point, s_idx, s_val, p_val)
+            assert got[0] == want[0]
+            assert same_bytes(got[1], want[1])
+            assert same_bytes(got[2], want[2])
+
+    def test_overflowing_cost_raises_non_finite_cost(self):
+        # a free interval between two stiff ones: every factor is finite, the
+        # chain's product overflows
+        problem = QhoProblem(omega_start=1.0, omega_target=1.0, duration=1.8, n_pulses=3)
+        values = np.array([1e100, 0.0, 1e100])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert problem.infidelity_of(values) == np.inf
+            with pytest.raises(NonFiniteCost):
+                fd_hessian(problem.infidelity_of, values, FdConfig(1e-2),
+                           stencil_cost=chain_stencil_cost(problem))
+
+    def test_pumped_trap_has_no_growth_guard_below_the_pair_kernel(self):
+        # the direct path uses no adjugates, so only the exact Hessian refuses
+        # this chain (its prefix products grow to ~1.5e5)
+        problem = QhoProblem(omega_start=1.0, omega_target=1.0, duration=16.0, n_pulses=6)
+        assert problem.n_pulses <= _DIRECT_STENCIL_MAX_M
+        values = np.tile([0.3, 3.0], 3)
+        with pytest.raises(PrefixGrowth, match="grow"):
+            hessian_of(problem, values)
+        got = fd_hessian(problem.infidelity_of, values, FdConfig(1e-3),
+                         stencil_cost=chain_stencil_cost(problem))
+        assert same_bytes(got, fd_hessian(problem.infidelity_of, values, FdConfig(1e-3)))
 
 
 TRAPS_AND_CROSSINGS = [

@@ -11,21 +11,14 @@ from qcl.models import ChainBatch, LzProblem, QhoProblem, hessian_of
 from qcl.optimizer import (STOP_CODES, OptimizationReport, SeedSpec, minimize, polish,
                            sample_seeds)
 
-from chain_oracles import reference_chain_derivatives, reference_gradient
+from chain_oracles import reference_gradient
 
 LZ3 = LzProblem(gap=2.0, duration=1.4 * np.pi / 2, n_pulses=3)
 QHO6 = QhoProblem(omega_start=1.0, omega_target=1.0, duration=1.8, n_pulses=6)
 
 
-def full_derivative_gradient(problem, values):
-    """dI/dw through the oracle's value/gradient/Hessian sweep, Hessian discarded."""
-    ket, bra = problem._cost_boundary()
-    z, zg, _ = reference_chain_derivatives(*problem._interval_stacks(values), ket, bra)
-    return 2.0 * np.real(np.conj(z) * zg)
-
-
 def reference_descent(problem, seed, tol, max_iter):
-    """Armijo descent without a stagnation exit, gradient from the Hessian pass.
+    """Armijo descent without a stagnation exit, gradient from the oracle sweep.
 
     Returns (values, cost, iterations, converged) as minimize computed them
     before it learnt to stop stalled seeds.
@@ -38,7 +31,7 @@ def reference_descent(problem, seed, tol, max_iter):
         if cost < tol:
             iterations -= 1
             break
-        grad = full_derivative_gradient(problem, values)
+        grad = reference_gradient(problem, values)
         slope = float(grad @ grad)
         if np.sqrt(slope) < 1e-10:
             iterations -= 1
