@@ -108,7 +108,8 @@ def fd_hessian(cost, point, config: FdConfig, stencil_cost=None) -> np.ndarray:
         costs agree with those calls up to rounding, and bit for bit up to
         M = `models._DIRECT_STENCIL_MAX_M`.
 
-    Raises NonFiniteCost if any stencil cost is NaN or infinite.
+    Raises NonFiniteCost if any stencil cost it reads (the centre, the
+    singles and the pairs i < j) is NaN or infinite, or an entry overflows.
     """
     point = np.asarray(point, dtype=float)
     if stencil_cost is None:
@@ -122,12 +123,15 @@ def fd_hessian(cost, point, config: FdConfig, stencil_cost=None) -> np.ndarray:
     p_val = point[:, None] + np.array([eps, -eps])
     center, singles, pairs = stencil_cost(point, s_idx, s_val, p_val)
     # pairs[i, s, j, t] holds the costs at (w_i + (-1)^s eps, w_j + (-1)^t eps), i < j
-    h = np.where(_on_or_below_diagonal(m), 0.0, (pairs[:, 0, :, 0] - pairs[:, 0, :, 1]
-                                                 - pairs[:, 1, :, 0] + pairs[:, 1, :, 1]) * inv)
-    if not (np.isfinite(center) and np.all(np.isfinite(singles)) and np.all(np.isfinite(h))):
+    h = pairs[:, 0, :, 0] - pairs[:, 0, :, 1] - pairs[:, 1, :, 0] + pairs[:, 1, :, 1]
+    h[_on_or_below_diagonal(m)] = 0.0
+    h *= inv
+    # every single and the centre enter a diagonal term
+    diag = (singles[0::2] - 2.0 * center + singles[1::2]) * inv
+    if not (np.isfinite(h).all() and np.isfinite(diag).all()):
         raise NonFiniteCost("non-finite cost at a stencil point")
-    h = h + h.T
-    h[np.diag_indices(m)] = (singles[0::2] - 2.0 * center + singles[1::2]) * inv
+    h += h.T
+    h.flat[::m + 1] = diag
     return h
 
 

@@ -94,6 +94,15 @@ def _on_or_below_diagonal(m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
+def _non_pair_slots(m: int, k: int) -> np.ndarray:
+    """Read-only flat indices of the entries i >= j of an (m, k, m, k) pairs array."""
+    mask = np.broadcast_to(_on_or_below_diagonal(m)[:, None, :, None], (m, k, m, k))
+    slots = np.flatnonzero(mask)
+    slots.flags.writeable = False
+    return slots
+
+
+@lru_cache(maxsize=16)
 def _pair_layout(m: int, k: int) -> tuple:
     """Read-only flat indices that lay out the pair points i < j of an (m, k) pairs_val.
 
@@ -444,25 +453,23 @@ def _prefix_chain(A, ket, bra):
     return g @ ket, P[:m] @ ket, g @ adj, P[:m], adj
 
 
-def _insertion_terms(chain, D, out=None):
-    """Single and pair insertion terms of a `_prefix_chain`.
+def _insertion_terms(chain, D):
+    """Single insertion terms and pair-term factors of a `_prefix_chain`.
 
-    D has shape (M, k, 2, 2): k insertions per interval.  Returns a (M, k) with
-    a[j, s] = bras[j] . D[j, s] . kets[j] and cross (M, k, M, k) with
-    cross[i, s, j, t] = bras[j] . D[j, t] . A_{j-1} ... A_{i+1} . D[i, s] . kets[i]
-    for i < j (entries with i >= j are not pair terms).  All pair terms come
-    from one (Mk x 2) @ (2 x Mk) product of L_jt = bras[j] D[j, t] P_j and
-    R_is = adj(P_{i+1}) D[i, s] kets[i], written into `out` (a complex
-    (Mk, Mk) array) when it is given; cross is then a view of `out`.
+    D has shape (M, k, 2, 2): k insertions per interval.  Returns (a, R, L):
+    a (M, k) with a[j, s] = bras[j] . D[j, s] . kets[j], and the (Mk, 2) rows
+    R_is = adj(P_{i+1}) D[i, s] kets[i] and L_jt = bras[j] D[j, t] P_j, at row
+    i k + s resp. j k + t.  For i < j the pair term
+    bras[j] . D[j, t] . A_{j-1} ... A_{i+1} . D[i, s] . kets[i] is R_is . L_jt,
+    so one (Mk x 2) @ (2 x Mk) product R @ L.T holds all of them (entries
+    with i >= j are not pair terms).
     """
     _, kets, bras, P, adj = chain
     m, k = D.shape[:2]
     right = adj[:, None] @ (D @ kets[:, None, :, None])
     left = (bras[:, None, None, :] @ D) @ P[:, None]
     a = np.einsum("ja,jsab,jb->js", bras, D, kets)
-    R = right.reshape(m * k, 2)
-    L = left.reshape(m * k, 2)
-    return a, np.matmul(R, L.T, out=out).reshape(m, k, m, k)
+    return a, right.reshape(m * k, 2), left.reshape(m * k, 2)
 
 
 def _direct_stencil(problem, point, singles_idx, singles_val, pairs_val):
@@ -499,21 +506,17 @@ def chain_stencil_cost(problem):
     `_stacked_sweep`, and every cost equals `problem.infidelity_of` at its
     point bit for bit.  Above it every cost comes from the linear split of z
     in D = B(value) - A: |z + a_q|^2 for a single and
-    |z + a_is + a_jt + cross|^2 for a pair (`_insertion_terms`), so one call
-    builds factors for M + len(singles_val) + M k values (5M for the
+    |z + a_is + a_jt + R_is . L_jt|^2 for a pair (`_insertion_terms`), so one
+    call builds factors for M + len(singles_val) + M k values (5M for the
     four-point stencil) and runs a few batched products, not a chain pass per
-    point.  Those costs equal direct evaluations up to rounding, and a chain
-    whose prefix products grow too large raises `PrefixGrowth`.
-
-    Above the direct range the callable keeps one complex (Mk, Mk) workspace
-    for the pair products across calls, so repeated stencils at M = 48 do not
-    map and unmap a block above the allocator's mmap threshold each time; the
-    returned arrays never alias it.
+    point.  The real and imaginary parts of every pair's sum come from one
+    stacked real (2, Mk, 6) @ (2, 6, Mk) product, whose two extra columns
+    carry z + a_is and a_jt.  Those costs equal direct evaluations up to
+    rounding, and a chain whose prefix products grow too large raises
+    `PrefixGrowth`.
     """
-    work = np.empty((0, 0), dtype=complex)
 
     def evaluate(point, singles_idx, singles_val, pairs_val):
-        nonlocal work
         point = np.asarray(point, dtype=float)
         singles_idx = np.asarray(singles_idx, dtype=int)
         singles_val = np.asarray(singles_val, dtype=float)
@@ -536,16 +539,28 @@ def chain_stencil_cost(problem):
         split = z + np.einsum("qa,qab,qb->q", bras[singles_idx], D, kets[singles_idx])
         singles = split.real ** 2 + split.imag ** 2
 
-        D = B[m + q:].reshape(pairs_val.shape + (2, 2)) - A[:, None]
-        if work.shape[0] != pairs_val.size:
-            work = np.empty((pairs_val.size, pairs_val.size), dtype=complex)
-        a, split = _insertion_terms(chain, D, out=work)
-        split += a[:, :, None, None]
-        split += z + a
-        pairs = split.real ** 2
-        pairs += split.imag ** 2
-        np.copyto(pairs, np.nan, where=_on_or_below_diagonal(m)[:, None, :, None])
-        return float(z.real ** 2 + z.imag ** 2), singles, pairs
+        k = pairs_val.shape[1]
+        D = B[m + q:].reshape(m, k, 2, 2) - A[:, None]
+        a, R, L = _insertion_terms(chain, D)
+        n = m * k
+        # plane 0 is Re, plane 1 Im of z + a_is + a_jt + R_is . L_jt: the row
+        # [R_is as (re, im) pairs, z + a_is, 1] times the column
+        # [conj(L_jt) as (re, im) pairs, 1, a_jt], resp. i conj(L_jt)
+        rows = np.empty((2, n, 6))
+        rows[:, :, :4] = R.view(float)
+        rows[:, :, 4] = (z + a).view(float).reshape(n, 2).T
+        rows[:, :, 5] = 1.0
+        cols = np.empty((2, 6, n))
+        conj_L = np.conj(L)
+        cols[0, :4] = conj_L.view(float).T
+        cols[1, :4] = (1j * conj_L).view(float).T
+        cols[:, 4] = 1.0
+        cols[:, 5] = a.view(float).reshape(n, 2).T
+        planes = rows @ cols
+        np.square(planes, out=planes)
+        pairs = planes[0] + planes[1]
+        pairs.reshape(-1)[_non_pair_slots(m, k)] = np.nan
+        return float(z.real ** 2 + z.imag ** 2), singles, pairs.reshape(m, k, m, k)
 
     return evaluate
 
@@ -613,9 +628,9 @@ def hessian_of(problem, values) -> np.ndarray:
     A, A1, A2 = problem._interval_stacks(values)
     chain = _prefix_chain(A, *problem._cost_boundary())
     z, kets, bras = chain[:3]
-    zg, cross = _insertion_terms(chain, A1[:, None])
+    zg, R, L = _insertion_terms(chain, A1[:, None])
     zg = zg[:, 0]
-    zh = np.where(_on_or_below_diagonal(A.shape[0]), 0.0, cross[:, 0, :, 0])
+    zh = np.where(_on_or_below_diagonal(A.shape[0]), 0.0, R @ L.T)
     zh = zh + zh.T
     zh[np.diag_indices(A.shape[0])] = np.einsum("ja,jab,jb->j", bras, A2, kets)
     return 2.0 * (np.real(np.conj(z) * zh) + np.real(np.outer(np.conj(zg), zg)))

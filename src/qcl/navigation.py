@@ -125,10 +125,10 @@ class TrajectorySample:
     secondary: float | None
 
 
-# why a navigation run stopped early: a state, infidelity or stencil cost left
-# the finite range, the infidelity rose above the abort ceiling, the chain's
-# prefix products grew past what its Hessian kernel can be trusted with, or
-# the Hessian stopped being rank two
+# why a navigation run stopped early: a state, infidelity, stencil cost or
+# exact Hessian left the finite range, the infidelity rose above the abort
+# ceiling, the chain's prefix products grew past what its Hessian kernel can
+# be trusted with, or the Hessian stopped being rank two
 FAILURE_CODES = ("NONFINITE", "CEILING", "GROWTH", "RANK_COLLAPSE")
 
 # a stage whose Hessian has |lambda_3 / lambda_2| above this ends the run
@@ -200,11 +200,12 @@ def navigate(problem, start: ControlField, provider, h: float, steps: int,
     abort_ceiling : if the main infidelity exceeds this the run stops and the
         trajectory is returned with `failed` set (never silently truncated).
 
-    A run that leaves the finite range (state, infidelity or a stencil cost)
-    fails with code NONFINITE, one above the ceiling with CEILING, and one
-    whose Hessian the chain kernel refuses (`models.PrefixGrowth`) with
-    GROWTH, and one whose Hessian has |lambda_3 / lambda_2| above
-    `RANK_COLLAPSE_RATIO` with RANK_COLLAPSE; any other error propagates.
+    A run that leaves the finite range (state, infidelity, a stencil cost or
+    the exact Hessian) fails with code NONFINITE, one above the ceiling with
+    CEILING, and one whose Hessian the chain kernel refuses
+    (`models.PrefixGrowth`) with GROWTH, and one whose Hessian has
+    |lambda_3 / lambda_2| above `RANK_COLLAPSE_RATIO` with RANK_COLLAPSE;
+    any other error propagates.
     """
     if null_rank != 2:
         raise ValueError(f"null_rank must be 2 (the rank of the Hessian at a "
@@ -236,6 +237,9 @@ def navigate(problem, start: ControlField, provider, h: float, steps: int,
             hess = fd_hessian(problem.infidelity_of, values, hessian_mode, stencil_cost=stencil)
         else:
             hess = hessian_of(problem, values)
+            # NaN factors slip past the kernel's growth guard (NaN > limit is False)
+            if not np.isfinite(hess).all():
+                raise _NavigationFailure("NONFINITE", "non-finite exact Hessian")
         spec = rank2_ritz(hess)
         lam = np.abs(spec.eigenvalues)
         if lam.size > 2 and not lam[2] <= RANK_COLLAPSE_RATIO * lam[1]:

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcl.control import ControlField
-from qcl.landscape import (FdConfig, HessianSpectrum, _symmetrised, classify_null, eig_sym,
-                           eigvec_error, fd_hessian, rank2_ritz)
+from qcl.landscape import (FdConfig, HessianSpectrum, NonFiniteCost, _symmetrised,
+                           classify_null, eig_sym, eigvec_error, fd_hessian, rank2_ritz)
 from qcl.models import LzProblem, QhoProblem, chain_stencil_cost, hessian_of
 from qcl.navigation import FixedVector, calibrate_epsilon, navigate, project
 from qcl.optimizer import SeedSpec, minimize, polish, sample_seeds
@@ -53,6 +53,43 @@ class TestFdHessian:
         cost = lambda w: float("nan") if w[0] > 1.0 else 0.0
         with pytest.raises(ValueError, match="non-finite"):
             fd_hessian(cost, np.array([0.999, 0.0]), FdConfig(0.1))
+
+    @staticmethod
+    def stub_stencil(m, bad=None, where=None):
+        """A stencil evaluator with random finite costs, NaN on i >= j, and
+        `bad` in the centre, in single 3 or in pair (1, 0, 2, 1)."""
+        rng = np.random.default_rng(34)
+        center, singles = rng.random(), rng.random(2 * m)
+        pairs = rng.random((m, 2, m, 2))
+        pairs[np.broadcast_to(np.tri(m, dtype=bool)[:, None, :, None], pairs.shape)] = np.nan
+        if where == "center":
+            center = bad
+        elif where == "single":
+            singles[3] = bad
+        elif where == "pair":
+            pairs[1, 0, 2, 1] = bad
+        return lambda point, s_idx, s_val, p_val: (center, singles, pairs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["center", "single", "pair"])
+    def test_one_non_finite_cost_raises(self, bad, where):
+        stencil = self.stub_stencil(4, bad, where)
+        with pytest.raises(NonFiniteCost):
+            fd_hessian(None, np.zeros(4), FdConfig(0.1), stencil_cost=stencil)
+
+    def test_nan_on_and_below_the_diagonal_is_not_read(self):
+        m, eps = 4, 0.1
+        stencil = self.stub_stencil(m)
+        center, singles, pairs = stencil(None, None, None, None)
+        h = fd_hessian(None, np.zeros(m), FdConfig(eps), stencil_cost=stencil)
+        inv = 1.0 / (4.0 * eps * eps)
+        want = np.zeros((m, m))
+        for i in range(m):
+            want[i, i] = (singles[2 * i] - 2.0 * center + singles[2 * i + 1]) * inv
+            for j in range(i + 1, m):
+                p = pairs[i, :, j, :]
+                want[i, j] = want[j, i] = (p[0, 0] - p[0, 1] - p[1, 0] + p[1, 1]) * inv
+        assert np.array_equal(h, want)
 
     def test_fd_agreement_window(self):
         # the entrywise error follows C (eps^2 + u / eps^2): quadratic

@@ -13,9 +13,10 @@ from qcl.models import (BogoliubovPair, ChainBatch, LzProblem, PrefixGrowth, Qho
                         problem_to_dict, qho_infidelity, qho_propagate, seed_bounds)
 from qcl.models import (_DIRECT_STENCIL_MAX_M, _SERIES_X, _chain_state, _check_field,
                         _factor_tables)
+from qcl.optimizer import SeedSpec, minimize, polish, sample_seeds
 
 from chain_oracles import (reference_chain_derivatives, reference_fd_hessian, reference_gradient,
-                           reference_hessian, reference_interval_stacks)
+                           reference_hessian, reference_interval_stacks, reference_stencil_cost)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -493,7 +494,8 @@ class TestStencilEvaluator:
         (QhoProblem(omega_start=1.0, omega_target=1.0, duration=1.8, n_pulses=48), 0.1, 3.0),
     ])
     def test_consecutive_calls_return_independent_pairs(self, problem, lo, hi):
-        # the evaluator reuses one pair-product workspace across calls
+        # every call returns fresh arrays: a later call neither overwrites nor
+        # shares the memory of an earlier call's pairs
         rng = np.random.default_rng(78)
         evaluate = chain_stencil_cost(problem)
         calls = []
@@ -520,6 +522,55 @@ class TestStencilEvaluator:
             ]:
                 with pytest.raises(ValueError, match="expected"):
                     evaluate(*args)
+
+
+@pytest.fixture(scope="module")
+def navigation_solutions():
+    """Polished solutions at lz M = 12 and qho M = 48, above the direct range."""
+    found = []
+    for problem, seed in [(LzProblem(gap=2.0, duration=1.8, n_pulses=12), 12),
+                          (QhoProblem(omega_start=1.0, omega_target=1.0, duration=1.8,
+                                      n_pulses=48), 77)]:
+        seeds = sample_seeds(SeedSpec(count=20, bounds=seed_bounds(problem), rng_seed=seed),
+                             problem)
+        rep = next(r for r in (minimize(problem, s, tol=1e-6, max_iter=2000) for s in seeds)
+                   if r.converged)
+        found.append((problem, polish(problem, rep.field, target=1e-16).field.values))
+    return found
+
+
+class TestStencilAccuracyAtSolutions:
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("offset", [1e-2, 2e-2])
+    def test_costs_within_twice_the_sweep_oracles_error(self, navigation_solutions,
+                                                        which, offset):
+        # the navigation regime: costs of about 1e-7 next to a solution, where
+        # the four-point combination cancels.  Relative errors against
+        # infidelity_of, the largest over a call's singles and pairs, then
+        # over its pairs alone; the singles alone reach about 4x the oracle's
+        # singles error at qho M = 48 (the adjugate's amplification of bras)
+        problem, point = navigation_solutions[which]
+        m = point.size
+        assert m > _DIRECT_STENCIL_MAX_M
+        s_idx = np.repeat(np.arange(m), 2)
+        s_val = (point[:, None] + np.array([offset, -offset])).ravel()
+        p_val = point[:, None] + np.array([offset, -offset])
+        _, want_singles, want = _pointwise_stencil(problem.infidelity_of)(
+            point, s_idx, s_val, p_val)
+        _, singles, pairs = chain_stencil_cost(problem)(point, s_idx, s_val, p_val)
+        assert np.array_equal(np.isnan(pairs), np.isnan(want))
+        i, s, j, t = np.nonzero(~np.isnan(want))
+        _, ref_singles, ref_pairs = reference_stencil_cost(problem)(
+            point, s_idx, s_val, i, p_val[i, s], j, p_val[j, t])
+        want_pairs = want[i, s, j, t]
+
+        def worst(got, exact):
+            return np.max(np.abs(got - exact) / exact)
+
+        kernel = (worst(singles, want_singles), worst(pairs[i, s, j, t], want_pairs))
+        oracle = (worst(ref_singles, want_singles), worst(ref_pairs, want_pairs))
+        assert max(kernel) <= 2.0 * max(oracle), (kernel, oracle)
+        assert kernel[1] <= 2.0 * oracle[1], (kernel, oracle)
 
 
 class TestDirectStencil:

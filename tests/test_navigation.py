@@ -257,6 +257,18 @@ class TestNavigate:
         assert set(FAILURE_CODES) == {"CEILING", "NONFINITE", "GROWTH", "RANK_COLLAPSE"}
 
     @pytest.mark.parametrize("mode", ["exact", FdConfig(1e-2)])
+    def test_overflowing_stage_point_failure_code(self, qho_solution, mode):
+        # the first stage point's factors overflow: the exact Hessian comes back
+        # all NaN (NaN passes the growth guard), the stencil non-finite
+        problem, field = qho_solution
+        a = np.ones(6)
+        a[0] = 1e300
+        with np.errstate(all="ignore"):
+            traj = navigate(problem, field, FixedVector(a), h=1.0, steps=2, hessian_mode=mode)
+        assert traj.failed and traj.failure_code == "NONFINITE"
+        assert len(traj.samples) == 1
+
+    @pytest.mark.parametrize("mode", ["exact", FdConfig(1e-2)])
     def test_growth_failure_code(self, qho_solution, monkeypatch, mode):
         # the chain kernel refusing a Hessian ends the run; the samples stay
         problem, field = qho_solution
