@@ -384,7 +384,8 @@ class ChainBatch:
     equals `gradient_of(problem, points[k])`, both bit for bit: every row runs
     the 2x2 products of the sequential sweeps, in their order.  `gradient(k)`
     runs only the backward sweep over row k's factors and reuses its forward
-    states.
+    states; `gradient_and_dz(k)` also returns the z-gradient it is formed
+    from, for `minimize`'s stall test.
     """
 
     __slots__ = ("points", "costs", "_bra", "_A", "_A1", "_kets", "_z")
@@ -401,6 +402,10 @@ class ChainBatch:
 
     def gradient(self, k) -> np.ndarray:
         """dI/dw of row k: 2 Re(conj(z) dz/dw_j), with dz/dw_j = bras[j+1] A1_j kets[j]."""
+        return self.gradient_and_dz(k)[0]
+
+    def gradient_and_dz(self, k):
+        """(dI/dw, dz/dw) of row k: the gradient and the complex z-gradient it is formed from."""
         A = self._A[k]
         m = A.shape[0]
         kets = np.ascontiguousarray(self._kets[:m, k])
@@ -410,7 +415,7 @@ class ChainBatch:
             bras.append(bras[-1] @ a)
         bras = np.array(bras[::-1])
         zg = np.einsum("ja,jab,jb->j", bras[1:], self._A1[k], kets)
-        return 2.0 * np.real(np.conj(self._z[k]) * zg)
+        return 2.0 * np.real(np.conj(self._z[k]) * zg), zg
 
 
 class PrefixGrowth(ValueError):

@@ -16,7 +16,8 @@ from qcl.models import (_DIRECT_STENCIL_MAX_M, _SERIES_X, _chain_state, _check_f
 from qcl.optimizer import SeedSpec, minimize, polish, sample_seeds
 
 from chain_oracles import (reference_chain_derivatives, reference_fd_hessian, reference_gradient,
-                           reference_hessian, reference_interval_stacks, reference_stencil_cost)
+                           reference_gradient_and_dz, reference_hessian,
+                           reference_interval_stacks, reference_stencil_cost)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -429,6 +430,10 @@ class TestChainBatch:
             assert batch.costs[k] == problem.infidelity_of(v)
             assert np.array_equal(batch.gradient(k), gradient_of(problem, v))
             assert np.array_equal(batch.gradient(k), reference_gradient(problem, v))
+            grad, dz = batch.gradient_and_dz(k)
+            want_grad, want_dz = reference_gradient_and_dz(problem, v)
+            assert grad.tobytes() == want_grad.tobytes()
+            assert dz.tobytes() == want_dz.tobytes()
 
     def test_a_batch_of_one_is_gradient_of(self):
         problem = batch_problem("qho", 5)

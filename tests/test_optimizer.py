@@ -11,7 +11,7 @@ from qcl.models import ChainBatch, LzProblem, QhoProblem, hessian_of
 from qcl.optimizer import (STOP_CODES, OptimizationReport, SeedSpec, minimize, polish,
                            sample_seeds)
 
-from chain_oracles import reference_gradient
+from chain_oracles import reference_gradient, reference_gradient_and_dz
 
 LZ3 = LzProblem(gap=2.0, duration=1.4 * np.pi / 2, n_pulses=3)
 QHO6 = QhoProblem(omega_start=1.0, omega_target=1.0, duration=1.8, n_pulses=6)
@@ -53,7 +53,8 @@ def reference_descent(problem, seed, tol, max_iter):
 
 def scalar_minimize(problem, seed, tol, max_iter, trials=None):
     """`minimize` as it was before its line search ran in batches: one cost
-    call per backtracking step and each gradient from its own sweep.
+    call per backtracking step and each gradient, with the z-gradient that the
+    alignment exit reads, from its own sweep.
 
     `trials`, when given, collects the number of steps each line search tried.
     """
@@ -74,11 +75,16 @@ def scalar_minimize(problem, seed, tol, max_iter, trials=None):
             iterations -= 1
             stop = "STALLED"
             break
-        grad = reference_gradient(problem, values)
+        grad, dz = reference_gradient_and_dz(problem, values)
         slope = float(grad @ grad)
         if math.sqrt(slope) < 1e-10:
             iterations -= 1
             stop = "GRAD_FLOOR"
+            break
+        if (len(recent) > 20 and math.sqrt(slope)
+                < 3e-3 * 2.0 * math.sqrt(float(np.vdot(dz, dz).real) * cost)):
+            iterations -= 1
+            stop = "STALLED"
             break
         t = min(step * 2.0, 1e6)
         accepted = False
@@ -259,20 +265,43 @@ class TestMinimize:
                 assert report.final_infidelity >= cost
         assert n_converged >= count // 3
 
-    def test_infeasible_problem_stalls_early(self):
+    def test_infeasible_problem_stalls_early(self, monkeypatch):
         # gap=1 at T=1.4pi/2 sits below the minimum flip time: no seed can
         # reach the analytic floor 1 - sin^2(T/2) ~ 0.206, so every descent
         # parks at a local minimum and must be stopped there
         duration = 1.4 * np.pi / 2
         floor = 1.0 - np.sin(duration / 2.0) ** 2
         infeasible = LzProblem(gap=1.0, duration=duration, n_pulses=3)
-        seeds = sample_seeds(SeedSpec(count=6, bounds=(-5.0, 5.0), rng_seed=606), infeasible)
-        for s in seeds:
-            report = minimize(infeasible, s, tol=1e-6, max_iter=2000)
+        seeds = sample_seeds(SeedSpec(count=50, bounds=(-5.0, 5.0), rng_seed=606), infeasible)
+        reports = [minimize(infeasible, s, tol=1e-6, max_iter=2000) for s in seeds]
+        # the 20-step decrease rule alone
+        monkeypatch.setattr(optimizer, "_STALL_ALIGNMENT", 0.0)
+        window_only = [minimize(infeasible, s, tol=1e-6, max_iter=2000) for s in seeds]
+        for report, late in zip(reports, window_only):
             assert not report.converged
-            assert report.stop == "STALLED"
+            assert report.stop == late.stop == "STALLED"
+            assert report.iterations <= late.iterations
             assert report.iterations < 200
             assert report.final_infidelity >= floor - 1e-9
+        # measured: 1214 iterations in all, against 2579 for the decrease rule alone
+        assert sum(r.iterations for r in reports) <= 1250
+
+    @pytest.mark.parametrize("index", [3532, 3515])
+    def test_the_alignment_exit_waits_for_a_full_stall_window(self, index):
+        # these seeds start near cost 1 with an alignment of 4.4e-4 and 1.4e-3,
+        # below the 3e-3 exit, and still converge: read before 20 accepted
+        # steps, the exit would cut them
+        seed = sample_seeds(SeedSpec(4000, (-5.0, 5.0), 1), LZ3)[index]
+        cost = LZ3.infidelity_of(seed.values)
+        grad, dz = reference_gradient_and_dz(LZ3, seed.values)
+        assert cost > 0.99
+        assert np.linalg.norm(grad) < 3e-3 * 2.0 * np.linalg.norm(dz) * math.sqrt(cost)
+        report = minimize(LZ3, seed, tol=1e-6, max_iter=2000)
+        values, cost, iterations, converged = reference_descent(LZ3, seed, 1e-6, 2000)
+        assert converged and report.stop == "TOL"
+        assert report.field.values.tobytes() == values.tobytes()
+        assert report.final_infidelity == cost
+        assert report.iterations == iterations
 
 
 class TestBatchedLineSearch:
@@ -353,6 +382,34 @@ class TestPolish:
         assert deep.converged
         assert deep.stop == "TOL"
         assert deep.final_infidelity < 1e-16
+
+    def test_a_non_finite_start_ends_as_nonfinite(self):
+        # the trap's w^2 overflows, so the start cost is NaN; the NaN Hessian
+        # used to reach the eigensolver and raise
+        field = ControlField(np.linspace(0.5, 1.5, 6) * 1e154, 1.8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = polish(QHO6, field)
+        assert not np.isfinite(report.final_infidelity)
+        assert report.stop == "NONFINITE"
+        assert report.iterations == 0
+        assert report.field.values.tobytes() == field.values.tobytes()
+
+    @pytest.mark.parametrize("layer", ["gradient_of", "hessian_of"])
+    def test_a_non_finite_derivative_ends_as_nonfinite(self, layer, monkeypatch):
+        seed = sample_seeds(SeedSpec(count=1, bounds=(0.1, 3.0), rng_seed=47), QHO6)[0]
+        exact = getattr(optimizer, layer)
+        calls = []
+
+        def poisoned(problem, values):
+            out = exact(problem, values)
+            calls.append(1)
+            return np.full_like(out, np.nan) if len(calls) == 2 else out
+
+        monkeypatch.setattr(optimizer, layer, poisoned)
+        report = polish(QHO6, seed, target=0.0)
+        assert report.stop == "NONFINITE"
+        assert report.iterations == 2
+        assert np.isfinite(report.final_infidelity)
 
     def test_converged_solutions_have_rank_two_structure(self):
         seeds = sample_seeds(SeedSpec(count=30, bounds=(-5, 5), rng_seed=48), LZ3)
