@@ -136,14 +136,18 @@ def fd_hessian(cost, point, config: FdConfig, stencil_cost=None) -> np.ndarray:
 
 
 def _symmetrised(matrix) -> np.ndarray:
-    """0.5 (A + A^T) of a square matrix that is symmetric up to 1e-8 relative.
+    """0.5 (A + A^T) of a finite square matrix that is symmetric up to 1e-8 relative.
 
     An exactly symmetric A (every Hessian `hessian_of` and `fd_hessian`
-    return) is 0.5 (A + A^T) bit for bit and comes back as it is.
+    return) is 0.5 (A + A^T) bit for bit and comes back as it is.  A NaN or
+    infinite entry raises ValueError: `eigh` would return NaN eigenvalues,
+    or a NaN pair beside finite ones, without complaint.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
     if np.array_equal(a, a.T):
         return a
     defect = np.abs(a - a.T).max() if a.size else 0.0

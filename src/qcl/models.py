@@ -385,10 +385,11 @@ class ChainBatch:
     the 2x2 products of the sequential sweeps, in their order.  `gradient(k)`
     runs only the backward sweep over row k's factors and reuses its forward
     states; `gradient_and_dz(k)` also returns the z-gradient it is formed
-    from, for `minimize`'s stall test.
+    from, which with `z[k]` gives `minimize` its stall test and its
+    Gauss-Newton step.
     """
 
-    __slots__ = ("points", "costs", "_bra", "_A", "_A1", "_kets", "_z")
+    __slots__ = ("points", "costs", "z", "_bra", "_A", "_A1", "_kets")
 
     def __init__(self, problem, points):
         points = np.asarray(points, dtype=float)
@@ -396,9 +397,9 @@ class ChainBatch:
             raise ValueError(f"expected a (K, M) stack of points, got shape {points.shape}")
         ket, bra = problem._cost_boundary()
         A, A1, _ = problem._interval_stacks(points, 1)
-        kets, z, self.costs = _stacked_sweep(A, ket, bra)
+        kets, self.z, self.costs = _stacked_sweep(A, ket, bra)
         self.points = points
-        self._bra, self._A, self._A1, self._kets, self._z = bra, A, A1, kets, z
+        self._bra, self._A, self._A1, self._kets = bra, A, A1, kets
 
     def gradient(self, k) -> np.ndarray:
         """dI/dw of row k: 2 Re(conj(z) dz/dw_j), with dz/dw_j = bras[j+1] A1_j kets[j]."""
@@ -415,7 +416,7 @@ class ChainBatch:
             bras.append(bras[-1] @ a)
         bras = np.array(bras[::-1])
         zg = np.einsum("ja,jab,jb->j", bras[1:], self._A1[k], kets)
-        return 2.0 * np.real(np.conj(self._z[k]) * zg), zg
+        return 2.0 * np.real(np.conj(self.z[k]) * zg), zg
 
 
 class PrefixGrowth(ValueError):

@@ -1,27 +1,27 @@
 """Seed generation and local descent to the main-objective solution set.
 
-Plain gradient descent with Armijo backtracking is enough at desk scale:
-the landscapes are benign and the exact gradient is cheap, so a first-order
-routine with deterministic line search keeps the solution populations
-reproducible bit for bit.  The backtracking steps are evaluated in batches of
-`_LINE_SEARCH_BATCH` (`models.ChainBatch`), and the accepted point's forward
-sweep feeds the next gradient.  Seeds that park at a local minimum are
-stopped by two first-order rules once 20 steps have been accepted: the
-gradient has become small next to the z-gradient it is formed from, or the
-cost has stopped falling.
+Far from a solution, `minimize` is gradient descent with Armijo
+backtracking: the landscapes are benign, the exact gradient is cheap, and
+first-order steps decide which seeds reach a solution (Gauss-Newton steps
+from the start would lose some).  Below I = `_GAUSS_NEWTON_BELOW` it first
+tries a damped Gauss-Newton (Levenberg-Marquardt) step on the residual
+r = (Re z, Im z), which finishes in a few iterations what gradient descent
+crawls through in hundreds down the ill-conditioned valley; `polish` is
+that finish run to a deeper target.  Trial steps are evaluated in batches
+(`models.ChainBatch`), and the accepted point's forward sweep feeds the next
+gradient.  Seeds that park at a local minimum are stopped by a first-order
+alignment test once 20 steps have been accepted.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .control import ControlField
-from .landscape import rank2_ritz
-from .models import ChainBatch, gradient_of, hessian_of
+from .models import ChainBatch
 
 __all__ = ["SeedSpec", "OptimizationReport", "sample_seeds", "minimize", "polish"]
 
@@ -32,20 +32,23 @@ _GRAD_FLOOR = 1e-10
 # 100-seed scatter_lz3 pass, 12% of line searches accept at the first trial,
 # 78% at the second, 8% at the third and 1.6% at the fourth; 0.06% need more.
 _LINE_SEARCH_BATCH = 4
-# A descent still at or above tol whose cost fell by no more than this
-# fraction over its last _STALL_WINDOW accepted steps has parked at a local
-# minimum: converging descents keep decreasing by percents over that window
-# (at least 2.5e-2 over the 4000-seed optimize_lz_m3 scatter).
-_STALL_WINDOW = 20
-_STALL_DECREASE = 1e-6
 # Both costs are |z|^2, so grad I = 2 Re(conj(z) grad z): at a local minimum
 # with z != 0 the gradient vanishes while grad z does not, and the alignment
-# a = |grad I| / (2 ||grad z|| |z|) certifies a parked descent long before its
-# 20-step decrease does.  Read only once the stall window is full: converging
-# seeds that start near the cost maximum read a down to 4.4e-4 at the start,
-# while past the window the smallest a of a converging descent was 2.7e-2 over
-# the 4000-seed optimize_lz_m3 scatter, where this rule stops all 1896 stalls.
+# a = |grad I| / (2 ||grad z|| |z|) certifies a parked descent.  Read only
+# once _STALL_WINDOW steps have been accepted: converging seeds that start
+# near the cost maximum read a down to 4.4e-4 at the start, while past the
+# window the smallest a of a converging descent was 2.7e-2 over the
+# 4000-seed optimize_lz_m3 scatter, where this rule stops all 1896 stalls.
+_STALL_WINDOW = 20
 _STALL_ALIGNMENT = 3e-3
+# Below this cost each iteration first tries the Levenberg-Marquardt step
+# delta = -J^T (J J^T + I 1)^-1 r, J = [Re grad z; Im grad z], at the steps
+# _GAUSS_NEWTON_STEPS (damping mu = |z|^2: Yamashita & Fukushima, Computing
+# Suppl. 15 (2001) 239).  Over the 4000-seed optimize_lz_m3 scatter the
+# converged set is that of plain descent at 1e-2 and 3e-2; 1e-1 loses two
+# seeds, 3e-1 thirty and Gauss-Newton throughout 129.
+_GAUSS_NEWTON_BELOW = 1e-2
+_GAUSS_NEWTON_STEPS = (1.0, 0.5, 0.25, 0.125)
 
 # Why a descent stopped: below tol, gradient under _GRAD_FLOOR, stalled,
 # no acceptable step in the line search, out of iterations, non-finite cost.
@@ -95,18 +98,53 @@ def sample_seeds(spec: SeedSpec, problem) -> list:
     return [ControlField(values=row, total_time=problem.duration) for row in draws]
 
 
+def _gauss_newton_step(z, dz, cost) -> np.ndarray:
+    """delta = -J^T (J J^T + cost 1)^-1 r for J = [Re dz; Im dz] and r = (Re z, Im z),
+    with the 2x2 system solved in closed form."""
+    re, im = dz.real, dz.imag
+    a = float(re @ re) + cost
+    b = float(re @ im)
+    c = float(im @ im) + cost
+    det = a * c - b * b
+    y_re = (c * z.real - b * z.imag) / det
+    y_im = (a * z.imag - b * z.real) / det
+    return -(y_re * re + y_im * im)
+
+
+def _trial_batches(grad, slope, dz, z, cost, step):
+    """(steps, direction, rate, is_gradient) for each batch of trial points
+    an iteration tries, in order: the Gauss-Newton steps below
+    `_GAUSS_NEWTON_BELOW`, then the warm-started backtracking of the gradient
+    step, t = min(2 step, 1e6) halved down to 1e-18 in batches of
+    `_LINE_SEARCH_BATCH`.  `rate` is -grad I . direction, which
+    for the gradient step is `slope` = |grad I|^2."""
+    if cost < _GAUSS_NEWTON_BELOW:
+        delta = _gauss_newton_step(z, dz, cost)
+        yield _GAUSS_NEWTON_STEPS, delta, -float(grad @ delta), False
+    t = min(step * 2.0, 1e6)
+    while t > 1e-18:
+        steps = []
+        while t > 1e-18 and len(steps) < _LINE_SEARCH_BATCH:
+            steps.append(t)
+            t *= _CONTRACTION
+        yield steps, -grad, slope, True
+
+
 def minimize(problem, seed: ControlField, tol: float = 1e-6,
              max_iter: int = 5000) -> OptimizationReport:
-    """Gradient descent with backtracking line search on the main objective.
+    """Armijo descent on the main objective, finished by Gauss-Newton steps.
 
     Stops, with the report's `stop` code, when the infidelity drops below
-    `tol` (TOL), the gradient norm falls under 1e-10 (GRAD_FLOOR), the line
-    search finds no acceptable step (LINE_SEARCH), or `max_iter` is reached
-    (MAX_ITER).  Once 20 steps have been accepted, it also stops as STALLED
-    when the cost fell by at most a 1e-6 fraction over the last 20 of them,
-    or when the alignment |grad I| / (2 ||grad z|| |z|) is below 3e-3: the
-    gradient of I = |z|^2 vanishes at a local minimum with z != 0 while
-    grad z does not.  A non-finite cost ends this report as unconverged
+    `tol` (TOL), the gradient norm falls under 1e-10 (GRAD_FLOOR), no trial
+    step is acceptable (LINE_SEARCH), or `max_iter` is reached (MAX_ITER).
+    Once 20 steps have been accepted, it also stops as STALLED when the
+    alignment |grad I| / (2 ||grad z|| |z|) is below 3e-3: the gradient of
+    I = |z|^2 vanishes at a local minimum with z != 0 while grad z does not.
+    Below I = 1e-2 each iteration first tries the Levenberg-Marquardt step
+    -J^T (J J^T + I 1)^-1 (Re z, Im z), J = [Re grad z; Im grad z], at
+    t = 1, 1/2, 1/4, 1/8 under the same Armijo rule, and falls back to the
+    gradient line search, whose warm-started step it leaves alone, if none
+    is acceptable.  A non-finite cost ends this report as unconverged
     (NONFINITE) instead of raising, so a batch of seeds survives individual
     failures.
     """
@@ -116,17 +154,13 @@ def minimize(problem, seed: ControlField, tol: float = 1e-6,
     if not np.isfinite(cost):
         return OptimizationReport(field=seed, final_infidelity=float(cost),
                                   iterations=0, converged=False, stop="NONFINITE")
-    recent = deque([cost], maxlen=_STALL_WINDOW + 1)
     step = 1.0
+    accepted_steps = 0
     iterations = 0
     stop = "MAX_ITER"
     for iterations in range(1, max_iter + 1):
         if cost < tol:
             iterations -= 1
-            break
-        if len(recent) > _STALL_WINDOW and recent[0] - cost <= _STALL_DECREASE * recent[0]:
-            iterations -= 1
-            stop = "STALLED"
             break
         grad, dz = chain.gradient_and_dz(row)
         slope = float(grad @ grad)
@@ -134,34 +168,33 @@ def minimize(problem, seed: ControlField, tol: float = 1e-6,
             iterations -= 1
             stop = "GRAD_FLOOR"
             break
-        if (len(recent) > _STALL_WINDOW and math.sqrt(slope)
+        if (accepted_steps >= _STALL_WINDOW and math.sqrt(slope)
                 < _STALL_ALIGNMENT * 2.0 * math.sqrt(float(np.vdot(dz, dz).real) * cost)):
             iterations -= 1
             stop = "STALLED"
             break
-        # warm-started backtracking: try twice the last accepted step first,
-        # then halve; the trials are tested in order, so a row after the
+        # the trials of a batch are tested in step order, so a row after the
         # accepted one is never looked at
-        t = min(step * 2.0, 1e6)
         accepted = False
-        while not accepted and t > 1e-18:
-            steps = []
-            while t > 1e-18 and len(steps) < _LINE_SEARCH_BATCH:
-                steps.append(t)
-                t *= _CONTRACTION
-            trials = ChainBatch(problem, values - np.array(steps)[:, None] * grad)
+        for steps, direction, rate, is_gradient in _trial_batches(
+                grad, slope, dz, chain.z[row], cost, step):
+            trials = ChainBatch(problem, values + np.array(steps)[:, None] * direction)
             for k, (trial_t, trial_cost) in enumerate(zip(steps, trials.costs)):
                 if not math.isfinite(trial_cost):
                     return OptimizationReport(
                         field=ControlField(values, seed.total_time),
                         final_infidelity=float(cost), iterations=iterations,
                         converged=False, stop="NONFINITE")
-                if trial_cost <= cost - _ARMIJO_SLOPE * trial_t * slope:
-                    values, cost, step = trials.points[k], trial_cost, trial_t
+                if trial_cost <= cost - _ARMIJO_SLOPE * trial_t * rate:
+                    values, cost = trials.points[k], trial_cost
+                    if is_gradient:
+                        step = trial_t
                     chain, row = trials, k
-                    recent.append(cost)
+                    accepted_steps += 1
                     accepted = True
                     break
+            if accepted:
+                break
         if not accepted:
             stop = "LINE_SEARCH"
             break
@@ -173,53 +206,10 @@ def minimize(problem, seed: ControlField, tol: float = 1e-6,
 
 def polish(problem, field: ControlField, target: float = 1e-16,
            max_iter: int = 60) -> OptimizationReport:
-    """Newton refinement of a near-solution, restricted to the non-null subspace.
+    """`minimize` of a near-solution down to `target`.
 
-    Gradient descent alone crawls once the infidelity is tiny (the valley is
-    ill conditioned), while the Hessian-rank structure of deep solutions is
-    only visible below ~1e-16.  Starting from a `minimize` result, a Newton
-    step along the two non-null eigendirections (`landscape.rank2_ritz`)
-    converges quadratically.  A non-finite start cost, gradient or Hessian,
-    or a zero eigenvalue of the pair, ends the report as NONFINITE.
+    Started below I = 1e-2, every iteration tries `minimize`'s damped
+    Gauss-Newton step first, which converges quadratically to the solution
+    set, so a `minimize` result at 1e-6 reaches 1e-16 in a few iterations.
     """
-    values = field.values.copy()
-    cost = problem.infidelity_of(values)
-    if not np.isfinite(cost):
-        return OptimizationReport(field=field, final_infidelity=float(cost),
-                                  iterations=0, converged=False, stop="NONFINITE")
-    iterations = 0
-    stop = "MAX_ITER"
-    for iterations in range(1, max_iter + 1):
-        if cost < target:
-            iterations -= 1
-            break
-        grad = gradient_of(problem, values)
-        hess = hessian_of(problem, values)
-        if not (np.isfinite(grad).all() and np.isfinite(hess).all()):
-            stop = "NONFINITE"
-            break
-        spec = rank2_ritz(hess)
-        basis = spec.vectors[:2]
-        lam = spec.eigenvalues[:2]
-        if np.any(lam == 0.0):
-            # the Newton step along a zero eigenvalue would be non-finite
-            stop = "NONFINITE"
-            break
-        delta = -basis.T @ ((basis @ grad) / lam)
-        t = 1.0
-        accepted = False
-        while t > 1e-8:
-            trial = values + t * delta
-            trial_cost = problem.infidelity_of(trial)
-            if np.isfinite(trial_cost) and trial_cost < cost:
-                values, cost = trial, trial_cost
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            stop = "LINE_SEARCH"
-            break
-    converged = bool(cost < target)
-    return OptimizationReport(field=ControlField(values, field.total_time),
-                              final_infidelity=float(cost), iterations=iterations,
-                              converged=converged, stop="TOL" if converged else stop)
+    return minimize(problem, field, tol=target, max_iter=max_iter)

@@ -1,9 +1,9 @@
 """Oracles for the chain kernel: the complex-form interval factors and the
 sequential sweeps the prefix-product kernel in qcl.models replaced.
 
-`chain_sweep` and `reference_gradient_and_dz` are the one-point sweep and
-gradient that `qcl.models.ChainBatch` batches; its rows must equal them bit
-for bit.
+`chain_sweep` and `reference_z_and_dz` are the one-point sweep and
+z-gradient that `qcl.models.ChainBatch` batches; its rows must equal them
+bit for bit.
 
 `reference_interval_stacks` builds every factor entry as a complex
 expression, as qcl.models did before it wrote the real and imaginary planes
@@ -32,15 +32,18 @@ def chain_sweep(A, ket, bra):
     return np.array(kets), np.array(bras[::-1])
 
 
-def reference_gradient_and_dz(problem, values):
-    """(dI/dw, dz/dw) from one sequential sweep of one point, where
-    dI/dw_j = 2 Re(conj(z) dz/dw_j)."""
+def reference_z_and_dz(problem, values):
+    """(z, dz/dw) from one sequential sweep of one point."""
     ket, bra = problem._cost_boundary()
     A, A1, _ = problem._interval_stacks(values, 1)
     m = A.shape[0]
     kets, bras = chain_sweep(A, ket, bra)
-    z = bras[m] @ kets[m]
-    zg = np.einsum("ja,jab,jb->j", bras[1:], A1, kets[:m])
+    return bras[m] @ kets[m], np.einsum("ja,jab,jb->j", bras[1:], A1, kets[:m])
+
+
+def reference_gradient_and_dz(problem, values):
+    """(dI/dw, dz/dw) from `reference_z_and_dz`, where dI/dw_j = 2 Re(conj(z) dz/dw_j)."""
+    z, zg = reference_z_and_dz(problem, values)
     return 2.0 * np.real(np.conj(z) * zg), zg
 
 

@@ -186,6 +186,21 @@ class TestSymmetrised:
         with pytest.raises(ValueError, match="not symmetric"):
             _symmetrised(a)
 
+    @pytest.mark.parametrize("m", [4, 48])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["pair", "diagonal"])
+    def test_a_non_finite_matrix_is_rejected(self, m, bad, where):
+        # eigh gave [1, 1, nan, nan] for a 4x4 identity with a NaN pair: a
+        # fake non-null pair; a symmetric inf pair gave all NaN
+        a = np.eye(m)
+        if where == "pair":
+            a[2, 3] = a[3, 2] = bad
+        else:
+            a[m - 1, m - 1] = bad
+        for decompose in (eig_sym, rank2_ritz):
+            with pytest.raises(ValueError, match="non-finite"):
+                decompose(a)
+
 
 def _projector(spectrum):
     v = spectrum.vectors[:2]

@@ -17,7 +17,8 @@ from qcl.optimizer import SeedSpec, minimize, polish, sample_seeds
 
 from chain_oracles import (reference_chain_derivatives, reference_fd_hessian, reference_gradient,
                            reference_gradient_and_dz, reference_hessian,
-                           reference_interval_stacks, reference_stencil_cost)
+                           reference_interval_stacks, reference_stencil_cost,
+                           reference_z_and_dz)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -434,6 +435,7 @@ class TestChainBatch:
             want_grad, want_dz = reference_gradient_and_dz(problem, v)
             assert grad.tobytes() == want_grad.tobytes()
             assert dz.tobytes() == want_dz.tobytes()
+            assert batch.z[k].tobytes() == reference_z_and_dz(problem, v)[0].tobytes()
 
     def test_a_batch_of_one_is_gradient_of(self):
         problem = batch_problem("qho", 5)

@@ -1,5 +1,4 @@
 import math
-from collections import deque
 
 import numpy as np
 import pytest
@@ -11,17 +10,29 @@ from qcl.models import ChainBatch, LzProblem, QhoProblem, hessian_of
 from qcl.optimizer import (STOP_CODES, OptimizationReport, SeedSpec, minimize, polish,
                            sample_seeds)
 
-from chain_oracles import reference_gradient, reference_gradient_and_dz
+from chain_oracles import reference_gradient_and_dz, reference_z_and_dz
 
 LZ3 = LzProblem(gap=2.0, duration=1.4 * np.pi / 2, n_pulses=3)
 QHO6 = QhoProblem(omega_start=1.0, omega_target=1.0, duration=1.8, n_pulses=6)
 
 
-def reference_descent(problem, seed, tol, max_iter):
-    """Armijo descent without a stagnation exit, gradient from the oracle sweep.
+def gauss_newton_trials(problem, values, cost, grad, z, dz):
+    """The Gauss-Newton trial steps `minimize` tries below I = 1e-2, one cost
+    call each: [(t, trial point, trial cost)] and the slope -grad I . delta."""
+    delta = optimizer._gauss_newton_step(z, dz, cost)
+    trials = []
+    for t in (1.0, 0.5, 0.25, 0.125):
+        trial = values + t * delta
+        trials.append((t, trial, problem.infidelity_of(trial)))
+    return trials, -float(grad @ delta)
 
-    Returns (values, cost, iterations, converged) as minimize computed them
-    before it learnt to stop stalled seeds.
+
+def reference_descent(problem, seed, tol, max_iter):
+    """Armijo descent with the Gauss-Newton finish and without a stagnation
+    exit, gradient and z from the oracle sweep.
+
+    Returns (values, cost, iterations, converged) as minimize would compute
+    them if it never stopped stalled seeds.
     """
     values = seed.values.copy()
     cost = problem.infidelity_of(values)
@@ -31,14 +42,22 @@ def reference_descent(problem, seed, tol, max_iter):
         if cost < tol:
             iterations -= 1
             break
-        grad = reference_gradient(problem, values)
+        z, dz = reference_z_and_dz(problem, values)
+        grad = 2.0 * np.real(np.conj(z) * dz)
         slope = float(grad @ grad)
         if np.sqrt(slope) < 1e-10:
             iterations -= 1
             break
-        t = min(step * 2.0, 1e6)
         accepted = False
-        while t > 1e-18:
+        if cost < 1e-2:
+            trials, rate = gauss_newton_trials(problem, values, cost, grad, z, dz)
+            for t, trial, trial_cost in trials:
+                if trial_cost <= cost - 1e-4 * t * rate:
+                    values, cost = trial, trial_cost
+                    accepted = True
+                    break
+        t = min(step * 2.0, 1e6)
+        while not accepted and t > 1e-18:
             trial = values - t * grad
             trial_cost = problem.infidelity_of(trial)
             if trial_cost <= cost - 1e-4 * t * slope:
@@ -53,62 +72,73 @@ def reference_descent(problem, seed, tol, max_iter):
 
 def scalar_minimize(problem, seed, tol, max_iter, trials=None):
     """`minimize` as it was before its line search ran in batches: one cost
-    call per backtracking step and each gradient, with the z-gradient that the
-    alignment exit reads, from its own sweep.
+    call per trial step and each gradient, with the z and z-gradient that the
+    alignment exit and the Gauss-Newton step read, from its own sweep.
 
-    `trials`, when given, collects the number of steps each line search tried.
+    `trials`, when given, collects per iteration the pair (Gauss-Newton batch
+    tried, gradient steps tried).
     """
     values = seed.values.copy()
     cost = problem.infidelity_of(values)
     if not np.isfinite(cost):
         return OptimizationReport(field=seed, final_infidelity=float(cost),
                                   iterations=0, converged=False, stop="NONFINITE")
-    recent = deque([cost], maxlen=21)
+    accepted_steps = 0
     step = 1.0
     iterations = 0
     stop = "MAX_ITER"
+
+    def nonfinite():
+        return OptimizationReport(field=ControlField(values, seed.total_time),
+                                  final_infidelity=float(cost), iterations=iterations,
+                                  converged=False, stop="NONFINITE")
+
     for iterations in range(1, max_iter + 1):
         if cost < tol:
             iterations -= 1
             break
-        if len(recent) > 20 and recent[0] - cost <= 1e-6 * recent[0]:
-            iterations -= 1
-            stop = "STALLED"
-            break
-        grad, dz = reference_gradient_and_dz(problem, values)
+        z, dz = reference_z_and_dz(problem, values)
+        grad = 2.0 * np.real(np.conj(z) * dz)
         slope = float(grad @ grad)
         if math.sqrt(slope) < 1e-10:
             iterations -= 1
             stop = "GRAD_FLOOR"
             break
-        if (len(recent) > 20 and math.sqrt(slope)
+        if (accepted_steps >= 20 and math.sqrt(slope)
                 < 3e-3 * 2.0 * math.sqrt(float(np.vdot(dz, dz).real) * cost)):
             iterations -= 1
             stop = "STALLED"
             break
-        t = min(step * 2.0, 1e6)
         accepted = False
+        gauss_newton = cost < 1e-2
+        if gauss_newton:
+            gn_trials, rate = gauss_newton_trials(problem, values, cost, grad, z, dz)
+            for t, trial, trial_cost in gn_trials:
+                if not np.isfinite(trial_cost):
+                    return nonfinite()
+                if trial_cost <= cost - 1e-4 * t * rate:
+                    values, cost = trial, trial_cost
+                    accepted = True
+                    break
+        t = min(step * 2.0, 1e6)
         n_trials = 0
-        while t > 1e-18:
+        while not accepted and t > 1e-18:
             trial = values - t * grad
             trial_cost = problem.infidelity_of(trial)
             n_trials += 1
             if not np.isfinite(trial_cost):
-                return OptimizationReport(
-                    field=ControlField(values, seed.total_time),
-                    final_infidelity=float(cost), iterations=iterations,
-                    converged=False, stop="NONFINITE")
+                return nonfinite()
             if trial_cost <= cost - 1e-4 * t * slope:
                 values, cost, step = trial, trial_cost, t
-                recent.append(cost)
                 accepted = True
                 break
             t *= 0.5
         if trials is not None:
-            trials.append(n_trials)
+            trials.append((gauss_newton, n_trials))
         if not accepted:
             stop = "LINE_SEARCH"
             break
+        accepted_steps += 1
     converged = bool(cost < tol)
     return OptimizationReport(field=ControlField(values, seed.total_time),
                               final_infidelity=float(cost), iterations=iterations,
@@ -265,7 +295,7 @@ class TestMinimize:
                 assert report.final_infidelity >= cost
         assert n_converged >= count // 3
 
-    def test_infeasible_problem_stalls_early(self, monkeypatch):
+    def test_infeasible_problem_stalls_early(self):
         # gap=1 at T=1.4pi/2 sits below the minimum flip time: no seed can
         # reach the analytic floor 1 - sin^2(T/2) ~ 0.206, so every descent
         # parks at a local minimum and must be stopped there
@@ -274,16 +304,12 @@ class TestMinimize:
         infeasible = LzProblem(gap=1.0, duration=duration, n_pulses=3)
         seeds = sample_seeds(SeedSpec(count=50, bounds=(-5.0, 5.0), rng_seed=606), infeasible)
         reports = [minimize(infeasible, s, tol=1e-6, max_iter=2000) for s in seeds]
-        # the 20-step decrease rule alone
-        monkeypatch.setattr(optimizer, "_STALL_ALIGNMENT", 0.0)
-        window_only = [minimize(infeasible, s, tol=1e-6, max_iter=2000) for s in seeds]
-        for report, late in zip(reports, window_only):
+        for report in reports:
             assert not report.converged
-            assert report.stop == late.stop == "STALLED"
-            assert report.iterations <= late.iterations
+            assert report.stop == "STALLED"
             assert report.iterations < 200
             assert report.final_infidelity >= floor - 1e-9
-        # measured: 1214 iterations in all, against 2579 for the decrease rule alone
+        # measured: 1214 iterations in all
         assert sum(r.iterations for r in reports) <= 1250
 
     @pytest.mark.parametrize("index", [3532, 3515])
@@ -335,7 +361,7 @@ class TestBatchedLineSearch:
         for s in seeds:
             trials = []
             want = scalar_minimize(LZ3, s, 1e-6, 2000, trials)
-            if trials[0] == 2:
+            if trials[0] == (False, 2):
                 break
         else:
             pytest.fail("no seed accepts its second trial step first")
@@ -352,7 +378,7 @@ class TestBatchedLineSearch:
             assert report.field.values.tobytes() == s.values.tobytes()
             assert report.final_infidelity == LZ3.infidelity_of(s.values)
 
-    @pytest.mark.parametrize("case", ["lz_m3", "line_search"])
+    @pytest.mark.parametrize("case", ["lz_m3", "qho_m6", "line_search"])
     def test_one_factor_build_per_trial_batch(self, case, monkeypatch):
         problem, seeds, tol, max_iter, _ = ORACLE_CASES[case]
         builds = []
@@ -363,14 +389,57 @@ class TestBatchedLineSearch:
             return build(self, values, order)
 
         monkeypatch.setattr(type(problem), "_interval_stacks", counted)
+        gauss_newton = 0
         for s in seeds()[:20]:
             trials = []
             scalar_minimize(problem, s, tol, max_iter, trials)
             del builds[:]
             minimize(problem, s, tol=tol, max_iter=max_iter)
-            batches = [-(-n // optimizer._LINE_SEARCH_BATCH) for n in trials]
+            batches = [gn + -(-n // optimizer._LINE_SEARCH_BATCH) for gn, n in trials]
             assert len(builds) == 1 + sum(batches)
             assert builds[0] == (1, problem.n_pulses)
+            gauss_newton += sum(gn for gn, _ in trials)
+        if case != "line_search":
+            assert gauss_newton > 0
+
+
+class TestGaussNewtonFinish:
+    def test_the_step_solves_the_damped_normal_equations(self):
+        rng = np.random.default_rng(5)
+        for m in (1, 3, 48):
+            dz = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            z = complex(rng.standard_normal(), rng.standard_normal()) * 1e-3
+            cost = abs(z) ** 2
+            J = np.stack([dz.real, dz.imag])
+            r = np.array([z.real, z.imag])
+            want = -J.T @ np.linalg.solve(J @ J.T + cost * np.eye(2), r)
+            got = optimizer._gauss_newton_step(np.complex128(z), dz, cost)
+            # J J^T is singular at M = 1, so the damped system's condition
+            # number is about |dz|^2 / cost ~ 1e6 there
+            assert np.allclose(got, want, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("population", ["lz_m3", "qho_m6"])
+    def test_the_finish_loses_no_seed(self, population, monkeypatch):
+        # the converged set with the finish equals that of descent alone
+        problem, spec = {
+            "lz_m3": (LZ3, SeedSpec(200, (-5.0, 5.0), 1)),
+            "qho_m6": (QHO6, SeedSpec(50, (0.1, 3.0), 41)),
+        }[population]
+        seeds = sample_seeds(spec, problem)
+        finished = [minimize(problem, s, tol=1e-6, max_iter=2000) for s in seeds]
+        monkeypatch.setattr(optimizer, "_GAUSS_NEWTON_BELOW", 0.0)
+        descent = [minimize(problem, s, tol=1e-6, max_iter=2000) for s in seeds]
+        converged = {i for i, r in enumerate(finished) if r.converged}
+        assert converged == {i for i, r in enumerate(descent) if r.converged}
+        assert converged
+        for i, r in enumerate(finished):
+            if r.converged:
+                assert problem.infidelity_of(r.field.values) < 1e-6
+            elif population == "lz_m3":
+                assert r.stop == "STALLED"
+        # the finish takes far fewer iterations than descent alone
+        assert (sum(r.iterations for r in finished)
+                < 0.5 * sum(r.iterations for r in descent))
 
 
 class TestPolish:
@@ -394,22 +463,28 @@ class TestPolish:
         assert report.iterations == 0
         assert report.field.values.tobytes() == field.values.tobytes()
 
-    @pytest.mark.parametrize("layer", ["gradient_of", "hessian_of"])
-    def test_a_non_finite_derivative_ends_as_nonfinite(self, layer, monkeypatch):
+    @pytest.mark.parametrize("poison", ["z", "dz"])
+    def test_a_non_finite_derivative_ends_as_nonfinite(self, poison, monkeypatch):
+        # the first Gauss-Newton step of a polish reads a NaN z or z-gradient
         seed = sample_seeds(SeedSpec(count=1, bounds=(0.1, 3.0), rng_seed=47), QHO6)[0]
-        exact = getattr(optimizer, layer)
-        calls = []
+        start = minimize(QHO6, seed, tol=1e-6, max_iter=2000)
+        assert start.converged
+        exact = ChainBatch.gradient_and_dz
 
-        def poisoned(problem, values):
-            out = exact(problem, values)
-            calls.append(1)
-            return np.full_like(out, np.nan) if len(calls) == 2 else out
+        def poisoned(self, k):
+            if poison == "z":
+                self.z[k] = np.nan
+                return exact(self, k)
+            grad, dz = exact(self, k)
+            return grad, np.full_like(dz, np.nan)
 
-        monkeypatch.setattr(optimizer, layer, poisoned)
-        report = polish(QHO6, seed, target=0.0)
+        monkeypatch.setattr(ChainBatch, "gradient_and_dz", poisoned)
+        with np.errstate(invalid="ignore"):
+            report = polish(QHO6, start.field, target=0.0)
         assert report.stop == "NONFINITE"
-        assert report.iterations == 2
-        assert np.isfinite(report.final_infidelity)
+        assert report.iterations == 1
+        assert report.field.values.tobytes() == start.field.values.tobytes()
+        assert report.final_infidelity == start.final_infidelity
 
     def test_converged_solutions_have_rank_two_structure(self):
         seeds = sample_seeds(SeedSpec(count=30, bounds=(-5, 5), rng_seed=48), LZ3)
