@@ -11,25 +11,27 @@ involved anywhere:
   and each interval applies [[cos(w dt), sin(w dt)/w], [-w sin(w dt), cos(w dt)]]
   to (f, f'); the cost is the excitation weight |beta|^2 of the final mode.
 
-Every interval matrix is an analytic function of w^2 through
-C(x) = cos(sqrt(x) dt) and S(x) = sin(sqrt(x) dt)/sqrt(x), so first and second
-amplitude derivatives come from differentiating C and S, which keeps the
-w -> 0 limit exact (series branch below).  `_factor_tables` is the one
-builder of the tables C, S, S' and S''; each model's `_interval_stacks`
-assembles its factors from them, the crossing by writing the real and
-imaginary planes of each complex entry with real arithmetic (the trap's
-entries are real).  Every interval matrix also has det 1 (C^2 + x S^2 = 1),
-so a product of consecutive factors is a prefix product times the adjugate
-of another.  One kernel (`_prefix_chain`, `_insertion_terms`) builds on
-this every term with one or two factors replaced, for the exact Hessian (A1
-and A2 insertions) and for the finite-difference stencil (B - A insertions)
-alike.  The cost and the gradient keep sequential sweeps: `_stacked_sweep`
-runs one forward sweep over a stack of points.  `ChainBatch` adds, for a
-chosen row, the backward sweep that completes its gradient, so a line search
-costs one factor build and its accepted point's gradient reuses that point's
-forward states.  Up to M = `_DIRECT_STENCIL_MAX_M` the stencil's few points
-cost less through that sweep than through the pair kernel, so there every
-stencil cost is a direct evaluation, bit for bit `infidelity_of`.
+Every interval matrix is A = C 1 + S K(w) with C = cos(sqrt(rho) dt),
+S = sin(sqrt(rho) dt)/sqrt(rho), rho = rho0 + w^2 and K(w) = K0 + w Kw + rho Krho;
+a model declares only rho0 and the constant generators (crossing: gap^2/4,
+-i (gap/2) sigma_x, -i sigma_z, 0; trap: 0, [[0, 1], [0, 0]], 0, [[0, 0], [-1, 0]]).
+Amplitude derivatives come from differentiating C and S, which keeps the
+w -> 0 limit exact (series branch below).  `_factor_tables` is the one builder
+of the tables C, S, S' and S'', and `_ChainProblem._interval_stacks` the one
+builder of the factors and their derivatives, writing the real and imaginary
+planes of every entry with real arithmetic.  Every interval matrix also has
+det 1 (C^2 + rho S^2 = 1), so a product of consecutive factors is a prefix
+product times the adjugate of another.  One kernel (`_prefix_chain`,
+`_insertion_terms`) builds on this every term with one or two factors
+replaced, for the exact Hessian (A1 and A2 insertions) and for the
+finite-difference stencil (B - A insertions) alike.  The cost and the gradient
+keep sequential sweeps: `_stacked_sweep` runs one forward sweep over a stack
+of points.  `ChainBatch` adds, for a chosen row, the backward sweep that
+completes its gradient, so a line search costs one factor build and its
+accepted point's gradient reuses that point's forward states.  Up to
+M = `_DIRECT_STENCIL_MAX_M` the stencil's few points cost less through that
+sweep than through the pair kernel, so there every stencil cost is a direct
+evaluation, bit for bit `infidelity_of`.
 """
 
 from __future__ import annotations
@@ -155,12 +157,40 @@ def _factor_tables(w, dt, order):
     return C, S, S1, S2
 
 
+# The identity's C term, then a generator's S term by what multiplies it in
+# K(w) = K0 + w Kw + rho Krho: 1, w or rho
+_IDENTITY, _CONST, _LINEAR, _RHO = range(4)
+
+
+def _factor_terms(K0, Kw, Krho):
+    """Groups (kind, c, plus, minus) of the terms of A = C 1 + S K(w): the term
+    times c goes to the slots `plus`, times -c to `minus`, where slot
+    (p, row, col) is the real (p = 0) or imaginary (p = 1) part of an entry.
+    A slot taken twice raises ValueError, so the builder never sums."""
+    groups, taken = {}, set()
+    for kind, K in enumerate((np.eye(2), K0, Kw, Krho)):
+        K = np.asarray(K, dtype=complex)
+        for p, part in enumerate((K.real, K.imag)):
+            for r, col in zip(*np.nonzero(part)):
+                slot = (p, int(r), int(col))
+                if slot in taken:
+                    raise ValueError(f"two factor terms share the plane slot {slot}")
+                taken.add(slot)
+                c = float(part[r, col])
+                groups.setdefault((kind, abs(c)), ([], []))[c < 0].append(slot)
+    return tuple((*key, tuple(plus), tuple(minus)) for key, (plus, minus) in groups.items())
+
+
+def _scaled(c, x):
+    """c x, or x itself when c = 1."""
+    return x if c == 1.0 else c * x
+
+
 class _ChainProblem:
     """A cost |bra . A_{M-1} ... A_0 . ket|^2 over M equal intervals.
 
     A model supplies its fields, `_boundary_vectors()` (ket, bra) and
-    `_interval_stacks(values, order)`, which gives the per-interval factors A
-    and, up to `order`, their amplitude derivatives A1 and A2 (None beyond).
+    `_generators()` (rho0, K0, Kw, Krho); both are read once per problem.
     """
 
     def __post_init__(self):
@@ -171,6 +201,9 @@ class _ChainProblem:
         ket, bra = self._boundary_vectors()
         ket.flags.writeable = bra.flags.writeable = False
         object.__setattr__(self, "_boundary", (ket, bra))
+        rho0, *generators = self._generators()
+        object.__setattr__(self, "_rho0", float(rho0))
+        object.__setattr__(self, "_terms", _factor_terms(*generators))
 
     def _cost_boundary(self):
         """(ket, bra), built once per problem; both arrays are read-only."""
@@ -184,6 +217,52 @@ class _ChainProblem:
         ket, bra = self._cost_boundary()
         z = bra @ _chain_state(self._interval_stacks(values, 0)[0], ket)
         return float(abs(z) ** 2)
+
+    def _interval_stacks(self, values, order=2):
+        """The factors A and, up to `order`, A1 = dA/dw and A2 = d2A/dw2 (None
+        beyond), each of shape values.shape + (2, 2): with the rho-derivatives
+        Ar = C' 1 + S' K + S Krho and Arr = C'' 1 + S'' K + 2 S' Krho,
+        A1 = 2w Ar + S Kw and A2 = 2 Ar + 4w^2 Arr + 4w S' Kw.  Each term's
+        products are grouped as in the models' complex forms (the constant
+        term's A1 as (c 2w) S', not c (2w S')), so the planes equal those bit
+        for bit, up to the sign of a zero; the term of -c is that of c negated,
+        which is exact.
+        """
+        v = np.asarray(values, dtype=float)
+        dt = self.dt
+        w2 = v * v
+        rho = w2 + self._rho0 if self._rho0 else w2
+        C, S, S1, S2 = _factor_tables(rho, dt, order)
+        # a derivative beyond `order` is never evaluated (it reads 0 or False)
+        twice_w, four_w2 = order and 2.0 * v, order > 1 and 4.0 * w2
+        A = np.zeros((order + 1,) + v.shape + (2, 2), dtype=complex)
+        parts = A.real, A.imag
+        for kind, c, plus, minus in self._terms:
+            if kind == _IDENTITY:
+                # C' = -dt S / 2 and C'' = -dt S' / 2
+                C1 = order and -0.5 * dt * S
+                terms = (C, order and twice_w * C1,
+                         order > 1 and 2.0 * C1 + four_w2 * (-0.5 * dt * S1))
+            elif kind == _CONST:
+                terms = (_scaled(c, S), order and _scaled(c, twice_w) * S1,
+                         order > 1 and _scaled(c, 2.0 * S1 + four_w2 * S2))
+            elif kind == _LINEAR:
+                k = _scaled(c, v)
+                S1k = order and S1 * k
+                terms = (k * S, order and twice_w * S1k + _scaled(c, S),
+                         order > 1 and 2.0 * S1k + four_w2 * (S2 * k) + _scaled(c, 4.0 * v * S1))
+            else:
+                k = _scaled(c, rho)
+                Sr = order and S1 * k + _scaled(c, S)
+                terms = (k * S, order and twice_w * Sr,
+                         order > 1 and 2.0 * Sr + four_w2 * (S2 * k + _scaled(c, 2.0 * S1)))
+            for o in range(order + 1):
+                for p, r, col in plus:
+                    parts[p][o, ..., r, col] = terms[o]
+                negated = minus and -terms[o]
+                for p, r, col in minus:
+                    parts[p][o, ..., r, col] = negated
+        return A[0], A[1] if order else None, A[2] if order > 1 else None
 
 
 @dataclass(frozen=True)
@@ -206,57 +285,10 @@ class LzProblem(_ChainProblem):
         bra0 = np.array([1.0, 0.0], dtype=complex)
         return ket0, bra0
 
-    def _interval_stacks(self, values, order=2):
-        """Propagators and their amplitude derivatives, each of shape values.shape + (2, 2).
-
-        The real and imaginary planes of every entry are written with real
-        arithmetic.  Beyond these real products, the complex forms in the
-        comments (H = [[v, g/2], [g/2, -v]]) only multiply by exact zeros and
-        ones, so the planes equal them bit for bit, up to the sign of a zero;
-        the off-diagonal real planes are zero.
-        """
-        v = np.asarray(values, dtype=float)
-        dt = self.dt
+    def _generators(self):
         half_gap = 0.5 * self.gap
-        rho = half_gap * half_gap + v * v
-        C, S, S1, S2 = _factor_tables(rho, dt, order)
-        shape = v.shape + (2, 2)
-
-        # U = C I - i S H
-        A = np.zeros(shape, dtype=complex)
-        re, im = A.real, A.imag
-        Sv = S * v
-        re[..., 0, 0] = re[..., 1, 1] = C
-        im[..., 0, 0] = -Sv
-        im[..., 0, 1] = im[..., 1, 0] = -half_gap * S
-        im[..., 1, 1] = Sv
-        if order == 0:
-            return A, None, None
-
-        # dU/dw = 2w (C' I - i S' H) - i S sigma_z
-        C1 = -0.5 * dt * S
-        S1v = S1 * v
-        twice_v = 2.0 * v
-        A1 = np.zeros(shape, dtype=complex)
-        re, im = A1.real, A1.imag
-        re[..., 0, 0] = re[..., 1, 1] = twice_v * C1
-        im[..., 0, 0] = -(twice_v * S1v) - S
-        im[..., 0, 1] = im[..., 1, 0] = -2.0 * half_gap * v * S1
-        im[..., 1, 1] = twice_v * S1v + S
-        if order == 1:
-            return A, A1, None
-
-        # d2U/dw2 = 2 (C' I - i S' H) + 4w^2 (C'' I - i S'' H) - 4 i w S' sigma_z
-        C2 = -0.5 * dt * S1
-        four_v2 = 4.0 * (v * v)
-        S2v = S2 * v
-        A2 = np.zeros(shape, dtype=complex)
-        re, im = A2.real, A2.imag
-        re[..., 0, 0] = re[..., 1, 1] = 2.0 * C1 + four_v2 * C2
-        im[..., 0, 0] = -2.0 * S1v - four_v2 * S2v - 4.0 * v * S1
-        im[..., 0, 1] = im[..., 1, 0] = -half_gap * (2.0 * S1 + four_v2 * S2)
-        im[..., 1, 1] = 2.0 * S1v + four_v2 * S2v + 4.0 * v * S1
-        return A, A1, A2
+        return (half_gap * half_gap, [[0.0, -1j * half_gap], [-1j * half_gap, 0.0]],
+                [[-1j, 0.0], [0.0, 1j]], np.zeros((2, 2)))
 
 
 @dataclass(frozen=True)
@@ -284,39 +316,8 @@ class QhoProblem(_ChainProblem):
         bra_beta = np.array([wt, -1j], dtype=complex) / np.sqrt(2.0 * wt)
         return ket0, bra_beta
 
-    def _interval_stacks(self, values, order=2):
-        v = np.asarray(values, dtype=float)
-        dt = self.dt
-        w = v * v
-        C, S, S1, S2 = _factor_tables(w, dt, order)
-
-        A = np.empty(v.shape + (2, 2), dtype=complex)
-        A[..., 0, 0] = C
-        A[..., 0, 1] = S
-        A[..., 1, 0] = -w * S
-        A[..., 1, 1] = C
-        if order == 0:
-            return A, None, None
-
-        # dA/dw_j = 2 w_j dA/dw; the w-derivative is entrywise below
-        C1 = -0.5 * dt * S
-        Aw = np.empty_like(A)
-        Aw[..., 0, 0] = C1
-        Aw[..., 0, 1] = S1
-        Aw[..., 1, 0] = -S - w * S1
-        Aw[..., 1, 1] = C1
-        A1 = 2.0 * v[..., None, None] * Aw
-        if order == 1:
-            return A, A1, None
-
-        C2 = -0.5 * dt * S1
-        Aww = np.empty_like(A)
-        Aww[..., 0, 0] = C2
-        Aww[..., 0, 1] = S2
-        Aww[..., 1, 0] = -2.0 * S1 - w * S2
-        Aww[..., 1, 1] = C2
-        A2 = 2.0 * Aw + 4.0 * w[..., None, None] * Aww
-        return A, A1, A2
+    def _generators(self):
+        return 0.0, [[0.0, 1.0], [0.0, 0.0]], np.zeros((2, 2)), [[0.0, 0.0], [-1.0, 0.0]]
 
 
 @dataclass(frozen=True)
@@ -380,13 +381,12 @@ def _stacked_sweep(A, ket, bra):
 class ChainBatch:
     """Costs of a (K, M) stack of points from one factor build and one forward sweep.
 
-    `costs[k]` equals `problem.infidelity_of(points[k])` and `gradient(k)`
-    equals `gradient_of(problem, points[k])`, both bit for bit: every row runs
-    the 2x2 products of the sequential sweeps, in their order.  `gradient(k)`
-    runs only the backward sweep over row k's factors and reuses its forward
-    states; `gradient_and_dz(k)` also returns the z-gradient it is formed
-    from, which with `z[k]` gives `minimize` its stall test and its
-    Gauss-Newton step.
+    `costs[k]` equals `problem.infidelity_of(points[k])` and
+    `gradient_and_dz(k)[0]` equals `gradient_of(problem, points[k])`, both
+    bit for bit: every row runs the 2x2 products of the sequential sweeps, in
+    their order.  `gradient_and_dz(k)` runs only the backward sweep over row
+    k's factors and reuses its forward states; the z-gradient it also returns
+    gives `minimize`, with `z[k]`, its stall test and its Gauss-Newton step.
     """
 
     __slots__ = ("points", "costs", "z", "_bra", "_A", "_A1", "_kets")
@@ -401,12 +401,9 @@ class ChainBatch:
         self.points = points
         self._bra, self._A, self._A1, self._kets = bra, A, A1, kets
 
-    def gradient(self, k) -> np.ndarray:
-        """dI/dw of row k: 2 Re(conj(z) dz/dw_j), with dz/dw_j = bras[j+1] A1_j kets[j]."""
-        return self.gradient_and_dz(k)[0]
-
     def gradient_and_dz(self, k):
-        """(dI/dw, dz/dw) of row k: the gradient and the complex z-gradient it is formed from."""
+        """(dI/dw, dz/dw) of row k: dI/dw_j = 2 Re(conj(z) dz/dw_j), with
+        dz/dw_j = bras[j+1] A1_j kets[j]."""
         A = self._A[k]
         m = A.shape[0]
         kets = np.ascontiguousarray(self._kets[:m, k])
@@ -617,9 +614,10 @@ def gradient_of(problem, values) -> np.ndarray:
 
     Both costs are |z|^2 of a linear chain functional, so the chain rule is
     dI/dw_j = 2 Re(conj(z) dz/dw_j); dz/dw_j inserts A1_j between the prefix
-    state and the suffix functional (`ChainBatch.gradient`, on a batch of one).
+    state and the suffix functional (`ChainBatch.gradient_and_dz`, on a batch
+    of one).
     """
-    return ChainBatch(problem, [values]).gradient(0)
+    return ChainBatch(problem, [values]).gradient_and_dz(0)[0]
 
 
 def hessian_of(problem, values) -> np.ndarray:

@@ -71,6 +71,25 @@ class TestOptimize:
         assert (tmp_path / "scatter.csv").read_bytes() == \
             (optimize_run / "scatter.csv").read_bytes()
 
+    def test_unreachable_polish_target_keeps_converged_seeds(self, tmp_path):
+        # no seed reaches I < 1e-40, so polish stops every one short of it
+        doc = {"problem": LZ3, "seed": 5, "count": 25, "tol": 1e-6, "max_iter": 1500}
+        runs = {}
+        for name, extra in (("plain", {}), ("polished", {"polish_target": 1e-40})):
+            out = tmp_path / name
+            out.mkdir()
+            assert main(["optimize", "--config", write_config(out / "cfg.json", {**doc, **extra}),
+                         "--out", str(out)]) == 0
+            lines = (out / "solutions.jsonl").read_text().strip().split("\n")[1:]
+            runs[name] = [json.loads(line) for line in lines]
+        reached = [r["converged"] for r in runs["plain"]]
+        assert any(reached) and [r["converged"] for r in runs["polished"]] == reached
+        for r, plain in zip(runs["polished"], runs["plain"]):
+            if r["converged"]:
+                assert r["stop"] == "TOL" and r["infidelity"] <= plain["infidelity"]
+        _, rows = read_csv(tmp_path / "polished" / "scatter.csv")
+        assert len(rows) == sum(reached)
+
     def test_zero_count_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", {"problem": LZ3, "count": 0})
         rc = main(["optimize", "--config", cfg, "--out", str(tmp_path)])

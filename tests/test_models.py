@@ -367,7 +367,50 @@ PARITY_PROBLEMS = [
 ]
 
 
+# amplitudes at w = 0, in the series range |w| dt < 1e-3 (for the crossing
+# once its gap is small too) and ordinary ones
+parity_amplitudes = st.one_of(st.just(0.0), st.floats(-3e-4, 3e-4), st.floats(-5.0, 5.0))
+
+
+@st.composite
+def parity_cases(draw):
+    m = draw(st.integers(1, 6))
+    duration = 10.0 ** draw(st.floats(-2.0, 0.5))
+    if draw(st.booleans()):
+        # gaps other than 2 make the constant term's coefficient gap/2 != 1
+        problem = LzProblem(gap=10.0 ** draw(st.floats(-4.0, 0.7)), duration=duration,
+                            n_pulses=m)
+    else:
+        problem = QhoProblem(omega_start=draw(st.floats(0.1, 3.0)),
+                             omega_target=draw(st.floats(0.1, 3.0)), duration=duration,
+                             n_pulses=m)
+    return problem, np.array(draw(st.lists(parity_amplitudes, min_size=m, max_size=m)))
+
+
+@dataclass(frozen=True)
+class SharedSlotCrossing(LzProblem):
+    def _generators(self):
+        rho0, K0, Kw, _ = super()._generators()
+        return rho0, K0, Kw, K0
+
+
 class TestBitParity:
+    @settings(max_examples=300, deadline=None)
+    @given(parity_cases(), st.integers(0, 2))
+    def test_drawn_interval_stacks_equal_the_complex_form(self, case, order):
+        problem, values = case
+        got = problem._interval_stacks(values, order)
+        want = reference_interval_stacks(problem, values, order)
+        for i in range(3):
+            if want[i] is None:
+                assert got[i] is None
+            else:
+                assert np.array_equal(got[i], want[i])
+
+    def test_generators_sharing_a_slot_are_rejected(self):
+        with pytest.raises(ValueError, match="share the plane slot"):
+            SharedSlotCrossing(gap=1.0, duration=1.0, n_pulses=2)
+
     @pytest.mark.parametrize("problem,values", PARITY_PROBLEMS)
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_interval_stacks_equal_the_complex_form(self, problem, values, order):
@@ -429,8 +472,8 @@ class TestChainBatch:
         for k, v in enumerate(points):
             assert batch.points[k].tobytes() == v.tobytes()
             assert batch.costs[k] == problem.infidelity_of(v)
-            assert np.array_equal(batch.gradient(k), gradient_of(problem, v))
-            assert np.array_equal(batch.gradient(k), reference_gradient(problem, v))
+            assert np.array_equal(batch.gradient_and_dz(k)[0], gradient_of(problem, v))
+            assert np.array_equal(batch.gradient_and_dz(k)[0], reference_gradient(problem, v))
             grad, dz = batch.gradient_and_dz(k)
             want_grad, want_dz = reference_gradient_and_dz(problem, v)
             assert grad.tobytes() == want_grad.tobytes()
@@ -442,7 +485,7 @@ class TestChainBatch:
         v = np.array([0.3, 1.1, 0.0, 2.2, 1.7])
         batch = ChainBatch(problem, v[None])
         assert batch.costs == [problem.infidelity_of(v)]
-        assert np.array_equal(batch.gradient(0), gradient_of(problem, v))
+        assert np.array_equal(batch.gradient_and_dz(0)[0], gradient_of(problem, v))
 
     def test_non_finite_rows_stay_in_their_row(self):
         problem = batch_problem("qho", 6)
