@@ -2,7 +2,7 @@
 
 from .control import ControlField, FrequencySpec, Spectrum, dft, power
 from .landscape import (FdConfig, HessianSpectrum, classify_null, eig_sym, eigvec_error,
-                        fd_hessian, rank2_ritz)
+                        fd_hessian, pointwise_stencil, rank2_ritz)
 from .models import (BogoliubovPair, LzProblem, QhoProblem, exact_gradient, exact_hessian,
                      lz_infidelity, particle_number, qho_infidelity, qho_propagate)
 from .navigation import (FixedVector, NullFollow, SecondaryGradient, Trajectory,
@@ -13,7 +13,7 @@ from .optimizer import OptimizationReport, SeedSpec, minimize, sample_seeds
 __all__ = [
     "ControlField", "FrequencySpec", "Spectrum", "dft", "power",
     "FdConfig", "HessianSpectrum", "calibrate_epsilon", "classify_null",
-    "eig_sym", "eigvec_error", "fd_hessian", "rank2_ritz",
+    "eig_sym", "eigvec_error", "fd_hessian", "pointwise_stencil", "rank2_ritz",
     "BogoliubovPair", "LzProblem", "QhoProblem",
     "exact_gradient", "exact_hessian", "lz_infidelity",
     "particle_number", "qho_infidelity", "qho_propagate",

@@ -24,7 +24,7 @@ from .control import ControlField, FrequencySpec
 from .landscape import FdConfig, classify_null, eig_sym, eigvec_error, fd_hessian
 from .models import (MODEL_SCHEMAS, chain_stencil_cost, hessian_of, problem_from_dict,
                      problem_to_dict, seed_bounds)
-from .navigation import NullFollow, calibrate_epsilon, navigate, write_jsonl
+from .navigation import ENTRY_THRESHOLD, NullFollow, calibrate_epsilon, navigate, write_jsonl
 from .objectives import FourierObjective, compress
 from .optimizer import SeedSpec, minimize, polish, sample_seeds
 
@@ -66,6 +66,14 @@ class BenchmarkRecord:
         return (self.model, self.m, self.tau_app, self.tau_ext, self.eta)
 
 
+def _count(cfg: dict, key: str, default: int) -> int:
+    """The integer config value `key`, which must be at least 1."""
+    value = int(cfg.get(key, default))
+    if value < 1:
+        raise ValueError(f"{key} must be >= 1")
+    return value
+
+
 def _write_csv(path: Path, seed: int, header: str, rows):
     with path.open("w") as fh:
         fh.write(f"# seed={seed}\n")
@@ -89,21 +97,31 @@ def _load_config(path: str, command: str) -> dict:
     if not isinstance(cfg, dict):
         raise ValueError("a config must be a JSON object")
     unknown = sorted(set(cfg) - _CONFIG_KEYS[command])
-    rule = cfg.get("classify")
-    if command == "spectrum" and isinstance(rule, dict):
+    rule = cfg.get("classify", {})
+    if command == "spectrum":
+        if not isinstance(rule, dict):
+            raise ValueError("classify must be a JSON object")
         unknown += [f"classify.{k}" for k in sorted(set(rule) - {"tau_rel"})]
-    problem = cfg.get("problem")
-    if isinstance(problem, dict) and problem.get("model") in MODEL_SCHEMAS:
-        known = {"model"} | set(MODEL_SCHEMAS[problem["model"]].keys)
-        unknown += [f"problem.{k}" for k in sorted(set(problem) - known)]
+    if "problem" in cfg:
+        problem = cfg["problem"]
+        if not isinstance(problem, dict):
+            raise ValueError("problem must be a JSON object")
+        model = problem.get("model")
+        schema = MODEL_SCHEMAS.get(model) if isinstance(model, str) else None
+        if schema is None:
+            raise ValueError(f"unknown model {model!r}")
+        missing = [f"problem.{k}" for k in schema.keys
+                   if k not in problem and k not in schema.defaults]
+        if missing:
+            raise ValueError(f"missing config keys: {', '.join(missing)}")
+        unknown += [f"problem.{k}" for k in sorted(set(problem) - {"model", *schema.keys})]
     if unknown:
         raise UnknownConfigKeys(command, unknown)
     return cfg
 
 
-def _find_solutions(problem, seed, bounds, count, tol=1e-6, max_iter=2000,
-                    polish_target=1e-16, want=1, pick="best_gap"):
-    """Optimize seeds deterministically until `want` deep solutions are found.
+def _find_solutions(problem, seed, bounds, count, want=1, pick="best_gap"):
+    """Optimize seeds deterministically until `want` solutions polished to 1e-16 are found.
 
     pick="best_gap" ranks the found solutions by the second Hessian
     eigenvalue: navigation drift is governed by finite-difference noise
@@ -116,9 +134,9 @@ def _find_solutions(problem, seed, bounds, count, tol=1e-6, max_iter=2000,
         seeds = sample_seeds(
             SeedSpec(count=count, bounds=tuple(bounds), rng_seed=seed + batch), problem)
         for s in seeds:
-            rep = minimize(problem, s, tol=tol, max_iter=max_iter)
+            rep = minimize(problem, s, max_iter=2000)
             if rep.converged:
-                deep = polish(problem, rep.field, target=polish_target)
+                deep = polish(problem, rep.field)
                 if deep.converged:
                     found.append(deep)
             if len(found) >= want and pick == "order":
@@ -153,8 +171,7 @@ def _solution_from_config(cfg: dict, problem, seed):
         doc = records[idx]["field"]
         return ControlField(values=np.asarray(doc["values"], float), total_time=float(doc["T"]))
     rep = _find_solutions(problem, seed, cfg.get("bounds", seed_bounds(problem)),
-                          count=int(cfg.get("search_count", 60)),
-                          pick=cfg.get("pick", "best_gap"))[0]
+                          count=int(cfg.get("search_count", 60)))[0]
     return rep.field
 
 
@@ -165,9 +182,7 @@ def _solution_from_config(cfg: dict, problem, seed):
 def cmd_optimize(cfg: dict, out: Path) -> int:
     problem = problem_from_dict(cfg.get("problem", _default_problem_doc("optimize")))
     seed = int(cfg.get("seed", 0))
-    count = int(cfg.get("count", 4000))
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = _count(cfg, "count", 4000)
     bounds = tuple(cfg.get("bounds", seed_bounds(problem)))
     tol = float(cfg.get("tol", 1e-6))
     max_iter = int(cfg.get("max_iter", 2000))
@@ -208,17 +223,15 @@ def cmd_optimize(cfg: dict, out: Path) -> int:
 def cmd_spectrum(cfg: dict, out: Path) -> int:
     problem = problem_from_dict(cfg.get("problem", _default_problem_doc("spectrum")))
     seed = int(cfg.get("seed", 0))
-    entry = float(cfg.get("entry_threshold", 1e-6))
     solution = _solution_from_config(cfg, problem, seed)
     start_inf = problem.infidelity_of(solution.values)
-    if not start_inf < entry:
-        raise ValueError(f"input infidelity {start_inf:.3e} is not below {entry:.1e}")
+    if not start_inf < ENTRY_THRESHOLD:
+        raise ValueError(f"input infidelity {start_inf:.3e} is not below {ENTRY_THRESHOLD:.1e}")
 
     mode = cfg.get("hessian", "exact")
     if mode == "fd":
         eps = float(cfg.get("epsilon", 1e-2))
-        hess = fd_hessian(problem.infidelity_of, solution.values, FdConfig(eps),
-                          stencil_cost=chain_stencil_cost(problem))
+        hess = fd_hessian(chain_stencil_cost(problem), solution.values, FdConfig(eps))
     elif mode == "exact":
         hess = hessian_of(problem, solution.values)
     else:
@@ -241,7 +254,7 @@ def cmd_fd_error(cfg: dict, out: Path) -> int:
                                         {"model": "lz", "delta": LZ_DEFAULT_GAP,
                                          "T": DEFAULT_T, "M": 6}))
     seed = int(cfg.get("seed", 0))
-    n_solutions = int(cfg.get("n_solutions", 100))
+    n_solutions = _count(cfg, "n_solutions", 100)
     grid = [float(e) for e in cfg.get("eps_grid", np.logspace(-8, -0.5, 16).tolist())]
     sols = _find_solutions(problem, seed, cfg.get("bounds", seed_bounds(problem)),
                            count=max(2 * n_solutions, 40), want=n_solutions, pick="order")
@@ -251,8 +264,7 @@ def cmd_fd_error(cfg: dict, out: Path) -> int:
         exact = eig_sym(hessian_of(problem, vals))
         rows = []
         for eps in grid:
-            approx = eig_sym(fd_hessian(problem.infidelity_of, vals, FdConfig(eps),
-                                        stencil_cost=stencil))
+            approx = eig_sym(fd_hessian(stencil, vals, FdConfig(eps)))
             errs = []
             for i in (0, 1):
                 try:
@@ -295,7 +307,7 @@ def cmd_calibrate(cfg: dict, out: Path) -> int:
     seed = int(cfg.get("seed", 0))
     steps = int(cfg.get("steps", 1000))
     h = float(cfg.get("h", 0.1))
-    n_directions = int(cfg.get("n_directions", 2))
+    n_directions = _count(cfg, "n_directions", 2)
     grid = [float(e) for e in cfg.get("eps_grid", np.logspace(-10, -0.5, 12).tolist())]
     solution = _solution_from_config(cfg, problem, seed)
     rng = np.random.default_rng(seed)
@@ -320,10 +332,8 @@ def cmd_compress(cfg: dict, out: Path) -> int:
     eps = float(cfg.get("epsilon", 1e-2))
     h = float(cfg.get("h", 0.005))
     steps = int(cfg.get("steps", 800))
-    n_starts = int(cfg.get("n_starts", 1))
+    n_starts = _count(cfg, "n_starts", 1)
     stride = max(1, int(cfg.get("protocol_stride", max(1, steps // 20))))
-    if n_starts < 1:
-        raise ValueError("n_starts must be >= 1")
     print(f"compress: requested frequencies {list(kept_raw)} closed to {sorted(spec.kept)}")
 
     starts = [r.field for r in _find_solutions(
@@ -367,7 +377,7 @@ def cmd_benchmark(cfg: dict, out: Path) -> int:
     seed = int(cfg.get("seed", 0))
     m_grid = [int(m) for m in cfg.get("m_grid", [3, 6, 12, 24, 48])]
     models = cfg.get("models", ["lz", "qho"])
-    n_fields = int(cfg.get("fields_per_m", 100))
+    n_fields = _count(cfg, "fields_per_m", 100)
     eps = float(cfg.get("epsilon", 1e-2))
     min_time = float(cfg.get("min_time", 2e-3))
     duration = float(cfg.get("T", DEFAULT_T))
@@ -399,8 +409,7 @@ def cmd_benchmark(cfg: dict, out: Path) -> int:
             quotients, t_apps, t_exts = [], [], []
             for _ in range(n_fields):
                 vals = rng.uniform(lo, hi, m)
-                t_app = measure(lambda: eig_sym(
-                    fd_hessian(problem.infidelity_of, vals, config, stencil_cost=stencil)))
+                t_app = measure(lambda: eig_sym(fd_hessian(stencil, vals, config)))
                 t_ext = measure(lambda: eig_sym(hessian_of(problem, vals)))
                 quotients.append(t_app / t_ext)
                 t_apps.append(t_app)
@@ -426,11 +435,10 @@ _COMMANDS = {
 }
 
 # every config key each subcommand reads; anything else is rejected at entry
-_SOLUTION_KEYS = {"solution", "solution_path", "solution_index", "bounds", "search_count", "pick"}
+_SOLUTION_KEYS = {"solution", "solution_path", "solution_index", "bounds", "search_count"}
 _CONFIG_KEYS = {
     "optimize": {"problem", "seed", "count", "bounds", "tol", "max_iter", "polish_target"},
-    "spectrum": {"problem", "seed", "entry_threshold", "hessian", "epsilon",
-                 "classify"} | _SOLUTION_KEYS,
+    "spectrum": {"problem", "seed", "hessian", "epsilon", "classify"} | _SOLUTION_KEYS,
     "fd-error": {"problem", "seed", "n_solutions", "eps_grid", "bounds"},
     "drive": {"problem", "seed", "epsilon", "h", "steps"} | _SOLUTION_KEYS,
     "calibrate": {"problem", "seed", "steps", "h", "n_directions", "eps_grid"} | _SOLUTION_KEYS,

@@ -23,6 +23,7 @@ __all__ = [
     "HessianSpectrum",
     "NonFiniteCost",
     "fd_hessian",
+    "pointwise_stencil",
     "eig_sym",
     "rank2_ritz",
     "classify_null",
@@ -64,9 +65,9 @@ class NonFiniteCost(ValueError):
     """A stencil point's cost is NaN or infinite."""
 
 
-def _pointwise_stencil(cost):
+def pointwise_stencil(cost):
     """Stencil evaluator with the `models.chain_stencil_cost` signature that
-    calls `cost` once per point."""
+    calls `cost` once per point: the way a black-box cost enters `fd_hessian`."""
 
     def evaluate(point, singles_idx, singles_val, pairs_val):
         def at(idx, val):
@@ -94,26 +95,24 @@ def _singles_index(m: int) -> np.ndarray:
     return idx
 
 
-def fd_hessian(cost, point, config: FdConfig, stencil_cost=None) -> np.ndarray:
-    """Symmetric finite-difference Hessian of a scalar cost at `point`.
+def fd_hessian(stencil, point, config: FdConfig) -> np.ndarray:
+    """Symmetric finite-difference Hessian at `point` from stencil costs.
 
     Parameters
     ----------
-    cost : callable mapping a 1-D amplitude vector to a float.
+    stencil : evaluator of the costs at the centre and at the one- and
+        two-coordinate perturbations, with the signature of
+        `models.chain_stencil_cost(problem)`; `pointwise_stencil(cost)` wraps
+        a black-box cost, one call per point.  The chain stencil's costs agree
+        with those calls up to rounding, and bit for bit up to
+        M = `models._DIRECT_STENCIL_MAX_M`.
     point : 1-D array, expansion point.
     config : FdConfig with the step epsilon.
-    stencil_cost : optional structured evaluator (see
-        `models.chain_stencil_cost`) for the costs at one- and two-coordinate
-        perturbations, used instead of one `cost` call per stencil point; its
-        costs agree with those calls up to rounding, and bit for bit up to
-        M = `models._DIRECT_STENCIL_MAX_M`.
 
     Raises NonFiniteCost if any stencil cost it reads (the centre, the
     singles and the pairs i < j) is NaN or infinite, or an entry overflows.
     """
     point = np.asarray(point, dtype=float)
-    if stencil_cost is None:
-        stencil_cost = _pointwise_stencil(cost)
     eps = config.epsilon
     m = point.size
     inv = 1.0 / (4.0 * eps * eps)
@@ -121,7 +120,7 @@ def fd_hessian(cost, point, config: FdConfig, stencil_cost=None) -> np.ndarray:
     s_idx = _singles_index(m)
     s_val = (point[:, None] + np.array([2.0 * eps, -2.0 * eps])).ravel()
     p_val = point[:, None] + np.array([eps, -eps])
-    center, singles, pairs = stencil_cost(point, s_idx, s_val, p_val)
+    center, singles, pairs = stencil(point, s_idx, s_val, p_val)
     # pairs[i, s, j, t] holds the costs at (w_i + (-1)^s eps, w_j + (-1)^t eps), i < j
     h = pairs[:, 0, :, 0] - pairs[:, 0, :, 1] - pairs[:, 1, :, 0] + pairs[:, 1, :, 1]
     h[_on_or_below_diagonal(m)] = 0.0

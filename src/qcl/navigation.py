@@ -24,6 +24,7 @@ from .landscape import FdConfig, HessianSpectrum, NonFiniteCost, fd_hessian, ran
 from .models import PrefixGrowth, chain_stencil_cost, hessian_of
 
 __all__ = [
+    "ENTRY_THRESHOLD",
     "FAILURE_CODES",
     "RANK_COLLAPSE_RATIO",
     "FixedVector",
@@ -136,12 +137,13 @@ FAILURE_CODES = ("NONFINITE", "CEILING", "GROWTH", "RANK_COLLAPSE")
 # directions
 RANK_COLLAPSE_RATIO = 0.1
 
+# a run may only start from a field whose main infidelity is below this
+ENTRY_THRESHOLD = 1e-6
+
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     samples: tuple
-    hessian_mode: str
-    fd_epsilon: float | None
     failure_code: str | None = None
     failure_reason: str | None = None
 
@@ -185,15 +187,16 @@ class _NavigationFailure(Exception):
 
 
 def navigate(problem, start: ControlField, provider, h: float, steps: int,
-             hessian_mode="exact", *, null_rank: int = 2, abort_ceiling: float = 1e-3,
-             entry_threshold: float = 1e-6) -> Trajectory:
+             hessian_mode="exact", *, null_rank: int = 2,
+             abort_ceiling: float = 1e-3) -> Trajectory:
     """Integrate the projected flow from a solution of the main objective.
 
     Parameters
     ----------
     steps : number of RK4 steps; 0 returns the start sample alone.
     hessian_mode : "exact" for analytic Hessians, or an FdConfig whose epsilon
-        sets the finite-difference step; the Hessian and its two non-null
+        sets the step of the finite-difference Hessian on the problem's
+        `models.chain_stencil_cost`; the Hessian and its two non-null
         directions are recomputed at every RK4 stage point either way.
     null_rank : the number of non-null directions; only 2, the structure
         at solutions of both models, is accepted.
@@ -205,7 +208,7 @@ def navigate(problem, start: ControlField, provider, h: float, steps: int,
     CEILING, and one whose Hessian the chain kernel refuses
     (`models.PrefixGrowth`) with GROWTH, and one whose Hessian has
     |lambda_3 / lambda_2| above `RANK_COLLAPSE_RATIO` with RANK_COLLAPSE;
-    any other error propagates.
+    any other error propagates.  A start at or above `ENTRY_THRESHOLD` raises.
     """
     if null_rank != 2:
         raise ValueError(f"null_rank must be 2 (the rank of the Hessian at a "
@@ -214,27 +217,22 @@ def navigate(problem, start: ControlField, provider, h: float, steps: int,
         raise ValueError("step h must be positive")
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    if isinstance(hessian_mode, FdConfig):
-        mode, fd_eps = "fd", hessian_mode.epsilon
-    elif hessian_mode == "exact":
-        mode, fd_eps = "exact", None
-    else:
+    fd = isinstance(hessian_mode, FdConfig)
+    if not (fd or hessian_mode == "exact"):
         raise ValueError(f"unknown hessian_mode {hessian_mode!r}")
 
     start_inf = problem.infidelity_of(start.values)
-    if not start_inf < entry_threshold:
-        raise ValueError(
-            f"starting infidelity {start_inf:.3e} is not below the entry "
-            f"threshold {entry_threshold:.1e}"
-        )
+    if not start_inf < ENTRY_THRESHOLD:
+        raise ValueError(f"starting infidelity {start_inf:.3e} is not below the entry "
+                         f"threshold {ENTRY_THRESHOLD:.1e}")
 
-    stencil = chain_stencil_cost(problem) if mode == "fd" else None
+    stencil = chain_stencil_cost(problem) if fd else None
 
     def flow(values):
         if not np.all(np.isfinite(values)):
             raise _NavigationFailure("NONFINITE", "non-finite state")
-        if mode == "fd":
-            hess = fd_hessian(problem.infidelity_of, values, hessian_mode, stencil_cost=stencil)
+        if fd:
+            hess = fd_hessian(stencil, values, hessian_mode)
         else:
             hess = hessian_of(problem, values)
             # NaN factors slip past the kernel's growth guard (NaN > limit is False)
@@ -280,37 +278,30 @@ def navigate(problem, start: ControlField, provider, h: float, steps: int,
         code, reason = "NONFINITE", str(exc)
     except PrefixGrowth as exc:
         code, reason = "GROWTH", str(exc)
-    return Trajectory(samples=tuple(samples), hessian_mode=mode, fd_epsilon=fd_eps,
-                      failure_code=code, failure_reason=reason)
+    return Trajectory(samples=tuple(samples), failure_code=code, failure_reason=reason)
 
 
-def calibrate_epsilon(problem, solution, direction, eps_grid, steps: int = 1000,
-                      h: float = 0.1, entry_threshold: float = 1e-6,
-                      abort_ceiling: float = np.inf):
+def calibrate_epsilon(problem, solution, direction, eps_grid, steps: int = 1000, h: float = 0.1):
     """Final infidelity of an FD-driven navigation run, per stencil step.
 
-    Restarts the same solution for every epsilon on the grid, follows the
-    projection of one fixed direction for `steps` RK4 iterations of step `h`,
-    and records the final main-objective infidelity.  A run that leaves the
-    finite range (NONFINITE), wanders where the chain's Hessian cannot be
-    trusted (GROWTH) or meets a Hessian that is not rank 2 (RANK_COLLAPSE,
-    as a noise-dominated stencil gives) is recorded as infinite infidelity
-    rather than aborting the sweep.  Returns a list of (epsilon,
-    final_infidelity) pairs.
+    Restarts the same solution, whose infidelity must lie below
+    `ENTRY_THRESHOLD`, for every epsilon on the grid, follows the projection
+    of one fixed non-zero direction for `steps` RK4 iterations of step `h`
+    with no abort ceiling, and records the final main-objective infidelity.
+    A run that leaves the finite range (NONFINITE), wanders where the chain's
+    Hessian cannot be trusted (GROWTH) or meets a Hessian that is not rank 2
+    (RANK_COLLAPSE, as a noise-dominated stencil gives) is recorded as
+    infinite infidelity rather than aborting the sweep.  Returns a list of
+    (epsilon, final_infidelity) pairs.
     """
-    direction = np.asarray(direction, dtype=float)
-    if not np.any(direction != 0.0):
-        raise ValueError("direction must be non-zero")
+    provider = FixedVector(direction)
     start_inf = problem.infidelity_of(solution.values)
-    if not start_inf < entry_threshold:
-        raise ValueError(
-            f"starting infidelity {start_inf:.3e} is not below {entry_threshold:.1e}"
-        )
+    if not start_inf < ENTRY_THRESHOLD:
+        raise ValueError(f"starting infidelity {start_inf:.3e} is not below {ENTRY_THRESHOLD:.1e}")
     rows = []
     for eps in eps_grid:
-        traj = navigate(problem, solution, FixedVector(direction), h=h, steps=steps,
-                        hessian_mode=FdConfig(float(eps)), abort_ceiling=abort_ceiling,
-                        entry_threshold=entry_threshold)
+        traj = navigate(problem, solution, provider, h=h, steps=steps,
+                        hessian_mode=FdConfig(float(eps)), abort_ceiling=np.inf)
         final = traj.samples[-1].infidelity
         if traj.failure_code in ("NONFINITE", "GROWTH", "RANK_COLLAPSE"):
             final = np.inf

@@ -61,7 +61,7 @@ def fourier_gradient(field: ControlField, objective: FourierObjective) -> np.nda
 
 
 def compress(problem, start: ControlField, objective: FourierObjective,
-             h: float, steps: int, hessian_mode="exact", **nav_kwargs) -> Trajectory:
+             h: float, steps: int, hessian_mode="exact") -> Trajectory:
     """Descend the spectral penalty inside the solution set of `problem`.
 
     Delegates to `navigate` with the -grad C steering vector; the returned
@@ -70,4 +70,4 @@ def compress(problem, start: ControlField, objective: FourierObjective,
     _check_dim(start, objective)
     provider = SecondaryGradient(objective)
     return navigate(problem, start, provider, h=h, steps=steps,
-                    hessian_mode=hessian_mode, **nav_kwargs)
+                    hessian_mode=hessian_mode)

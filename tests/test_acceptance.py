@@ -78,8 +78,7 @@ def test_03_gradient_and_hessian_oracles():
             worst_grad = max(worst_grad,
                              np.linalg.norm(grad - fd_grad) / np.linalg.norm(fd_grad))
             hess = hessian_of(problem, values)
-            fd = fd_hessian(problem.infidelity_of, values, FdConfig(1e-3),
-                            stencil_cost=chain_stencil_cost(problem))
+            fd = fd_hessian(chain_stencil_cost(problem), values, FdConfig(1e-3))
             worst_hess = max(worst_hess, np.abs(hess - fd).max())
     report(3, worst_grad <= 1e-6 and worst_hess <= 1e-6,
            f"100 random fields per model: gradient rel err {worst_grad:.2e} <= 1e-6, "
@@ -118,8 +117,7 @@ def test_05_fd_eigenvector_fidelity(solution_bank):
             exact = eig_sym(hessian_of(problem, field.values))
             per_eps = []
             for eps in grid:
-                approx = eig_sym(fd_hessian(problem.infidelity_of, field.values,
-                                            FdConfig(eps), stencil_cost=stencil))
+                approx = eig_sym(fd_hessian(stencil, field.values, FdConfig(eps)))
                 errs = [eigvec_error(exact, approx, i) for i in (0, 1)]
                 per_eps.append(max(errs))
             best_worst.append(min(per_eps))
@@ -240,8 +238,7 @@ def test_09_runtime_ratio():
             quotients = []
             for _ in range(100):
                 values = rng.uniform(lo, hi, m)
-                t_app = measure(lambda: eig_sym(fd_hessian(
-                    problem.infidelity_of, values, config, stencil_cost=stencil)))
+                t_app = measure(lambda: eig_sym(fd_hessian(stencil, values, config)))
                 t_ext = measure(lambda: eig_sym(hessian_of(problem, values)))
                 quotients.append(t_app / t_ext)
             eta = float(np.mean(quotients))

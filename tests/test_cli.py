@@ -287,17 +287,46 @@ class TestErrorRecords:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ValueError"
 
+    @pytest.mark.parametrize("doc,name", [
+        ({"problem": {"model": "lz", "T": 1.8, "M": 3}}, "problem.delta"),
+        ({"problem": 5}, "problem"),
+        ({"problem": {"model": ["lz"], "T": 1.8, "M": 3}}, "model"),
+        ({"problem": LZ3, "classify": 1e-6}, "classify"),
+    ])
+    def test_malformed_shape_rejected_at_load(self, tmp_path, capsys, doc, name):
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        with pytest.raises(ValueError, match=name):
+            _load_config(cfg, "spectrum")
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError" and name in err["message"]
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("fd-error", "n_solutions", 0),
+        ("calibrate", "n_directions", -1),
+        ("benchmark", "fields_per_m", 0),
+    ])
+    def test_count_below_one_rejected(self, tmp_path, capsys, command, key, value):
+        doc = {key: value} if command == "benchmark" else {"problem": LZ3, key: value}
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError" and key in err["message"]
+
 
 class TestConfigKeys:
-    def test_unknown_key_rejected(self, tmp_path, capsys):
-        # "step" for "steps" would otherwise run the default 10000 steps
-        cfg = write_config(tmp_path / "cfg.json", {"problem": LZ3, "seed": 5, "step": 3})
-        rc = main(["drive", "--config", cfg, "--out", str(tmp_path)])
+    # "step" for "steps" would otherwise run the default 10000 steps
+    @pytest.mark.parametrize("command,key", [
+        ("drive", "step"), ("drive", "pick"), ("spectrum", "entry_threshold"),
+    ])
+    def test_unknown_key_rejected(self, tmp_path, capsys, command, key):
+        cfg = write_config(tmp_path / "cfg.json", {"problem": LZ3, "seed": 5, key: 3})
+        rc = main([command, "--config", cfg, "--out", str(tmp_path)])
         assert rc != 0
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "UnknownConfigKeys"
-        assert err["keys"] == ["step"]
-        assert not (tmp_path / "trajectory.jsonl").exists()
+        assert err["keys"] == [key]
+        assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.jsonl"))
 
     def test_unknown_problem_key_rejected(self, tmp_path, capsys):
         problem = dict(QHO6, omega_0=2.0)

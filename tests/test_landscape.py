@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from qcl.control import ControlField
 from qcl.landscape import (FdConfig, HessianSpectrum, NonFiniteCost, _symmetrised,
-                           classify_null, eig_sym, eigvec_error, fd_hessian, rank2_ritz)
+                           classify_null, eig_sym, eigvec_error, fd_hessian,
+                           pointwise_stencil, rank2_ritz)
 from qcl.models import LzProblem, QhoProblem, chain_stencil_cost, hessian_of
 from qcl.navigation import FixedVector, calibrate_epsilon, navigate, project
 from qcl.optimizer import SeedSpec, minimize, polish, sample_seeds
@@ -18,12 +19,12 @@ class TestFdHessian:
         a = np.array([0.5, -1.5, 2.0])
         cost = lambda w: float(np.sum(a * w * w))
         for eps in (1e-4, 1e-2, 0.5):
-            h = fd_hessian(cost, np.array([0.3, -0.7, 1.1]), FdConfig(eps))
+            h = fd_hessian(pointwise_stencil(cost), np.array([0.3, -0.7, 1.1]), FdConfig(eps))
             assert np.abs(h - np.diag(2 * a)).max() < 5e-15 / eps**2 + 1e-12
 
     def test_exact_on_bilinear(self):
         cost = lambda w: float(w[0] * w[1])
-        h = fd_hessian(cost, np.array([2.0, -3.0]), FdConfig(1e-2))
+        h = fd_hessian(pointwise_stencil(cost), np.array([2.0, -3.0]), FdConfig(1e-2))
         assert h[0, 1] == pytest.approx(1.0, abs=1e-10)
         assert h[1, 0] == pytest.approx(1.0, abs=1e-10)
         assert abs(h[0, 0]) < 1e-9 and abs(h[1, 1]) < 1e-9
@@ -36,7 +37,7 @@ class TestFdHessian:
              0.1, 3.0),
         ]:
             values = rng.uniform(lo, hi, 6)
-            fd = fd_hessian(problem.infidelity_of, values, FdConfig(1e-3))
+            fd = fd_hessian(pointwise_stencil(problem.infidelity_of), values, FdConfig(1e-3))
             assert np.abs(fd - hessian_of(problem, values)).max() <= 1e-6
 
     def test_all_three_paths_agree(self):
@@ -44,15 +45,14 @@ class TestFdHessian:
         problem = QhoProblem(omega_start=1.0, omega_target=1.0, duration=1.8, n_pulses=5)
         values = rng.uniform(0.1, 3.0, 5)
         config = FdConfig(1e-2)
-        scalar = fd_hessian(problem.infidelity_of, values, config)
-        structured = fd_hessian(problem.infidelity_of, values, config,
-                                stencil_cost=chain_stencil_cost(problem))
+        scalar = fd_hessian(pointwise_stencil(problem.infidelity_of), values, config)
+        structured = fd_hessian(chain_stencil_cost(problem), values, config)
         assert np.abs(scalar - structured).max() < 1e-9
 
     def test_nonfinite_cost_rejected(self):
         cost = lambda w: float("nan") if w[0] > 1.0 else 0.0
         with pytest.raises(ValueError, match="non-finite"):
-            fd_hessian(cost, np.array([0.999, 0.0]), FdConfig(0.1))
+            fd_hessian(pointwise_stencil(cost), np.array([0.999, 0.0]), FdConfig(0.1))
 
     @staticmethod
     def stub_stencil(m, bad=None, where=None):
@@ -75,13 +75,13 @@ class TestFdHessian:
     def test_one_non_finite_cost_raises(self, bad, where):
         stencil = self.stub_stencil(4, bad, where)
         with pytest.raises(NonFiniteCost):
-            fd_hessian(None, np.zeros(4), FdConfig(0.1), stencil_cost=stencil)
+            fd_hessian(stencil, np.zeros(4), FdConfig(0.1))
 
     def test_nan_on_and_below_the_diagonal_is_not_read(self):
         m, eps = 4, 0.1
         stencil = self.stub_stencil(m)
         center, singles, pairs = stencil(None, None, None, None)
-        h = fd_hessian(None, np.zeros(m), FdConfig(eps), stencil_cost=stencil)
+        h = fd_hessian(stencil, np.zeros(m), FdConfig(eps))
         inv = 1.0 / (4.0 * eps * eps)
         want = np.zeros((m, m))
         for i in range(m):
@@ -108,8 +108,7 @@ class TestFdHessian:
                 values = rng.uniform(lo, hi, 6)
                 exact = hessian_of(problem, values)
                 for eps in (1e-3, 3e-3, 1e-2, 3e-2, 1e-1):
-                    fd = fd_hessian(problem.infidelity_of, values, FdConfig(eps),
-                                    stencil_cost=stencil)
+                    fd = fd_hessian(stencil, values, FdConfig(eps))
                     err = np.abs(fd - exact).max()
                     assert err <= 1.0 * eps**2 + 1e-13 / eps**2
                     if eps <= 3e-3:
@@ -173,8 +172,7 @@ class TestSymmetrised:
         a = rng.normal(size=(7, 7))
         values = rng.uniform(0.1, 3.0, 6)
         for sym in (a + a.T, hessian_of(problem, values),
-                    fd_hessian(problem.infidelity_of, values, FdConfig(1e-3),
-                               stencil_cost=chain_stencil_cost(problem))):
+                    fd_hessian(chain_stencil_cost(problem), values, FdConfig(1e-3))):
             assert (0.5 * (sym + sym.T)).tobytes() == _symmetrised(sym).tobytes()
 
     def test_near_symmetric_input_is_averaged(self):
@@ -234,8 +232,7 @@ class TestRank2Ritz:
         for problem, values in ritz_solutions:
             m = values.size
             for hess in (hessian_of(problem, values),
-                         fd_hessian(problem.infidelity_of, values, FdConfig(1e-2),
-                                    stencil_cost=chain_stencil_cost(problem))):
+                         fd_hessian(chain_stencil_cost(problem), values, FdConfig(1e-2))):
                 full = eig_sym(hess)
                 ritz = rank2_ritz(hess)
                 assert ritz.vectors.shape == ((m, m) if m < 32 else (4, m))

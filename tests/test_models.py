@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcl.control import ControlField
-from qcl.landscape import FdConfig, NonFiniteCost, _pointwise_stencil, fd_hessian
+from qcl.landscape import FdConfig, NonFiniteCost, fd_hessian, pointwise_stencil
 from qcl.models import (BogoliubovPair, ChainBatch, LzProblem, PrefixGrowth, QhoProblem,
                         chain_stencil_cost, exact_gradient, exact_hessian, gradient_of,
                         hessian_of, lz_infidelity, particle_number, problem_from_dict,
@@ -262,7 +262,7 @@ class TestDerivatives:
         rng = np.random.default_rng(13)
         values = rng.uniform(lo, hi, problem.n_pulses)
         exact = hessian_of(problem, values)
-        fd = fd_hessian(problem.infidelity_of, values, FdConfig(1e-3))
+        fd = fd_hessian(pointwise_stencil(problem.infidelity_of), values, FdConfig(1e-3))
         assert np.abs(exact - fd).max() <= 1e-6
 
     def test_hessian_is_symmetric(self):
@@ -605,7 +605,7 @@ class TestStencilAccuracyAtSolutions:
         s_idx = np.repeat(np.arange(m), 2)
         s_val = (point[:, None] + np.array([offset, -offset])).ravel()
         p_val = point[:, None] + np.array([offset, -offset])
-        _, want_singles, want = _pointwise_stencil(problem.infidelity_of)(
+        _, want_singles, want = pointwise_stencil(problem.infidelity_of)(
             point, s_idx, s_val, p_val)
         _, singles, pairs = chain_stencil_cost(problem)(point, s_idx, s_val, p_val)
         assert np.array_equal(np.isnan(pairs), np.isnan(want))
@@ -634,7 +634,7 @@ class TestDirectStencil:
         if kind == "lz_small_gap":   # zeroed amplitudes take the series branch
             assert problem.dt ** 2 * (0.5 * problem.gap) ** 2 < _SERIES_X
         evaluate = chain_stencil_cost(problem)
-        pointwise = _pointwise_stencil(problem.infidelity_of)
+        pointwise = pointwise_stencil(problem.infidelity_of)
         for n in range(3):
             point = rng.uniform(lo, hi, m)
             s_idx = rng.integers(0, m, 2 * m)
@@ -655,8 +655,7 @@ class TestDirectStencil:
         with np.errstate(over="ignore", invalid="ignore"):
             assert problem.infidelity_of(values) == np.inf
             with pytest.raises(NonFiniteCost):
-                fd_hessian(problem.infidelity_of, values, FdConfig(1e-2),
-                           stencil_cost=chain_stencil_cost(problem))
+                fd_hessian(chain_stencil_cost(problem), values, FdConfig(1e-2))
 
     def test_pumped_trap_has_no_growth_guard_below_the_pair_kernel(self):
         # the direct path uses no adjugates, so only the exact Hessian refuses
@@ -666,9 +665,9 @@ class TestDirectStencil:
         values = np.tile([0.3, 3.0], 3)
         with pytest.raises(PrefixGrowth, match="grow"):
             hessian_of(problem, values)
-        got = fd_hessian(problem.infidelity_of, values, FdConfig(1e-3),
-                         stencil_cost=chain_stencil_cost(problem))
-        assert same_bytes(got, fd_hessian(problem.infidelity_of, values, FdConfig(1e-3)))
+        got = fd_hessian(chain_stencil_cost(problem), values, FdConfig(1e-3))
+        want = fd_hessian(pointwise_stencil(problem.infidelity_of), values, FdConfig(1e-3))
+        assert same_bytes(got, want)
 
 
 TRAPS_AND_CROSSINGS = [
@@ -702,16 +701,16 @@ class TestPairKernel:
         fields = [rng.uniform(lo, hi, m) for _ in range(8)]
         exact = [reference_hessian(problem, v) for v in fields]
         stencil = chain_stencil_cost(problem)
+        per_point = pointwise_stencil(problem.infidelity_of)
         for eps in (1e-8, 1e-6, 1e-3, 1e-2, 1e-1):
             config = FdConfig(eps)
-            new = max(np.abs(fd_hessian(problem.infidelity_of, v, config,
-                                        stencil_cost=stencil) - h).max()
+            new = max(np.abs(fd_hessian(stencil, v, config) - h).max()
                       for v, h in zip(fields, exact))
             old = max(np.abs(reference_fd_hessian(problem, v, eps) - h).max()
                       for v, h in zip(fields, exact))
             assert new <= 2.0 * old, (eps, new, old)
             if m <= 6:
-                pointwise = max(np.abs(fd_hessian(problem.infidelity_of, v, config) - h).max()
+                pointwise = max(np.abs(fd_hessian(per_point, v, config) - h).max()
                                 for v, h in zip(fields, exact))
                 assert new <= 2.0 * pointwise, (eps, new, pointwise)
 
@@ -737,8 +736,7 @@ class TestPairKernel:
         with pytest.raises(PrefixGrowth, match="grow"):
             hessian_of(problem, values)
         with pytest.raises(PrefixGrowth, match="grow"):
-            fd_hessian(problem.infidelity_of, values, FdConfig(1e-3),
-                       stencil_cost=chain_stencil_cost(problem))
+            fd_hessian(chain_stencil_cost(problem), values, FdConfig(1e-3))
 
 
 class TestInvariants:

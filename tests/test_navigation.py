@@ -236,11 +236,10 @@ class TestNavigate:
 
     def test_failed_follows_the_failure_code(self):
         for code in (None,) + FAILURE_CODES:
-            traj = Trajectory(samples=(), hessian_mode="exact", fd_epsilon=None,
-                              failure_code=code)
+            traj = Trajectory(samples=(), failure_code=code)
             assert traj.failed == (code is not None)
         with pytest.raises(TypeError):
-            Trajectory(samples=(), hessian_mode="exact", fd_epsilon=None, failed=True)
+            Trajectory(samples=(), failed=True)
 
     def test_nonfinite_stencil_cost_failure_code(self, qho_solution, monkeypatch):
         problem, field = qho_solution
