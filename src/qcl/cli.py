@@ -16,15 +16,16 @@ import json
 import sys
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .control import ControlField, FrequencySpec
 from .landscape import FdConfig, classify_null, eig_sym, eigvec_error, fd_hessian
-from .models import (MODEL_SCHEMAS, chain_stencil_cost, hessian_of, problem_from_dict,
-                     problem_to_dict, seed_bounds)
-from .navigation import ENTRY_THRESHOLD, NullFollow, calibrate_epsilon, navigate, write_jsonl
+from .models import (LzProblem, QhoProblem, _check_field, chain_stencil_cost, config_number,
+                     hessian_of, problem_from_dict, problem_to_dict, seed_bounds)
+from .navigation import NullFollow, calibrate_epsilon, entry_infidelity, navigate, write_jsonl
 from .objectives import FourierObjective, compress
 from .optimizer import SeedSpec, minimize, polish, sample_seeds
 
@@ -33,19 +34,9 @@ __all__ = ["main"]
 # Experiment defaults follow the documented runs: the two-level model uses
 # gap 2 so that T = 1.4 pi / 2 and T = 1.8 sit above the minimum flip time
 # pi / gap (see the gap-convention note in the README).
-LZ_DEFAULT_GAP = 2.0
-LZ_SCATTER_T = 1.4 * np.pi / 2.0
 DEFAULT_T = 1.8
-
-
-def _default_problem_doc(kind: str) -> dict:
-    if kind == "drive":
-        return {"model": "lz", "delta": LZ_DEFAULT_GAP, "T": LZ_SCATTER_T, "M": 3}
-    if kind == "calibrate":
-        return {"model": "qho", "omega0": 1.0, "omegaT": 1.0, "N0": 0.0, "T": DEFAULT_T, "M": 6}
-    if kind == "compress":
-        return {"model": "qho", "omega0": 1.0, "omegaT": 1.0, "N0": 0.0, "T": DEFAULT_T, "M": 48}
-    return {"model": "lz", "delta": LZ_DEFAULT_GAP, "T": LZ_SCATTER_T, "M": 3}
+_LZ3 = LzProblem(gap=2.0, duration=1.4 * np.pi / 2.0, n_pulses=3)
+_QHO6 = QhoProblem(omega_start=1.0, omega_target=1.0, duration=DEFAULT_T, n_pulses=6)
 
 
 @dataclass(frozen=True)
@@ -66,20 +57,60 @@ class BenchmarkRecord:
         return (self.model, self.m, self.tau_app, self.tau_ext, self.eta)
 
 
-def _count(cfg: dict, key: str, default: int) -> int:
-    """The integer config value `key`, which must be at least 1."""
-    value = int(cfg.get(key, default))
-    if value < 1:
-        raise ValueError(f"{key} must be >= 1")
-    return value
-
-
 def _write_csv(path: Path, seed: int, header: str, rows):
     with path.open("w") as fh:
         fh.write(f"# seed={seed}\n")
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n")
+
+
+# Value kinds: each reads the JSON value of `key`, or raises a ValueError naming it.
+_number = config_number
+_integer = partial(config_number, integer=True)
+
+
+def _positive(key, value):
+    value = _integer(key, value)
+    if value < 1:
+        raise ValueError(f"{key} must be >= 1")
+    return value
+
+
+def _path(key, value):
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _one_of(*names):
+    def read(key, value):
+        if value not in names:
+            raise ValueError(f"{key} must be one of {', '.join(names)}, got {value!r}")
+        return value
+    return read
+
+
+def _list_of(item, length=None):
+    what = "a list" if length is None else f"a list of {length} items"
+
+    def read(key, value):
+        if not isinstance(value, list) or length not in (None, len(value)):
+            raise ValueError(f"{key} must be {what}, got {value!r}")
+        return [item(f"{key}[{i}]", v) for i, v in enumerate(value)]
+    return read
+
+
+def _field(key, doc):
+    if not isinstance(doc, dict):
+        raise ValueError(f"{key} must be a JSON object")
+    return ControlField(values=_list_of(_number)(f"{key}.values", doc.get("values")),
+                        total_time=_number(f"{key}.T", doc.get("T")))
+
+
+def _problem(key, doc):
+    """A problem document; `problem_from_dict` names its own keys."""
+    return problem_from_dict(doc)
 
 
 class UnknownConfigKeys(ValueError):
@@ -91,30 +122,34 @@ class UnknownConfigKeys(ValueError):
         self.keys = keys
 
 
+def _read(table: dict, doc, prefix: str, unknown: list) -> dict:
+    """Every key of `table`, read from the JSON object `doc` or at its default;
+    the keys of `doc` that `table` lacks are added to `unknown`."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{prefix[:-1] or 'a config'} must be a JSON object")
+    unknown += [prefix + k for k in sorted(set(doc) - set(table))]
+    cfg = {}
+    for key, entry in table.items():
+        if isinstance(entry, dict):
+            cfg[key] = _read(entry, doc.get(key, {}), f"{prefix}{key}.", unknown)
+        else:
+            kind, default = entry
+            absent = key not in doc or (doc[key] is None and default is None)
+            cfg[key] = default if absent else kind(prefix + key, doc[key])
+    return cfg
+
+
 def _load_config(path: str, command: str) -> dict:
+    """The config at `path`, read through `command`'s table in `_COMMANDS`."""
     with open(path) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError("a config must be a JSON object")
-    unknown = sorted(set(cfg) - _CONFIG_KEYS[command])
-    rule = cfg.get("classify", {})
-    if command == "spectrum":
-        if not isinstance(rule, dict):
-            raise ValueError("classify must be a JSON object")
-        unknown += [f"classify.{k}" for k in sorted(set(rule) - {"tau_rel"})]
+        doc = json.load(fh)
+    unknown = []
+    cfg = _read(_COMMANDS[command][1], doc, "", unknown)
     if "problem" in cfg:
-        problem = cfg["problem"]
-        if not isinstance(problem, dict):
-            raise ValueError("problem must be a JSON object")
-        model = problem.get("model")
-        schema = MODEL_SCHEMAS.get(model) if isinstance(model, str) else None
-        if schema is None:
-            raise ValueError(f"unknown model {model!r}")
-        missing = [f"problem.{k}" for k in schema.keys
-                   if k not in problem and k not in schema.defaults]
-        if missing:
-            raise ValueError(f"missing config keys: {', '.join(missing)}")
-        unknown += [f"problem.{k}" for k in sorted(set(problem) - {"model", *schema.keys})]
+        known = problem_to_dict(cfg["problem"])
+        unknown += [f"problem.{k}" for k in sorted(set(doc.get("problem", ())) - set(known))]
+        if cfg["bounds"] is None:
+            cfg["bounds"] = seed_bounds(cfg["problem"])
     if unknown:
         raise UnknownConfigKeys(command, unknown)
     return cfg
@@ -153,26 +188,28 @@ def _find_solutions(problem, seed, bounds, count, want=1, pick="best_gap"):
     return found[:want]
 
 
-def _solution_from_config(cfg: dict, problem, seed):
-    """Inline field, archive file, or internal optimization, in that order."""
-    if "solution" in cfg and cfg["solution"] is not None:
-        doc = cfg["solution"]
-        return ControlField(values=np.asarray(doc["values"], float), total_time=float(doc["T"]))
-    if cfg.get("solution_path"):
-        with open(cfg["solution_path"]) as fh:
+def _solution_from_config(cfg: dict, problem):
+    """Inline field, archive file, or internal optimization, in that order.
+
+    A given start whose T or M differs from the problem's is rejected.
+    """
+    start, path = cfg["solution"], cfg["solution_path"]
+    if start is None and path:
+        with open(path) as fh:
             records = [json.loads(line) for line in fh if line.strip()]
         records = [r for r in records if "field" in r and r.get("converged", True)]
         if not records:
-            raise ValueError(f"no converged solutions in {cfg['solution_path']}")
-        idx = int(cfg.get("solution_index", 0))
+            raise ValueError(f"no converged solutions in {path}")
+        idx = cfg["solution_index"]
         if not 0 <= idx < len(records):
-            raise ValueError(f"solution_index {idx} is out of range: {cfg['solution_path']} "
+            raise ValueError(f"solution_index {idx} is out of range: {path} "
                              f"has {len(records)} converged records")
-        doc = records[idx]["field"]
-        return ControlField(values=np.asarray(doc["values"], float), total_time=float(doc["T"]))
-    rep = _find_solutions(problem, seed, cfg.get("bounds", seed_bounds(problem)),
-                          count=int(cfg.get("search_count", 60)))[0]
-    return rep.field
+        start = _field("solution_path field", records[idx]["field"])
+    if start is None:
+        return _find_solutions(problem, cfg["seed"], cfg["bounds"],
+                               count=cfg["search_count"])[0].field
+    _check_field(problem, start)
+    return start
 
 
 # ----------------------------------------------------------------------------
@@ -180,15 +217,9 @@ def _solution_from_config(cfg: dict, problem, seed):
 # ----------------------------------------------------------------------------
 
 def cmd_optimize(cfg: dict, out: Path) -> int:
-    problem = problem_from_dict(cfg.get("problem", _default_problem_doc("optimize")))
-    seed = int(cfg.get("seed", 0))
-    count = _count(cfg, "count", 4000)
-    bounds = tuple(cfg.get("bounds", seed_bounds(problem)))
-    tol = float(cfg.get("tol", 1e-6))
-    max_iter = int(cfg.get("max_iter", 2000))
-    polish_target = cfg.get("polish_target")
-
-    seeds = sample_seeds(SeedSpec(count=count, bounds=bounds, rng_seed=seed), problem)
+    problem, seed, count, tol = cfg["problem"], cfg["seed"], cfg["count"], cfg["tol"]
+    seeds = sample_seeds(SeedSpec(count=count, bounds=tuple(cfg["bounds"]), rng_seed=seed),
+                         problem)
     archive = out / "solutions.jsonl"
     n_conv = 0
     with archive.open("w") as fh:
@@ -196,11 +227,11 @@ def cmd_optimize(cfg: dict, out: Path) -> int:
                                         "count": count, "tol": tol}}, sort_keys=True) + "\n")
         scatter_rows = []
         for k, s in enumerate(seeds):
-            rep = minimize(problem, s, tol=tol, max_iter=max_iter)
-            if rep.converged and polish_target is not None:
+            rep = minimize(problem, s, tol=tol, max_iter=cfg["max_iter"])
+            if rep.converged and cfg["polish_target"] is not None:
                 # polish never raises the cost, so the seed stays below tol even
                 # where it misses its own target
-                rep = replace(polish(problem, rep.field, target=float(polish_target)),
+                rep = replace(polish(problem, rep.field, target=cfg["polish_target"]),
                               converged=True, stop="TOL")
             fh.write(json.dumps({
                 "index": k,
@@ -221,23 +252,15 @@ def cmd_optimize(cfg: dict, out: Path) -> int:
 
 
 def cmd_spectrum(cfg: dict, out: Path) -> int:
-    problem = problem_from_dict(cfg.get("problem", _default_problem_doc("spectrum")))
-    seed = int(cfg.get("seed", 0))
-    solution = _solution_from_config(cfg, problem, seed)
-    start_inf = problem.infidelity_of(solution.values)
-    if not start_inf < ENTRY_THRESHOLD:
-        raise ValueError(f"input infidelity {start_inf:.3e} is not below {ENTRY_THRESHOLD:.1e}")
-
-    mode = cfg.get("hessian", "exact")
-    if mode == "fd":
-        eps = float(cfg.get("epsilon", 1e-2))
-        hess = fd_hessian(chain_stencil_cost(problem), solution.values, FdConfig(eps))
-    elif mode == "exact":
-        hess = hessian_of(problem, solution.values)
+    problem, seed = cfg["problem"], cfg["seed"]
+    solution = _solution_from_config(cfg, problem)
+    entry_infidelity(problem, solution.values)
+    if cfg["hessian"] == "fd":
+        hess = fd_hessian(chain_stencil_cost(problem), solution.values, FdConfig(cfg["epsilon"]))
     else:
-        raise ValueError(f"unknown hessian mode {mode!r}")
+        hess = hessian_of(problem, solution.values)
     spec = eig_sym(hess)
-    is_null = classify_null(spec, tau_rel=cfg.get("classify", {}).get("tau_rel", 1e-6))
+    is_null = classify_null(spec, tau_rel=cfg["classify"]["tau_rel"])
     lam_max = np.abs(spec.eigenvalues).max()
     rows = [(i, float(spec.eigenvalues[i]),
              float(abs(spec.eigenvalues[i]) / lam_max) if lam_max else 0.0,
@@ -250,14 +273,10 @@ def cmd_spectrum(cfg: dict, out: Path) -> int:
 
 
 def cmd_fd_error(cfg: dict, out: Path) -> int:
-    problem = problem_from_dict(cfg.get("problem",
-                                        {"model": "lz", "delta": LZ_DEFAULT_GAP,
-                                         "T": DEFAULT_T, "M": 6}))
-    seed = int(cfg.get("seed", 0))
-    n_solutions = _count(cfg, "n_solutions", 100)
-    grid = [float(e) for e in cfg.get("eps_grid", np.logspace(-8, -0.5, 16).tolist())]
-    sols = _find_solutions(problem, seed, cfg.get("bounds", seed_bounds(problem)),
-                           count=max(2 * n_solutions, 40), want=n_solutions, pick="order")
+    problem, seed, n_solutions, grid = (cfg[k] for k in ("problem", "seed", "n_solutions",
+                                                         "eps_grid"))
+    sols = _find_solutions(problem, seed, cfg["bounds"], count=max(2 * n_solutions, 40),
+                           want=n_solutions, pick="order")
     stencil = chain_stencil_cost(problem)
     for k, rep in enumerate(sols):
         vals = rep.field.values
@@ -278,12 +297,8 @@ def cmd_fd_error(cfg: dict, out: Path) -> int:
 
 
 def cmd_drive(cfg: dict, out: Path) -> int:
-    problem = problem_from_dict(cfg.get("problem", _default_problem_doc("drive")))
-    seed = int(cfg.get("seed", 0))
-    eps = float(cfg.get("epsilon", 1e-2))
-    h = float(cfg.get("h", 0.01))
-    steps = int(cfg.get("steps", 10000))
-    start = _solution_from_config(cfg, problem, seed)
+    problem, seed, eps, h, steps = (cfg[k] for k in ("problem", "seed", "epsilon", "h", "steps"))
+    start = _solution_from_config(cfg, problem)
 
     path = out / "trajectory.jsonl"
     header = {"seed": seed, "problem": problem_to_dict(problem), "epsilon": eps,
@@ -303,42 +318,30 @@ def cmd_drive(cfg: dict, out: Path) -> int:
 
 
 def cmd_calibrate(cfg: dict, out: Path) -> int:
-    problem = problem_from_dict(cfg.get("problem", _default_problem_doc("calibrate")))
-    seed = int(cfg.get("seed", 0))
-    steps = int(cfg.get("steps", 1000))
-    h = float(cfg.get("h", 0.1))
-    n_directions = _count(cfg, "n_directions", 2)
-    grid = [float(e) for e in cfg.get("eps_grid", np.logspace(-10, -0.5, 12).tolist())]
-    solution = _solution_from_config(cfg, problem, seed)
+    problem, seed, n_directions, grid = (cfg[k] for k in ("problem", "seed", "n_directions",
+                                                          "eps_grid"))
+    solution = _solution_from_config(cfg, problem)
     rng = np.random.default_rng(seed)
     for d in range(n_directions):
         direction = rng.normal(size=problem.n_pulses)
         direction /= np.linalg.norm(direction)
-        rows = calibrate_epsilon(problem, solution, direction, grid, steps=steps, h=h)
+        rows = calibrate_epsilon(problem, solution, direction, grid, steps=cfg["steps"],
+                                 h=cfg["h"])
         _write_csv(out / f"calibration_dir{d}.csv", seed, "epsilon,final_infidelity", rows)
     print(f"calibrate: {n_directions} directions x {len(grid)} epsilons -> {out}")
     return 0
 
 
 def cmd_compress(cfg: dict, out: Path) -> int:
-    problem = problem_from_dict(cfg.get("problem", _default_problem_doc("compress")))
-    seed = int(cfg.get("seed", 0))
-    kept_raw = cfg.get("kept", [1, 2])
-    spec = FrequencySpec.closure(kept_raw, problem.n_pulses)
-    modes = cfg.get("modes", ["exact", "fd"])
-    for mode in modes:
-        if mode not in ("exact", "fd"):
-            raise ValueError(f"unknown compress mode {mode!r}")
-    eps = float(cfg.get("epsilon", 1e-2))
-    h = float(cfg.get("h", 0.005))
-    steps = int(cfg.get("steps", 800))
-    n_starts = _count(cfg, "n_starts", 1)
-    stride = max(1, int(cfg.get("protocol_stride", max(1, steps // 20))))
-    print(f"compress: requested frequencies {list(kept_raw)} closed to {sorted(spec.kept)}")
+    problem, seed, kept, modes, eps, h, steps = (
+        cfg[k] for k in ("problem", "seed", "kept", "modes", "epsilon", "h", "steps"))
+    spec = FrequencySpec.closure(kept, problem.n_pulses)
+    stride = max(1, steps // 20 if cfg["protocol_stride"] is None else cfg["protocol_stride"])
+    print(f"compress: requested frequencies {kept} closed to {sorted(spec.kept)}")
 
-    starts = [r.field for r in _find_solutions(
-        problem, seed, cfg.get("bounds", seed_bounds(problem)),
-        count=int(cfg.get("search_count", 40)), want=n_starts, pick="order")]
+    starts = [r.field for r in _find_solutions(problem, seed, cfg["bounds"],
+                                               count=cfg["search_count"],
+                                               want=cfg["n_starts"], pick="order")]
     objective = FourierObjective(spec)
     dt = problem.dt
     failed = False
@@ -351,7 +354,7 @@ def cmd_compress(cfg: dict, out: Path) -> int:
             results[mode] = traj
             failed = failed or traj.failed
             header = {"seed": seed, "problem": problem_to_dict(problem), "mode": mode,
-                      "kept_requested": list(kept_raw), "kept_closed": sorted(spec.kept),
+                      "kept_requested": kept, "kept_closed": sorted(spec.kept),
                       "epsilon": eps if mode == "fd" else None, "h": h, "steps": steps}
             with (out / f"compress_s{k}_{mode}.jsonl").open("w") as fh:
                 write_jsonl(traj, fh, header=header)
@@ -374,13 +377,7 @@ def cmd_compress(cfg: dict, out: Path) -> int:
 
 
 def cmd_benchmark(cfg: dict, out: Path) -> int:
-    seed = int(cfg.get("seed", 0))
-    m_grid = [int(m) for m in cfg.get("m_grid", [3, 6, 12, 24, 48])]
-    models = cfg.get("models", ["lz", "qho"])
-    n_fields = _count(cfg, "fields_per_m", 100)
-    eps = float(cfg.get("epsilon", 1e-2))
-    min_time = float(cfg.get("min_time", 2e-3))
-    duration = float(cfg.get("T", DEFAULT_T))
+    seed, n_fields, min_time = cfg["seed"], cfg["fields_per_m"], cfg["min_time"]
     rng = np.random.default_rng(seed)
 
     def measure(fn):
@@ -397,15 +394,12 @@ def cmd_benchmark(cfg: dict, out: Path) -> int:
         return elapsed
 
     rows = []
-    for name in models:
-        for m in m_grid:
-            doc = {"model": name, "T": duration, "M": m}
-            if name == "lz":
-                doc["delta"] = LZ_DEFAULT_GAP
-            problem = problem_from_dict(doc)
+    for name in cfg["models"]:
+        for m in cfg["m_grid"]:
+            problem = replace(_LZ3 if name == "lz" else _QHO6, duration=cfg["T"], n_pulses=m)
             lo, hi = seed_bounds(problem)
             stencil = chain_stencil_cost(problem)
-            config = FdConfig(eps)
+            config = FdConfig(cfg["epsilon"])
             quotients, t_apps, t_exts = [], [], []
             for _ in range(n_fields):
                 vals = rng.uniform(lo, hi, m)
@@ -424,27 +418,44 @@ def cmd_benchmark(cfg: dict, out: Path) -> int:
     return 0
 
 
+# Every subcommand and its config keys: key -> (kind, default), or a nested
+# table for a JSON object.  A key whose default is None may be absent or null;
+# "bounds" then takes the problem's seed range.
+_BOUNDS = {"bounds": (_list_of(_number, 2), None)}
+_START = {"solution": (_field, None), "solution_path": (_path, None),
+          "solution_index": (_integer, 0), "search_count": (_positive, 60), **_BOUNDS}
 _COMMANDS = {
-    "optimize": cmd_optimize,
-    "spectrum": cmd_spectrum,
-    "fd-error": cmd_fd_error,
-    "drive": cmd_drive,
-    "calibrate": cmd_calibrate,
-    "compress": cmd_compress,
-    "benchmark": cmd_benchmark,
-}
-
-# every config key each subcommand reads; anything else is rejected at entry
-_SOLUTION_KEYS = {"solution", "solution_path", "solution_index", "bounds", "search_count"}
-_CONFIG_KEYS = {
-    "optimize": {"problem", "seed", "count", "bounds", "tol", "max_iter", "polish_target"},
-    "spectrum": {"problem", "seed", "hessian", "epsilon", "classify"} | _SOLUTION_KEYS,
-    "fd-error": {"problem", "seed", "n_solutions", "eps_grid", "bounds"},
-    "drive": {"problem", "seed", "epsilon", "h", "steps"} | _SOLUTION_KEYS,
-    "calibrate": {"problem", "seed", "steps", "h", "n_directions", "eps_grid"} | _SOLUTION_KEYS,
-    "compress": {"problem", "seed", "kept", "modes", "epsilon", "h", "steps", "n_starts",
-                 "protocol_stride", "bounds", "search_count"},
-    "benchmark": {"seed", "m_grid", "models", "fields_per_m", "epsilon", "min_time", "T"},
+    "optimize": (cmd_optimize, {
+        "problem": (_problem, _LZ3), "seed": (_integer, 0), "count": (_positive, 4000),
+        "tol": (_number, 1e-6), "max_iter": (_integer, 2000), "polish_target": (_number, None),
+        **_BOUNDS}),
+    "spectrum": (cmd_spectrum, {
+        "problem": (_problem, _LZ3), "seed": (_integer, 0),
+        "hessian": (_one_of("exact", "fd"), "exact"), "epsilon": (_number, 1e-2),
+        "classify": {"tau_rel": (_number, 1e-6)}, **_START}),
+    "fd-error": (cmd_fd_error, {
+        "problem": (_problem, replace(_LZ3, duration=DEFAULT_T, n_pulses=6)),
+        "seed": (_integer, 0), "n_solutions": (_positive, 100),
+        "eps_grid": (_list_of(_number), np.logspace(-8, -0.5, 16).tolist()), **_BOUNDS}),
+    "drive": (cmd_drive, {
+        "problem": (_problem, _LZ3), "seed": (_integer, 0), "epsilon": (_number, 1e-2),
+        "h": (_number, 0.01), "steps": (_integer, 10000), **_START}),
+    "calibrate": (cmd_calibrate, {
+        "problem": (_problem, _QHO6), "seed": (_integer, 0), "steps": (_integer, 1000),
+        "h": (_number, 0.1), "n_directions": (_positive, 2),
+        "eps_grid": (_list_of(_number), np.logspace(-10, -0.5, 12).tolist()), **_START}),
+    "compress": (cmd_compress, {
+        "problem": (_problem, replace(_QHO6, n_pulses=48)), "seed": (_integer, 0),
+        "kept": (_list_of(_integer), [1, 2]),
+        "modes": (_list_of(_one_of("exact", "fd")), ["exact", "fd"]),
+        "epsilon": (_number, 1e-2), "h": (_number, 0.005), "steps": (_integer, 800),
+        "n_starts": (_positive, 1), "protocol_stride": (_integer, None),
+        "search_count": (_positive, 40), **_BOUNDS}),
+    "benchmark": (cmd_benchmark, {
+        "seed": (_integer, 0), "m_grid": (_list_of(_integer), [3, 6, 12, 24, 48]),
+        "models": (_list_of(_one_of("lz", "qho")), ["lz", "qho"]),
+        "fields_per_m": (_positive, 100), "epsilon": (_number, 1e-2),
+        "min_time": (_number, 2e-3), "T": (_number, DEFAULT_T)}),
 }
 
 
@@ -458,10 +469,10 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=".", help="output directory (created if missing)")
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args.config, args.command)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out)
+        cfg = _load_config(args.config, args.command)
+        return _COMMANDS[args.command][0](cfg, out)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports all failures
         record = {"error": type(exc).__name__, "message": str(exc), "command": args.command}
         if isinstance(exc, UnknownConfigKeys):

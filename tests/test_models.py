@@ -738,6 +738,15 @@ class TestPairKernel:
         with pytest.raises(PrefixGrowth, match="grow"):
             fd_hessian(chain_stencil_cost(problem), values, FdConfig(1e-3))
 
+    def test_overflowing_factor_raises_non_finite_cost(self):
+        # an amplitude of 1e300 makes its factor NaN, and a NaN growth is not
+        # above the limit: the kernel must raise rather than return NaN
+        problem = QhoProblem(omega_start=1.0, omega_target=1.0, duration=1.8, n_pulses=6)
+        values = np.ones(6)
+        values[2] = 1e300
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteCost):
+            hessian_of(problem, values)
+
 
 class TestInvariants:
     def test_time_slicing_refinement(self):
@@ -790,7 +799,7 @@ class TestSerialization:
         assert (qho.omega_start, qho.omega_target, qho.n_initial) == (1.0, 1.0, 0.0)
         assert seed_bounds(qho) == (0.1, 3.0)
         assert seed_bounds(LzProblem(gap=2.0, duration=1.8, n_pulses=3)) == (-5.0, 5.0)
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="problem.delta"):
             problem_from_dict({"model": "lz", "T": 1.8, "M": 3})
 
     def test_unknown_model_rejected(self):

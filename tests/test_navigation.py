@@ -257,8 +257,8 @@ class TestNavigate:
 
     @pytest.mark.parametrize("mode", ["exact", FdConfig(1e-2)])
     def test_overflowing_stage_point_failure_code(self, qho_solution, mode):
-        # the first stage point's factors overflow: the exact Hessian comes back
-        # all NaN (NaN passes the growth guard), the stencil non-finite
+        # the first stage point's factors overflow: the chain kernel raises on
+        # their NaN growth, and the stencil costs are non-finite
         problem, field = qho_solution
         a = np.ones(6)
         a[0] = 1e300
