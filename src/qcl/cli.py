@@ -23,8 +23,8 @@ import numpy as np
 
 from .control import ControlField, FrequencySpec
 from .landscape import FdConfig, classify_null, eig_sym, eigvec_error, fd_hessian
-from .models import (LzProblem, QhoProblem, _check_field, chain_stencil_cost, config_number,
-                     hessian_of, problem_from_dict, problem_to_dict, seed_bounds)
+from .models import (LzProblem, QhoProblem, chain_stencil_cost, config_number, hessian_of,
+                     problem_from_dict, problem_to_dict, seed_bounds)
 from .navigation import NullFollow, calibrate_epsilon, entry_infidelity, navigate, write_jsonl
 from .objectives import FourierObjective, compress
 from .optimizer import SeedSpec, minimize, polish, sample_seeds
@@ -70,11 +70,14 @@ _number = config_number
 _integer = partial(config_number, integer=True)
 
 
-def _positive(key, value):
-    value = _integer(key, value)
-    if value < 1:
-        raise ValueError(f"{key} must be >= 1")
+def _positive(key, value, integer=True):
+    value = config_number(key, value, integer)
+    if not value > 0:
+        raise ValueError(f"{key} must be {'>= 1' if integer else 'positive'}")
     return value
+
+
+_positive_number = partial(_positive, integer=False)
 
 
 def _path(key, value):
@@ -191,7 +194,7 @@ def _find_solutions(problem, seed, bounds, count, want=1, pick="best_gap"):
 def _solution_from_config(cfg: dict, problem):
     """Inline field, archive file, or internal optimization, in that order.
 
-    A given start whose T or M differs from the problem's is rejected.
+    A given start whose T or M differs from the problem's fails `entry_infidelity`.
     """
     start, path = cfg["solution"], cfg["solution_path"]
     if start is None and path:
@@ -208,7 +211,6 @@ def _solution_from_config(cfg: dict, problem):
     if start is None:
         return _find_solutions(problem, cfg["seed"], cfg["bounds"],
                                count=cfg["search_count"])[0].field
-    _check_field(problem, start)
     return start
 
 
@@ -254,7 +256,7 @@ def cmd_optimize(cfg: dict, out: Path) -> int:
 def cmd_spectrum(cfg: dict, out: Path) -> int:
     problem, seed = cfg["problem"], cfg["seed"]
     solution = _solution_from_config(cfg, problem)
-    entry_infidelity(problem, solution.values)
+    entry_infidelity(problem, solution)
     if cfg["hessian"] == "fd":
         hess = fd_hessian(chain_stencil_cost(problem), solution.values, FdConfig(cfg["epsilon"]))
     else:
@@ -427,7 +429,8 @@ _START = {"solution": (_field, None), "solution_path": (_path, None),
 _COMMANDS = {
     "optimize": (cmd_optimize, {
         "problem": (_problem, _LZ3), "seed": (_integer, 0), "count": (_positive, 4000),
-        "tol": (_number, 1e-6), "max_iter": (_integer, 2000), "polish_target": (_number, None),
+        "tol": (_positive_number, 1e-6), "max_iter": (_positive, 2000),
+        "polish_target": (_positive_number, None),
         **_BOUNDS}),
     "spectrum": (cmd_spectrum, {
         "problem": (_problem, _LZ3), "seed": (_integer, 0),

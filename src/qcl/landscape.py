@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .models import NonFiniteCost, _on_or_below_diagonal
+from .models import NonFiniteCost, _symmetric
 
 __all__ = [
     "FdConfig",
@@ -62,8 +62,9 @@ class HessianSpectrum:
 
 
 def pointwise_stencil(cost):
-    """Stencil evaluator with the `models.chain_stencil_cost` signature that
-    calls `cost` once per point: the way a black-box cost enters `fd_hessian`."""
+    """Stencil evaluator with the `models.chain_stencil_cost` signature and
+    output that calls `cost` once per point, looping over the pairs i < j
+    itself: the way a black-box cost enters `fd_hessian`."""
 
     def evaluate(point, singles_idx, singles_val, pairs_val):
         def at(idx, val):
@@ -73,12 +74,9 @@ def pointwise_stencil(cost):
 
         singles = np.array([at(i, v) for i, v in zip(singles_idx, singles_val)], dtype=float)
         m, k = np.shape(pairs_val)
-        pairs = np.full((m, k, m, k), np.nan)
-        for i, j in zip(*np.triu_indices(m, 1)):
-            for s, vi in enumerate(pairs_val[i]):
-                for t, vj in enumerate(pairs_val[j]):
-                    pairs[i, s, j, t] = at([i, j], [vi, vj])
-        return float(cost(point)), singles, pairs
+        pairs = [at([i, j], [vi, vj]) for i, j in zip(*np.triu_indices(m, 1))
+                 for vi in pairs_val[i] for vj in pairs_val[j]]
+        return float(cost(point)), singles, np.array(pairs, dtype=float).reshape(-1, k, k)
 
     return evaluate
 
@@ -105,29 +103,25 @@ def fd_hessian(stencil, point, config: FdConfig) -> np.ndarray:
     point : 1-D array, expansion point.
     config : FdConfig with the step epsilon.
 
-    Raises NonFiniteCost if any stencil cost it reads (the centre, the
-    singles and the pairs i < j) is NaN or infinite, or an entry overflows.
+    `models._symmetric` assembles the packed pair differences and the
+    diagonal, as in `hessian_of`.  Raises NonFiniteCost if any stencil cost
+    is NaN or infinite, or an entry overflows.
     """
     point = np.asarray(point, dtype=float)
     eps = config.epsilon
-    m = point.size
     inv = 1.0 / (4.0 * eps * eps)
 
-    s_idx = _singles_index(m)
+    s_idx = _singles_index(point.size)
     s_val = (point[:, None] + np.array([2.0 * eps, -2.0 * eps])).ravel()
     p_val = point[:, None] + np.array([eps, -eps])
     center, singles, pairs = stencil(point, s_idx, s_val, p_val)
-    # pairs[i, s, j, t] holds the costs at (w_i + (-1)^s eps, w_j + (-1)^t eps), i < j
-    h = pairs[:, 0, :, 0] - pairs[:, 0, :, 1] - pairs[:, 1, :, 0] + pairs[:, 1, :, 1]
-    h[_on_or_below_diagonal(m)] = 0.0
-    h *= inv
+    # pairs[p, s, t] holds the cost at (w_i + (-1)^s eps, w_j + (-1)^t eps) of pair p
+    upper = (pairs[:, 0, 0] - pairs[:, 0, 1] - pairs[:, 1, 0] + pairs[:, 1, 1]) * inv
     # every single and the centre enter a diagonal term
     diag = (singles[0::2] - 2.0 * center + singles[1::2]) * inv
-    if not (np.isfinite(h).all() and np.isfinite(diag).all()):
+    if not (np.isfinite(upper).all() and np.isfinite(diag).all()):
         raise NonFiniteCost("non-finite cost at a stencil point")
-    h += h.T
-    h.flat[::m + 1] = diag
-    return h
+    return _symmetric(upper, diag)
 
 
 def _symmetrised(matrix) -> np.ndarray:

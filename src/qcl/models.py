@@ -90,42 +90,39 @@ _EYE4.flags.writeable = _ADJ_SIGNS.flags.writeable = False
 
 
 @lru_cache(maxsize=16)
-def _on_or_below_diagonal(m: int) -> np.ndarray:
-    """The read-only (m, m) mask i >= j of entries that are not pair terms i < j."""
-    mask = np.tri(m, dtype=bool)
-    mask.flags.writeable = False
-    return mask
-
-
-@lru_cache(maxsize=16)
-def _non_pair_slots(m: int, k: int) -> np.ndarray:
-    """Read-only flat indices of the entries i >= j of an (m, k, m, k) pairs array."""
-    mask = np.broadcast_to(_on_or_below_diagonal(m)[:, None, :, None], (m, k, m, k))
-    slots = np.flatnonzero(mask)
+def _pair_slots(m: int, k: int) -> np.ndarray:
+    """Read-only flat indices of the i < j blocks of an (mk, mk) array: entry
+    (p k + s) k + t is row i k + s, column j k + t of the p-th pair (i, j) of
+    `np.triu_indices(m, 1)`, the order of every packed (P, k, k) pairs array."""
+    i, j = np.triu_indices(m, 1)
+    rows = i[:, None, None] * k + np.arange(k)[:, None]
+    slots = (rows * (m * k) + j[:, None, None] * k + np.arange(k)).ravel()
     slots.flags.writeable = False
     return slots
 
 
 @lru_cache(maxsize=16)
 def _pair_layout(m: int, k: int) -> tuple:
-    """Read-only flat indices that lay out the pair points i < j of an (m, k) pairs_val.
+    """Read-only (dest, src) with block.flat[dest] = pairs_val.flat[src]: they
+    write w_i = pairs_val[i, s] and w_j = pairs_val[j, t] into row r of a
+    (P k^2, m) block of points, for the pair entry `_pair_slots(m, k)[r]`."""
+    first, second = np.divmod(_pair_slots(m, k), m * k)
+    row = np.arange(first.size) * m
+    dest = np.concatenate((row + first // k, row + second // k))
+    src = np.concatenate((first, second))
+    dest.flags.writeable = src.flags.writeable = False
+    return dest, src
 
-    Row (p k + s) k + t of a (P, m) block of points is the point with
-    w_i = pairs_val[i, s] and w_j = pairs_val[j, t], for the p-th pair (i, j)
-    in row-major order.  Returns (dest, src, slots): block.flat[dest] =
-    pairs_val.flat[src] writes the two perturbed entries of every row, and
-    row r's cost belongs at pairs.flat[slots[r]] of the (m, k, m, k) output.
-    """
-    i, j = np.triu_indices(m, 1)
-    i, s, j, t = np.broadcast_arrays(i[:, None, None], np.arange(k)[:, None],
-                                     j[:, None, None], np.arange(k))
-    row = np.arange(i.size).reshape(i.shape)
-    dest = np.concatenate(((row * m + i).ravel(), (row * m + j).ravel()))
-    src = np.concatenate(((i * k + s).ravel(), (j * k + t).ravel()))
-    slots = (((i * k + s) * m + j) * k + t).ravel()
-    for a in (dest, src, slots):
-        a.flags.writeable = False
-    return dest, src, slots
+
+def _symmetric(upper, diag) -> np.ndarray:
+    """The symmetric (m, m) matrix with diagonal `diag` and, above it, the
+    entries `upper` in `np.triu_indices(m, 1)` order."""
+    m = diag.size
+    out = np.zeros((m, m), dtype=upper.dtype)
+    out.reshape(-1)[_pair_slots(m, 1)] = upper
+    out += out.T
+    out.flat[::m + 1] = diag
+    return out
 
 
 def _factor_tables(w, dt, order):
@@ -473,8 +470,8 @@ def _insertion_terms(chain, D):
     R_is = adj(P_{i+1}) D[i, s] kets[i] and L_jt = bras[j] D[j, t] P_j, at row
     i k + s resp. j k + t.  For i < j the pair term
     bras[j] . D[j, t] . A_{j-1} ... A_{i+1} . D[i, s] . kets[i] is R_is . L_jt,
-    so one (Mk x 2) @ (2 x Mk) product R @ L.T holds all of them (entries
-    with i >= j are not pair terms).
+    so one (Mk x 2) @ (2 x Mk) product R @ L.T holds all of them, at the
+    entries `_pair_slots(M, k)` (the others are not pair terms).
     """
     _, kets, bras, P, adj = chain
     m, k = D.shape[:2]
@@ -490,16 +487,14 @@ def _direct_stencil(problem, point, singles_idx, singles_val, pairs_val):
     over the stack [center; singles; pairs i < j]."""
     m, k = pairs_val.shape
     q = singles_idx.size
-    dest, src, slots = _pair_layout(m, k)
-    points = np.empty((1 + q + slots.size, m))
+    dest, src = _pair_layout(m, k)
+    points = np.empty((1 + q + dest.size // 2, m))
     points[:] = point
     points[np.arange(1, 1 + q), singles_idx] = singles_val
     points[1 + q:].reshape(-1)[dest] = pairs_val.reshape(-1)[src]
     ket, bra = problem._cost_boundary()
     costs = np.array(_stacked_sweep(problem._interval_stacks(points, 0)[0], ket, bra)[2])
-    pairs = np.full((m, k, m, k), np.nan)
-    pairs.reshape(-1)[slots] = costs[1 + q:]
-    return float(costs[0]), costs[1:1 + q], pairs
+    return float(costs[0]), costs[1:1 + q], costs[1 + q:].reshape(-1, k, k)
 
 
 def chain_stencil_cost(problem):
@@ -509,8 +504,9 @@ def chain_stencil_cost(problem):
         evaluate(point, singles_idx, singles_val, pairs_val)
     giving (center_cost, singles, pairs).  singles[q] is the cost with
     coordinate singles_idx[q] set to singles_val[q].  `pairs_val` has shape
-    (M, k), and pairs[i, s, j, t] is the cost with w_i = pairs_val[i, s] and
-    w_j = pairs_val[j, t] for i < j; entries with i >= j are NaN.
+    (M, k), and pairs has shape (P, k, k), P = M (M - 1) / 2: pairs[p, s, t]
+    is the cost with w_i = pairs_val[i, s] and w_j = pairs_val[j, t] for the
+    p-th pair i < j of `np.triu_indices(M, 1)`.
 
     Up to M = `_DIRECT_STENCIL_MAX_M` every point is evaluated directly: the
     1 + len(singles_val) + k^2 M (M - 1) / 2 points (2M^2 + 1 for the
@@ -523,7 +519,8 @@ def chain_stencil_cost(problem):
     four-point stencil) and runs a few batched products, not a chain pass per
     point.  The real and imaginary parts of every pair's sum come from one
     stacked real (2, Mk, 6) @ (2, 6, Mk) product, whose two extra columns
-    carry z + a_is and a_jt.  Those costs equal direct evaluations up to
+    carry z + a_is and a_jt, and the pairs are gathered from its two planes
+    through `_pair_slots`.  Those costs equal direct evaluations up to
     rounding, and a chain whose prefix products grow too large raises
     `PrefixGrowth`.
     """
@@ -568,11 +565,10 @@ def chain_stencil_cost(problem):
         cols[1, :4] = (1j * conj_L).view(float).T
         cols[:, 4] = 1.0
         cols[:, 5] = a.view(float).reshape(n, 2).T
-        planes = rows @ cols
+        planes = (rows @ cols).reshape(2, -1).take(_pair_slots(m, k), axis=1)
         np.square(planes, out=planes)
         pairs = planes[0] + planes[1]
-        pairs.reshape(-1)[_non_pair_slots(m, k)] = np.nan
-        return float(z.real ** 2 + z.imag ** 2), singles, pairs.reshape(m, k, m, k)
+        return float(z.real ** 2 + z.imag ** 2), singles, pairs.reshape(-1, k, k)
 
     return evaluate
 
@@ -643,9 +639,8 @@ def hessian_of(problem, values) -> np.ndarray:
     z, kets, bras = chain[:3]
     zg, R, L = _insertion_terms(chain, A1[:, None])
     zg = zg[:, 0]
-    zh = np.where(_on_or_below_diagonal(A.shape[0]), 0.0, R @ L.T)
-    zh = zh + zh.T
-    zh[np.diag_indices(A.shape[0])] = np.einsum("ja,jab,jb->j", bras, A2, kets)
+    zh = _symmetric((R @ L.T).take(_pair_slots(A.shape[0], 1)),
+                    np.einsum("ja,jab,jb->j", bras, A2, kets))
     return 2.0 * (np.real(np.conj(z) * zh) + np.real(np.outer(np.conj(zg), zg)))
 
 

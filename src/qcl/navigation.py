@@ -21,7 +21,7 @@ import numpy as np
 
 from .control import ControlField
 from .landscape import FdConfig, HessianSpectrum, NonFiniteCost, fd_hessian, rank2_ritz
-from .models import PrefixGrowth, chain_stencil_cost, hessian_of
+from .models import PrefixGrowth, _check_field, chain_stencil_cost, hessian_of
 
 __all__ = [
     "ENTRY_THRESHOLD",
@@ -142,9 +142,11 @@ RANK_COLLAPSE_RATIO = 0.1
 ENTRY_THRESHOLD = 1e-6
 
 
-def entry_infidelity(problem, values) -> float:
-    """The infidelity at `values`, which must lie below `ENTRY_THRESHOLD`."""
-    infidelity = problem.infidelity_of(values)
+def entry_infidelity(problem, start: ControlField) -> float:
+    """The infidelity of `start`, which must lie below `ENTRY_THRESHOLD`; a
+    start whose duration or length is not the problem's raises too."""
+    _check_field(problem, start)
+    infidelity = problem.infidelity_of(start.values)
     if not infidelity < ENTRY_THRESHOLD:
         raise ValueError(f"starting infidelity {infidelity:.3e} is not below the entry "
                          f"threshold {ENTRY_THRESHOLD:.1e}")
@@ -218,7 +220,7 @@ def navigate(problem, start: ControlField, provider, h: float, steps: int,
     CEILING, and one whose Hessian the chain kernel refuses
     (`models.PrefixGrowth`) with GROWTH, and one whose Hessian has
     |lambda_3 / lambda_2| above `RANK_COLLAPSE_RATIO` with RANK_COLLAPSE;
-    any other error propagates.  A start at or above `ENTRY_THRESHOLD` raises.
+    any other error propagates.  A start that fails `entry_infidelity` raises.
     """
     if null_rank != 2:
         raise ValueError(f"null_rank must be 2 (the rank of the Hessian at a "
@@ -231,7 +233,7 @@ def navigate(problem, start: ControlField, provider, h: float, steps: int,
     if not (fd or hessian_mode == "exact"):
         raise ValueError(f"unknown hessian_mode {hessian_mode!r}")
 
-    start_inf = entry_infidelity(problem, start.values)
+    start_inf = entry_infidelity(problem, start)
 
     stencil = chain_stencil_cost(problem) if fd else None
 
@@ -299,7 +301,7 @@ def calibrate_epsilon(problem, solution, direction, eps_grid, steps: int = 1000,
     (epsilon, final_infidelity) pairs.
     """
     provider = FixedVector(direction)
-    entry_infidelity(problem, solution.values)
+    entry_infidelity(problem, solution)
     rows = []
     for eps in eps_grid:
         traj = navigate(problem, solution, provider, h=h, steps=steps,

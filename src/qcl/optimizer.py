@@ -149,8 +149,12 @@ def minimize(problem, seed: ControlField, tol: float = 1e-6,
     gradient line search, whose warm-started step it leaves alone, if none
     is acceptable.  A non-finite cost ends this report as unconverged
     (NONFINITE) instead of raising, so a batch of seeds survives individual
-    failures.
+    failures.  A negative or non-finite `tol`, or a negative `max_iter`, raises.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter!r}")
     values = seed.values.copy()
     chain, row = ChainBatch(problem, values[None]), 0
     cost = chain.costs[0]

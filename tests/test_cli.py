@@ -336,6 +336,20 @@ class TestErrorRecords:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ValueError" and key in err["message"]
 
+    @pytest.mark.parametrize("key,value", [
+        ("tol", -1), ("tol", 0), ("max_iter", -3), ("max_iter", 0), ("polish_target", -1e-16),
+    ])
+    def test_out_of_range_descent_setting_rejected(self, tmp_path, capsys, key, value):
+        # a negative tol converges no seed and a negative max_iter runs none:
+        # each must fail at load, not exit 0 with an archive of misses
+        cfg = write_config(tmp_path / "cfg.json", {"problem": LZ3, "count": 2, key: value})
+        with pytest.raises(ValueError, match=key):
+            _load_config(cfg, "optimize")
+        assert main(["optimize", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError" and key in err["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
 
 class TestConfigKeys:
     # "step" for "steps" would otherwise run the default 10000 steps

@@ -56,18 +56,18 @@ class TestFdHessian:
 
     @staticmethod
     def stub_stencil(m, bad=None, where=None):
-        """A stencil evaluator with random finite costs, NaN on i >= j, and
-        `bad` in the centre, in single 3 or in pair (1, 0, 2, 1)."""
+        """A stencil evaluator with random finite costs, its pairs packed as
+        (P, 2, 2), and `bad` in the centre, in single 3 or in the cost
+        (s, t) = (0, 1) of the pair (1, 2)."""
         rng = np.random.default_rng(34)
         center, singles = rng.random(), rng.random(2 * m)
-        pairs = rng.random((m, 2, m, 2))
-        pairs[np.broadcast_to(np.tri(m, dtype=bool)[:, None, :, None], pairs.shape)] = np.nan
+        pairs = rng.random((m * (m - 1) // 2, 2, 2))
         if where == "center":
             center = bad
         elif where == "single":
             singles[3] = bad
         elif where == "pair":
-            pairs[1, 0, 2, 1] = bad
+            pairs[m - 1, 0, 1] = bad   # after the pairs (0, 1) ... (0, m - 1)
         return lambda point, s_idx, s_val, p_val: (center, singles, pairs)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -77,18 +77,20 @@ class TestFdHessian:
         with pytest.raises(NonFiniteCost):
             fd_hessian(stencil, np.zeros(4), FdConfig(0.1))
 
-    def test_nan_on_and_below_the_diagonal_is_not_read(self):
+    def test_packed_pairs_assemble_as_an_explicit_loop(self):
         m, eps = 4, 0.1
         stencil = self.stub_stencil(m)
         center, singles, pairs = stencil(None, None, None, None)
         h = fd_hessian(stencil, np.zeros(m), FdConfig(eps))
         inv = 1.0 / (4.0 * eps * eps)
         want = np.zeros((m, m))
+        p = 0
         for i in range(m):
             want[i, i] = (singles[2 * i] - 2.0 * center + singles[2 * i + 1]) * inv
             for j in range(i + 1, m):
-                p = pairs[i, :, j, :]
-                want[i, j] = want[j, i] = (p[0, 0] - p[0, 1] - p[1, 0] + p[1, 1]) * inv
+                c = pairs[p]
+                want[i, j] = want[j, i] = (c[0, 0] - c[0, 1] - c[1, 0] + c[1, 1]) * inv
+                p += 1
         assert np.array_equal(h, want)
 
     def test_fd_agreement_window(self):

@@ -2,7 +2,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcl.control import ControlField
@@ -525,19 +525,40 @@ class TestStencilEvaluator:
             q = point.copy()
             q[s_idx[k]] = s_val[k]
             assert singles[k] == pytest.approx(problem.infidelity_of(q), abs=1e-12)
-        assert pairs.shape == (m, 2, m, 2)
-        for i in range(m):
-            for j in range(m):
-                for s in range(2):
-                    for t in range(2):
-                        if i >= j:
-                            assert np.isnan(pairs[i, s, j, t])
-                            continue
-                        q = point.copy()
-                        q[i] = p_val[i, s]
-                        q[j] = p_val[j, t]
-                        assert pairs[i, s, j, t] == pytest.approx(problem.infidelity_of(q),
-                                                                  abs=1e-12)
+        # packed in np.triu_indices order: pair p is (i, j) with i < j
+        assert pairs.shape == (m * (m - 1) // 2, 2, 2)
+        for p, (i, j) in enumerate(zip(*np.triu_indices(m, 1))):
+            for s in range(2):
+                for t in range(2):
+                    q = point.copy()
+                    q[i] = p_val[i, s]
+                    q[j] = p_val[j, t]
+                    assert pairs[p, s, t] == pytest.approx(problem.infidelity_of(q), abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["lz", "qho"]), st.integers(1, _DIRECT_STENCIL_MAX_M + 3),
+           st.integers(1, 2), st.integers(0, 2**32 - 1))
+    @example("lz", 1, 2, 0)
+    @example("qho", 1, 1, 0)
+    def test_packed_pairs_across_the_direct_range(self, kind, m, k, seed):
+        # both paths against the per-point reference, M = 1 (no pairs) included:
+        # bit for bit on the direct path, to rounding on the pair kernel
+        problem = batch_problem(kind, m)
+        lo, hi = seed_bounds(problem)
+        rng = np.random.default_rng(seed)
+        point = rng.uniform(lo, hi, m)
+        s_idx = rng.integers(0, m, 3)
+        args = (point, s_idx, rng.uniform(lo, hi, 3), rng.uniform(lo, hi, (m, k)))
+        got = chain_stencil_cost(problem)(*args)
+        want = pointwise_stencil(problem.infidelity_of)(*args)
+        assert got[2].shape == want[2].shape == (m * (m - 1) // 2, k, k)
+        if m <= _DIRECT_STENCIL_MAX_M:
+            assert got[0] == want[0]
+            assert same_bytes(got[1], want[1]) and same_bytes(got[2], want[2])
+        else:
+            assert got[0] == pytest.approx(want[0], abs=1e-12)
+            assert np.abs(got[1] - want[1]).max() <= 1e-12
+            assert np.abs(got[2] - want[2]).max() <= 1e-12
 
     @pytest.mark.parametrize("problem,lo,hi", [
         (LzProblem(gap=2.0, duration=1.8, n_pulses=48), -5.0, 5.0),
@@ -608,16 +629,18 @@ class TestStencilAccuracyAtSolutions:
         _, want_singles, want = pointwise_stencil(problem.infidelity_of)(
             point, s_idx, s_val, p_val)
         _, singles, pairs = chain_stencil_cost(problem)(point, s_idx, s_val, p_val)
-        assert np.array_equal(np.isnan(pairs), np.isnan(want))
-        i, s, j, t = np.nonzero(~np.isnan(want))
+        assert pairs.shape == want.shape == (m * (m - 1) // 2, 2, 2)
+        # pair p, s, t of the packed arrays is (i, j) = triu_indices(m, 1)[p]
+        i, j = (np.repeat(ij, 4) for ij in np.triu_indices(m, 1))
+        s, t = np.tile([0, 0, 1, 1], i.size // 4), np.tile([0, 1, 0, 1], i.size // 4)
         _, ref_singles, ref_pairs = reference_stencil_cost(problem)(
             point, s_idx, s_val, i, p_val[i, s], j, p_val[j, t])
-        want_pairs = want[i, s, j, t]
+        want_pairs = want.ravel()
 
         def worst(got, exact):
             return np.max(np.abs(got - exact) / exact)
 
-        kernel = (worst(singles, want_singles), worst(pairs[i, s, j, t], want_pairs))
+        kernel = (worst(singles, want_singles), worst(pairs.ravel(), want_pairs))
         oracle = (worst(ref_singles, want_singles), worst(ref_pairs, want_pairs))
         assert max(kernel) <= 2.0 * max(oracle), (kernel, oracle)
         assert kernel[1] <= 2.0 * oracle[1], (kernel, oracle)

@@ -156,6 +156,15 @@ class TestNavigate:
         with pytest.raises(ValueError, match="entry"):
             navigate(problem, bad, FixedVector(np.ones(6)), h=0.1, steps=1)
 
+    def test_rejects_start_of_another_duration_or_length(self, qho_solution):
+        # the values are a solution, so only the field check can refuse them;
+        # a run would otherwise carry T = 99 into every sample
+        problem, field = qho_solution
+        for start, what in [(ControlField(field.values, 99.0), "duration"),
+                            (ControlField(np.append(field.values, 1.0), 1.8), "pulses")]:
+            with pytest.raises(ValueError, match=what):
+                navigate(problem, start, FixedVector(np.ones(6)), h=0.1, steps=1)
+
     def test_validates_h_and_steps(self, qho_solution):
         problem, field = qho_solution
         with pytest.raises(ValueError):

@@ -261,6 +261,16 @@ class TestMinimize:
         assert report.stop == "MAX_ITER"
         assert np.array_equal(report.field.values, seed.values)
 
+    @pytest.mark.parametrize("tol,max_iter", [
+        (-1.0, 10), (-1e-300, 10), (float("nan"), 10), (float("inf"), 10), (1e-6, -3),
+    ])
+    def test_out_of_range_settings_raise(self, tol, max_iter):
+        # a negative tol can never be met and a negative max_iter takes no
+        # step; tol 0 stays valid (the GRAD_FLOOR and LINE_SEARCH oracle cases)
+        seed = sample_seeds(SeedSpec(count=1, bounds=(-5.0, 5.0), rng_seed=47), LZ3)[0]
+        with pytest.raises(ValueError, match="tol" if max_iter >= 0 else "max_iter"):
+            minimize(LZ3, seed, tol=tol, max_iter=max_iter)
+
     def test_stop_codes_are_checked(self):
         field = ControlField(values=[1.0], total_time=1.0)
         assert OptimizationReport(field, 0.5, 3, False).stop is None
