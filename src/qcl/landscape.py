@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .models import NonFiniteCost, _symmetric
 
@@ -145,11 +146,28 @@ def _symmetrised(matrix) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
+# The factorisations call the LAPACK gufuncs under `np.linalg.eigh` and
+# `np.linalg.qr` directly, under numpy's own floating-point policy: the
+# gufuncs flag only a LAPACK failure, as invalid.  Same routines, same bits;
+# the public wrappers' dispatch costs about three times the arithmetic of a
+# 48x4 QR, and about as much as a 4x4 `eigh`.
+_LAPACK_ERRSTATE = dict(invalid="raise", over="ignore", divide="ignore", under="ignore")
+
+
 def _eigh(sym):
+    """`np.linalg.eigh(sym)` bit for bit, for a float64 symmetric matrix."""
     try:
-        return np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
+        with np.errstate(**_LAPACK_ERRSTATE):
+            return _umath_linalg.eigh_lo(sym)
+    except FloatingPointError as exc:
         raise RuntimeError("eigendecomposition did not converge") from exc
+
+
+def _orthonormal(y):
+    """`np.linalg.qr(y)[0]` bit for bit, for a float64 (m, n) block with m >= n."""
+    a = y.copy()  # geqrf overwrites its input with R and the reflectors
+    with np.errstate(**_LAPACK_ERRSTATE):
+        return _umath_linalg.qr_reduced(a, _umath_linalg.qr_r_raw(a))
 
 
 def _descending(vals, vecs) -> HessianSpectrum:
@@ -161,9 +179,10 @@ def _descending(vals, vecs) -> HessianSpectrum:
 def eig_sym(matrix) -> HessianSpectrum:
     """Eigendecomposition of a symmetric matrix, sorted by descending |eigenvalue|.
 
-    Backed by LAPACK through numpy; the returned basis is orthonormal to
-    machine precision and the reconstruction residual is far below the
-    1e-12 * ||A|| off-diagonal target of an explicit Jacobi sweep.
+    LAPACK's dsyevd through numpy's `eigh_lo` gufunc, bit for bit
+    `np.linalg.eigh` without its Python wrapper; the returned basis is
+    orthonormal to machine precision and the reconstruction residual is far
+    below the 1e-12 * ||A|| off-diagonal target of an explicit Jacobi sweep.
     """
     return _descending(*_eigh(_symmetrised(matrix)))
 
@@ -171,9 +190,12 @@ def eig_sym(matrix) -> HessianSpectrum:
 # Rayleigh-Ritz block size and subspace-iteration passes of `rank2_ritz`
 _RITZ_BLOCK = 4
 _RITZ_PASSES = 2
-# below this dimension one full `eigh` costs less than the QR passes: per
-# projector, 0.08 against 0.21 ms at M = 8, about even at M = 28 to 32, and
-# 0.44 against 0.22 ms at M = 48 (trap Hessians at solutions, 2 vCPUs)
+# below this dimension `rank2_ritz` takes one full `eigh`.  Per call at trap
+# Hessians of solutions (2 vCPUs), the Ritz step costs 0.05-0.07 ms at every
+# M from 6 to 48, a full `eigh` 0.02 ms at M = 6, 0.06 at 16, 0.11 at 24 and
+# 0.12 at 32: the crossover sits near M = 16.  The threshold stays at 32
+# because lowering it would change the spectra for 16 <= M < 32, and no
+# benchmark workload or experiment config navigates there (M is 3, 6 or 48).
 _RITZ_MIN_DIM = 32
 
 
@@ -211,8 +233,8 @@ def rank2_ritz(matrix) -> HessianSpectrum:
     else:
         y = sym @ _ritz_start(m)
         for _ in range(_RITZ_PASSES):
-            y = sym @ np.linalg.qr(y)[0]
-        q = np.linalg.qr(y)[0]
+            y = sym @ _orthonormal(y)
+        q = _orthonormal(y)
         vals, u = _eigh(q.T @ sym @ q)
         vecs = q @ u
     return _descending(vals, vecs)

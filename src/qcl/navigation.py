@@ -3,7 +3,7 @@
 At a solution the Hessian of the main objective has rank two.  At every RK4
 stage point `navigate` takes that Hessian's two non-null eigenvectors from
 one Rayleigh-Ritz step on a block of four (`landscape.rank2_ritz`; a full
-eigendecomposition below M = 32, where that is cheaper), removes their
+eigendecomposition below M = 32), removes their
 components from the chosen direction, and integrates the resulting field
 dw/dzeta = P(w) a(w) with classical fourth-order Runge-Kutta.  Because the
 projector removes every fidelity-decreasing component, the trajectory stays

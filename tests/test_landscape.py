@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcl.control import ControlField
-from qcl.landscape import (FdConfig, HessianSpectrum, NonFiniteCost, _symmetrised,
-                           classify_null, eig_sym, eigvec_error, fd_hessian,
+from qcl import landscape
+from qcl.landscape import (FdConfig, HessianSpectrum, NonFiniteCost, _eigh, _orthonormal,
+                           _symmetrised, classify_null, eig_sym, eigvec_error, fd_hessian,
                            pointwise_stencil, rank2_ritz)
 from qcl.models import LzProblem, QhoProblem, chain_stencil_cost, hessian_of
 from qcl.navigation import FixedVector, calibrate_epsilon, navigate, project
@@ -246,7 +249,7 @@ class TestRank2Ritz:
 
     @pytest.mark.parametrize("m", [2, 3, 4, 6, 31])
     def test_small_dimension_is_eig_sym_bit_for_bit(self, m):
-        # below M = 32 one full eigh is cheaper than the Ritz step
+        # below M = 32 rank2_ritz takes one full eigh
         rng = np.random.default_rng(38 + m)
         for _ in range(20):
             a = rng.normal(size=(m, m))
@@ -295,6 +298,107 @@ class TestRank2Ritz:
             rank2_ritz(np.ones((1, 1)))
         with pytest.raises(ValueError):
             rank2_ritz(np.zeros((2, 3)))
+
+
+def _rank2(m, seed):
+    """B diag(3, -1.5, 0, ..., 0) B^T for a random orthogonal B: rank two."""
+    basis = np.linalg.qr(np.random.default_rng(seed).normal(size=(m, m)))[0]
+    return (basis[:, :2] * [3.0, -1.5]) @ basis[:, :2].T
+
+
+def _public_eigh(sym):
+    try:
+        return np.linalg.eigh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError("eigendecomposition did not converge") from exc
+
+
+class TestLapackHelpers:
+    """`_orthonormal` and `_eigh` call numpy's LAPACK gufuncs directly; they
+    must give the bits of `np.linalg.qr(y)[0]` and `np.linalg.eigh`."""
+
+    @pytest.mark.parametrize("m", [32, 48, 96])
+    def test_orthonormal_is_the_q_of_np_linalg_qr(self, m):
+        rng = np.random.default_rng(50 + m)
+        omega = rng.normal(size=(m, 4))
+        for y in (omega, _rank2(m, m) @ omega, np.zeros((m, 4))):
+            q = _orthonormal(y)
+            assert np.array_equal(q, np.linalg.qr(y)[0])
+
+    def test_orthonormal_at_solution_hessians(self, ritz_solutions):
+        for problem, values in ritz_solutions:
+            if values.size >= 32:
+                hess = hessian_of(problem, values)
+                y = hess @ np.random.default_rng(values.size).normal(size=(values.size, 4))
+                assert np.array_equal(_orthonormal(y), np.linalg.qr(y)[0])
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 31, 48])
+    def test_eigh_is_np_linalg_eigh(self, m):
+        rng = np.random.default_rng(60 + m)
+        a = rng.normal(size=(m, m))
+        for sym in (a + a.T, _rank2(m, m)):
+            vals, vecs = _eigh(sym)
+            ref_vals, ref_vecs = np.linalg.eigh(sym)
+            assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
+
+    def test_eigh_of_the_ritz_rayleigh_quotient(self):
+        # the 4x4 q^T H q of `rank2_ritz` at a rank-2 H: two values at rounding level
+        hess = _rank2(48, 1)
+        q = _orthonormal(hess @ np.random.default_rng(2).normal(size=(48, 4)))
+        small = q.T @ hess @ q
+        small = 0.5 * (small + small.T)
+        vals, vecs = _eigh(small)
+        ref_vals, ref_vecs = np.linalg.eigh(small)
+        assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
+
+    def test_arguments_are_left_alone(self):
+        # geqrf works in place, and an exactly symmetric matrix reaches the
+        # factorisations as the caller's own array
+        rng = np.random.default_rng(70)
+        y = rng.normal(size=(48, 4))
+        kept = y.copy()
+        _orthonormal(y)
+        assert np.array_equal(y, kept)
+        for m in (6, 48):
+            a = rng.normal(size=(m, m))
+            a = a + a.T
+            assert _symmetrised(a) is a
+            kept = a.copy()
+            for decompose in (eig_sym, rank2_ritz, _eigh):
+                decompose(a)
+                assert np.array_equal(a, kept)
+
+    @pytest.mark.parametrize("caller", ["ignore", "warn", "raise"])
+    def test_nan_matrix_raises_did_not_converge_without_warning(self, caller):
+        with warnings.catch_warnings(record=True) as caught, np.errstate(all=caller):
+            warnings.simplefilter("always")
+            with pytest.raises(RuntimeError, match="did not converge"):
+                _eigh(np.full((4, 4), np.nan))
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("fill", ["zero", "tiny", "huge_identity"])
+    def test_extreme_scales_give_the_public_routines_spectra(self, fill, monkeypatch):
+        m = 48
+        a = {"zero": np.zeros((m, m)), "tiny": np.full((m, m), 1e-300),
+             "huge_identity": 1e300 * np.eye(m)}[fill]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = [eig_sym(a), rank2_ritz(a)]
+        monkeypatch.setattr(landscape, "_orthonormal", lambda y: np.linalg.qr(y)[0])
+        monkeypatch.setattr(landscape, "_eigh", _public_eigh)
+        for got, want in zip(fast, [eig_sym(a), rank2_ritz(a)]):
+            assert np.array_equal(got.eigenvalues, want.eigenvalues)
+            assert np.array_equal(got.vectors, want.vectors)
+
+    def test_no_public_linalg_call_on_the_projector_path(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("public np.linalg wrapper called")
+
+        a = _rank2(48, 3)
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        assert rank2_ritz(a).vectors.shape == (4, 48)
+        assert eig_sym(a[:6, :6]).size == 6
 
 
 class TestClassifyNull:
