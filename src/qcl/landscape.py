@@ -150,7 +150,9 @@ def _symmetrised(matrix) -> np.ndarray:
 # `np.linalg.qr` directly, under numpy's own floating-point policy: the
 # gufuncs flag only a LAPACK failure, as invalid.  Same routines, same bits;
 # the public wrappers' dispatch costs about three times the arithmetic of a
-# 48x4 QR, and about as much as a 4x4 `eigh`.
+# 48x4 QR, and about as much as a 4x4 `eigh`.  The gufunc names are
+# private to numpy; they are checked on numpy 2.4, the floor pyproject.toml
+# declares.
 _LAPACK_ERRSTATE = dict(invalid="raise", over="ignore", divide="ignore", under="ignore")
 
 
