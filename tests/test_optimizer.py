@@ -21,7 +21,7 @@ def gauss_newton_trials(problem, values, cost, grad, z, dz):
     call each: [(t, trial point, trial cost)] and the slope -grad I . delta."""
     delta = optimizer._gauss_newton_step(z, dz, cost)
     trials = []
-    for t in (1.0, 0.5, 0.25, 0.125):
+    for t in (1.0, 0.5, 0.25):
         trial = values + t * delta
         trials.append((t, trial, problem.infidelity_of(trial)))
     return trials, -float(grad @ delta)
