@@ -8,6 +8,7 @@ transform, evaluated by direct summation (M stays at desk scale, <= 64).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,13 +24,13 @@ class ControlField:
     total_time: float
 
     def __post_init__(self):
-        vals = np.atleast_1d(np.asarray(self.values, dtype=float)).copy()
+        vals = np.array(self.values, dtype=float, ndmin=1)
         if vals.ndim != 1 or vals.size < 1:
             raise ValueError("a control field needs at least one amplitude")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("control amplitudes must be finite")
         t = float(self.total_time)
-        if not (np.isfinite(t) and t > 0):
+        if not (math.isfinite(t) and t > 0):
             raise ValueError("total_time must be positive and finite")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)

@@ -44,6 +44,17 @@ class TestControlField:
             ControlField(values=[1.0], total_time=0.0)
         with pytest.raises(ValueError):
             ControlField(values=[1.0], total_time=-2.0)
+        for t in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="total_time must be positive and finite"):
+                ControlField(values=[1.0], total_time=t)
+
+    def test_rejects_two_dimensional_values(self):
+        with pytest.raises(ValueError, match="at least one amplitude"):
+            ControlField(values=np.ones((2, 3)), total_time=1.0)
+
+    def test_scalar_value_is_one_amplitude(self):
+        f = ControlField(values=np.float64(0.7), total_time=1.0)
+        assert f.values.shape == (1,) and f.values[0] == 0.7
 
     def test_json_round_trip(self):
         f = ControlField(values=[0.5, -1.25, 3.0], total_time=2.2)
@@ -57,6 +68,13 @@ class TestControlField:
         f = ControlField(values=[1.0, 2.0], total_time=1.0)
         with pytest.raises(ValueError):
             f.values[0] = 9.0
+
+    def test_values_do_not_alias_the_callers_array(self):
+        caller = np.array([1.0, 2.0])
+        f = ControlField(values=caller, total_time=1.0)
+        assert not np.shares_memory(f.values, caller)
+        caller[0] = 9.0
+        assert f.values[0] == 1.0 and caller.flags.writeable
 
 
 class TestDft:
