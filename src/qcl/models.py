@@ -31,7 +31,9 @@ completes its gradient, so a line search costs one factor build and its
 accepted point's gradient reuses that point's forward states.  Up to
 M = `_DIRECT_STENCIL_MAX_M` the stencil's few points cost less through that
 sweep than through the pair kernel, so there every stencil cost is a direct
-evaluation, bit for bit `infidelity_of`.
+evaluation, bit for bit `infidelity_of`.  Every path takes a cost from its
+chain amplitude z by one rule, `_abs2`: |z|^2 = (Re z)^2 + (Im z)^2, of a
+scalar or elementwise of an array.
 """
 
 from __future__ import annotations
@@ -112,6 +114,13 @@ def _pair_layout(m: int, k: int) -> tuple:
     src = np.concatenate((first, second))
     dest.flags.writeable = src.flags.writeable = False
     return dest, src
+
+
+def _abs2(z):
+    """|z|^2 as (Re z)^2 + (Im z)^2, of a complex scalar or elementwise of an
+    array: the one rule by which every cost in this module is taken from its
+    chain amplitude z."""
+    return z.real * z.real + z.imag * z.imag
 
 
 def _symmetric(upper, diag) -> np.ndarray:
@@ -215,7 +224,7 @@ class _ChainProblem:
     def infidelity_of(self, values) -> float:
         ket, bra = self._cost_boundary()
         z = bra @ _chain_state(self._interval_stacks(values, 0)[0], ket)
-        return float(abs(z) ** 2)
+        return float(_abs2(z))
 
     def _interval_stacks(self, values, order=2):
         """The factors A and, up to `order`, A1 = dA/dw and A2 = d2A/dw2 (None
@@ -327,7 +336,7 @@ class BogoliubovPair:
     beta: complex
 
     def __post_init__(self):
-        a2, b2 = abs(self.alpha) ** 2, abs(self.beta) ** 2
+        a2, b2 = _abs2(self.alpha), _abs2(self.beta)
         if not np.isfinite(a2) or not np.isfinite(b2):
             raise ValueError("non-finite Bogoliubov coefficients")
         if abs(a2 - b2 - 1.0) > 1e-8 * max(1.0, a2):
@@ -335,7 +344,7 @@ class BogoliubovPair:
 
     @property
     def excitation(self) -> float:
-        return float(abs(self.beta) ** 2)
+        return float(_abs2(self.beta))
 
 
 def _check_field(problem, field: ControlField):
@@ -361,7 +370,7 @@ def _stacked_sweep(A, ket, bra):
     """The forward sweep of a (K, M, 2, 2) stack of chains, every row at once.
 
     Returns (kets, z, costs): kets[t, r] = A_{t-1} ... A_0 ket of row r,
-    z[r] = bra . kets[M, r] and the list costs[r] = |z[r]|^2.  Each step is
+    z[r] = bra . kets[M, r] and the array costs = `_abs2(z)`.  Each step is
     one stacked (2x2) @ (2x1) product per row, the product `_chain_state`
     takes, so costs[r] equals `infidelity_of` of row r bit for bit.
     """
@@ -373,19 +382,19 @@ def _stacked_sweep(A, ket, bra):
         np.matmul(by_interval[t], kets[t], out=kets[t + 1])
     # bra (2,) against a stack of (2, 1) columns: one 1-D dot per row, as bra @ v
     z = np.matmul(bra, kets[m])[:, 0]
-    # abs of the complex scalar: the array abs may round differently
-    return kets[..., 0], z, [float(abs(zr) ** 2) for zr in z]
+    return kets[..., 0], z, _abs2(z)
 
 
 class ChainBatch:
     """Costs of a (K, M) stack of points from one factor build and one forward sweep.
 
-    `costs[k]` equals `problem.infidelity_of(points[k])` and
-    `gradient_and_dz(k)[0]` equals `gradient_of(problem, points[k])`, both
-    bit for bit: every row runs the 2x2 products of the sequential sweeps, in
-    their order.  `gradient_and_dz(k)` runs only the backward sweep over row
-    k's factors and reuses its forward states; the z-gradient it also returns
-    gives `minimize`, with `z[k]`, its stall test and its Gauss-Newton step.
+    `costs` is the array `_abs2(z)`; `costs[k]` equals
+    `problem.infidelity_of(points[k])` and `gradient_and_dz(k)[0]` equals
+    `gradient_of(problem, points[k])`, both bit for bit: every row runs the
+    2x2 products of the sequential sweeps, in their order.
+    `gradient_and_dz(k)` runs only the backward sweep over row k's factors
+    and reuses its forward states; the z-gradient it also returns gives
+    `minimize`, with `z[k]`, its stall test and its Gauss-Newton step.
     """
 
     __slots__ = ("points", "costs", "z", "_bra", "_A", "_A1", "_kets")
@@ -493,7 +502,7 @@ def _direct_stencil(problem, point, singles_idx, singles_val, pairs_val):
     points[np.arange(1, 1 + q), singles_idx] = singles_val
     points[1 + q:].reshape(-1)[dest] = pairs_val.reshape(-1)[src]
     ket, bra = problem._cost_boundary()
-    costs = np.array(_stacked_sweep(problem._interval_stacks(points, 0)[0], ket, bra)[2])
+    costs = _stacked_sweep(problem._interval_stacks(points, 0)[0], ket, bra)[2]
     return float(costs[0]), costs[1:1 + q], costs[1 + q:].reshape(-1, k, k)
 
 
@@ -546,7 +555,7 @@ def chain_stencil_cost(problem):
 
         D = B[m:m + q] - A[singles_idx]
         split = z + np.einsum("qa,qab,qb->q", bras[singles_idx], D, kets[singles_idx])
-        singles = split.real ** 2 + split.imag ** 2
+        singles = _abs2(split)
 
         k = pairs_val.shape[1]
         D = B[m + q:].reshape(m, k, 2, 2) - A[:, None]
@@ -566,9 +575,10 @@ def chain_stencil_cost(problem):
         cols[:, 4] = 1.0
         cols[:, 5] = a.view(float).reshape(n, 2).T
         planes = (rows @ cols).reshape(2, -1).take(_pair_slots(m, k), axis=1)
+        # `_abs2` of the pair sums, squared in place on their (Re, Im) planes
         np.square(planes, out=planes)
         pairs = planes[0] + planes[1]
-        return float(z.real ** 2 + z.imag ** 2), singles, pairs.reshape(-1, k, k)
+        return float(_abs2(z)), singles, pairs.reshape(-1, k, k)
 
     return evaluate
 

@@ -11,7 +11,7 @@ from qcl.models import (BogoliubovPair, ChainBatch, LzProblem, PrefixGrowth, Qho
                         chain_stencil_cost, exact_gradient, exact_hessian, gradient_of,
                         hessian_of, lz_infidelity, particle_number, problem_from_dict,
                         problem_to_dict, qho_infidelity, qho_propagate, seed_bounds)
-from qcl.models import (_DIRECT_STENCIL_MAX_M, _SERIES_X, _chain_state, _check_field,
+from qcl.models import (_DIRECT_STENCIL_MAX_M, _SERIES_X, _abs2, _chain_state, _check_field,
                         _factor_tables)
 from qcl.optimizer import SeedSpec, minimize, polish, sample_seeds
 
@@ -190,6 +190,16 @@ class TestQhoPropagation:
         pair = qho_propagate(problem, ControlField(values=rng.uniform(0.1, 3.0, m),
                                                    total_time=1.8))
         assert abs(abs(pair.alpha) ** 2 - abs(pair.beta) ** 2 - 1.0) <= 1e-10
+
+    def test_excitation_is_the_cost_bit_for_bit(self):
+        rng = np.random.default_rng(29)
+        for m in range(1, 49):
+            problem = QhoProblem(omega_start=1.0, omega_target=1.3, duration=1.8, n_pulses=m)
+            for lo, hi in ((0.1, 3.0), (-5.0, 5.0)):
+                field = ControlField(values=rng.uniform(lo, hi, m), total_time=1.8)
+                cost = problem.infidelity_of(field.values)
+                assert qho_propagate(problem, field).excitation == cost
+                assert qho_infidelity(problem, field) == cost
 
     def test_matches_dense_integrator(self):
         rng = np.random.default_rng(23)
@@ -430,7 +440,7 @@ class TestBitParity:
         lo, hi = seed_bounds(problem)
         for v in (np.array(values), rng.uniform(lo, hi, problem.n_pulses)):
             A = reference_interval_stacks(problem, v, 0)[0]
-            assert problem.infidelity_of(v) == float(abs(bra @ _chain_state(A, ket)) ** 2)
+            assert problem.infidelity_of(v) == float(_abs2(bra @ _chain_state(A, ket)))
             z, zg, _ = reference_chain_derivatives(*reference_interval_stacks(problem, v), ket, bra)
             assert np.all(gradient_of(problem, v) == 2.0 * np.real(np.conj(z) * zg))
 
