@@ -49,8 +49,9 @@ _STALL_ALIGNMENT = 3e-3
 # converged set is that of plain descent at 1e-2 and 3e-2; 1e-1 loses two
 # seeds, 3e-1 thirty and Gauss-Newton throughout 129.  The same
 # scatter_lz3 pass accepts 344 of these steps: 61.0% at t = 1, 38.4% at
-# t = 1/2 and 0.6% at t = 1/4.  A fourth trial, t = 1/8, was accepted by no
-# seed of 4650 over five lz and qho populations, nor by 509 polishes to 1e-16.
+# t = 1/2 and 0.6% at t = 1/4.  A trial at t = 1/8 changed no report over
+# 4650 seeds in five lz and qho populations, nor any of the 2666 polishes of
+# their converged results to 1e-16.
 _GAUSS_NEWTON_BELOW = 1e-2
 _GAUSS_NEWTON_STEPS = (1.0, 0.5, 0.25)
 
