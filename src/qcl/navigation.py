@@ -80,6 +80,8 @@ class FixedVector:
 
     def __init__(self, a):
         a = np.asarray(a, dtype=float)
+        if not np.isfinite(a).all():
+            raise ValueError("fixed direction must be finite")
         if not np.any(a != 0.0):
             raise ValueError("fixed direction must be non-zero")
         self.a = a
@@ -236,21 +238,27 @@ def navigate(problem, start: ControlField, provider, h: float, steps: int,
     start_inf = entry_infidelity(problem, start)
 
     stencil = chain_stencil_cost(problem) if fd else None
+    # the last stage point's bytes and its spectrum, which passed the guard
+    last_point = last_spec = None
 
     def flow(values):
+        nonlocal last_point, last_spec
         if not np.all(np.isfinite(values)):
             raise _NavigationFailure("NONFINITE", "non-finite state")
-        if fd:
-            hess = fd_hessian(stencil, values, hessian_mode)
-        else:
-            hess = hessian_of(problem, values)
-        spec = rank2_ritz(hess)
-        lam = np.abs(spec.eigenvalues)
-        if lam.size > 2 and not lam[2] <= RANK_COLLAPSE_RATIO * lam[1]:
-            raise _NavigationFailure(
-                "RANK_COLLAPSE", f"|lambda3/lambda2| = {lam[2] / lam[1]:.2e} exceeds "
-                f"{RANK_COLLAPSE_RATIO:.0e}: the Hessian is not rank 2")
-        return project(provider.direction(values, spec), spec)
+        point = values.tobytes()
+        if point != last_point:
+            if fd:
+                hess = fd_hessian(stencil, values, hessian_mode)
+            else:
+                hess = hessian_of(problem, values)
+            spec = rank2_ritz(hess)
+            lam = np.abs(spec.eigenvalues)
+            if lam.size > 2 and not lam[2] <= RANK_COLLAPSE_RATIO * lam[1]:
+                raise _NavigationFailure(
+                    "RANK_COLLAPSE", f"|lambda3/lambda2| = {lam[2] / lam[1]:.2e} exceeds "
+                    f"{RANK_COLLAPSE_RATIO:.0e}: the Hessian is not rank 2")
+            last_point, last_spec = point, spec
+        return project(provider.direction(values, last_spec), last_spec)
 
     samples = [TrajectorySample(
         zeta=0.0,

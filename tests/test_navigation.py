@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from qcl import landscape, navigation
 from qcl.control import ControlField, FrequencySpec
-from qcl.landscape import FdConfig, HessianSpectrum, eig_sym, rank2_ritz
-from qcl.models import LzProblem, PrefixGrowth, QhoProblem, hessian_of
+from qcl.landscape import FdConfig, HessianSpectrum, eig_sym, fd_hessian, rank2_ritz
+from qcl.models import LzProblem, PrefixGrowth, QhoProblem, chain_stencil_cost, hessian_of
 from qcl.navigation import (FAILURE_CODES, FixedVector, NullFollow, SecondaryGradient,
                             Trajectory, navigate, null_direction, project, rk4_integrate,
                             write_jsonl)
@@ -139,6 +139,61 @@ def qho48_solution():
 
 
 @pytest.fixture(scope="module")
+def lz3_solution():
+    problem = LzProblem(gap=2.0, duration=1.4 * np.pi / 2, n_pulses=3)
+    seeds = sample_seeds(SeedSpec(count=40, bounds=(-5.0, 5.0), rng_seed=75), problem)
+    rep = next(r for r in (minimize(problem, s, tol=1e-6, max_iter=2000) for s in seeds)
+               if r.converged)
+    return problem, polish(problem, rep.field).field
+
+
+def reference_run(problem, start, provider, h, steps, mode):
+    """The projected flow's RK4 with a Hessian, a Ritz step and a projection
+    at every stage point: `navigate` without its stage memo.
+
+    Returns the states, their infidelities and every stage point in order.
+    """
+    stencil = chain_stencil_cost(problem)
+    points = []
+
+    def flow(x):
+        points.append(x)
+        hess = hessian_of(problem, x) if mode == "exact" else fd_hessian(stencil, x, mode)
+        spec = rank2_ritz(hess)
+        return project(provider.direction(x, spec), spec)
+
+    x = start.values.copy()
+    states = [x]
+    for _ in range(steps):
+        k1 = flow(x)
+        k2 = flow(x + 0.5 * h * k1)
+        k3 = flow(x + 0.5 * h * k2)
+        k4 = flow(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(x)
+    return np.stack(states), [problem.infidelity_of(x) for x in states], points
+
+
+def new_points(points) -> int:
+    """Stage points whose bytes differ from the stage point before."""
+    return sum(i == 0 or p.tobytes() != points[i - 1].tobytes()
+               for i, p in enumerate(points))
+
+
+def count_hessians(monkeypatch, mode) -> list:
+    """Route navigate's stage Hessian through a wrapper that logs each call."""
+    name = "hessian_of" if mode == "exact" else "fd_hessian"
+    real, calls = getattr(navigation, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(navigation, name, counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
 def qho_solution():
     problem = QhoProblem(omega_start=1.0, omega_target=1.0, duration=1.8, n_pulses=6)
     seeds = sample_seeds(SeedSpec(count=10, bounds=(0.1, 3.0), rng_seed=71), problem)
@@ -186,6 +241,13 @@ class TestNavigate:
         problem, field = qho_solution
         with pytest.raises(ValueError, match="shape"):
             navigate(problem, field, FixedVector(np.ones(5)), h=0.1, steps=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_fixed_direction_raises(self, bad):
+        # a caller's error, refused before navigate can record it as NONFINITE
+        with pytest.raises(ValueError, match="finite"):
+            FixedVector([bad, 1.0, 0.0])
+        assert FixedVector([1e300, 1.0, 0.0]).a[0] == 1e300
 
     def test_direction_orthogonal_to_null_space_freezes(self, qho_solution):
         problem, field = qho_solution
@@ -375,14 +437,39 @@ class TestNavigate:
                               whole.values_matrix())
         assert [s.infidelity for s in chunked] == list(whole.infidelities())
 
-    def test_three_pulse_drive_equals_the_full_spectrum_path(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["exact", FdConfig(1e-2)])
+    def test_repeated_stage_points_reuse_the_spectrum(self, qho48_solution, monkeypatch,
+                                                      mode):
+        # the compress stands still within its first steps, so most stage
+        # points repeat the one before; reusing that point's spectrum leaves
+        # every output bit for bit the per-stage recomputation's
+        problem, field = qho48_solution
+        provider = SecondaryGradient(FourierObjective(FrequencySpec.closure([1, 2], 48)))
+        steps = 150
+        states, infidelities, points = reference_run(problem, field, provider, 0.005,
+                                                     steps, mode)
+        calls = count_hessians(monkeypatch, mode)
+        traj = navigate(problem, field, provider, h=0.005, steps=steps, hessian_mode=mode)
+        assert not traj.failed
+        assert np.array_equal(traj.values_matrix(), states)
+        assert list(traj.infidelities()) == infidelities
+        assert len(calls) == new_points(points) < 4 * steps
+
+    def test_moving_stage_points_recompute_the_spectrum(self, lz3_solution, monkeypatch):
+        # a NullFollow drive never repeats a stage point: one Hessian per stage
+        problem, field = lz3_solution
+        mode, steps = FdConfig(1e-2), 100
+        states, _, points = reference_run(problem, field, NullFollow(), 0.01, steps, mode)
+        calls = count_hessians(monkeypatch, mode)
+        traj = navigate(problem, field, NullFollow(), h=0.01, steps=steps, hessian_mode=mode)
+        assert not traj.failed
+        assert np.array_equal(traj.values_matrix(), states)
+        assert len(calls) == new_points(points) == 4 * steps
+
+    def test_three_pulse_drive_equals_the_full_spectrum_path(self, lz3_solution, monkeypatch):
         # at M <= 4 the Ritz block is the whole space: the NullFollow loop is
         # bit for bit the one driven by eig_sym
-        problem = LzProblem(gap=2.0, duration=1.4 * np.pi / 2, n_pulses=3)
-        seeds = sample_seeds(SeedSpec(count=40, bounds=(-5.0, 5.0), rng_seed=75), problem)
-        rep = next(r for r in (minimize(problem, s, tol=1e-6, max_iter=2000) for s in seeds)
-                   if r.converged)
-        field = polish(problem, rep.field).field
+        problem, field = lz3_solution
         ritz = navigate(problem, field, NullFollow(), h=0.01, steps=100,
                         hessian_mode=FdConfig(1e-2))
         monkeypatch.setattr(navigation, "rank2_ritz", eig_sym)
@@ -407,15 +494,8 @@ class TestNavigate:
             worst = max(worst, np.abs(ritz.T @ ritz - full.T @ full).max())
         assert worst <= 1e-8
 
-    def test_consecutive_null_directions_stay_aligned(self):
-        problem = LzProblem(gap=2.0, duration=1.4 * np.pi / 2, n_pulses=3)
-        seeds = sample_seeds(SeedSpec(count=40, bounds=(-5.0, 5.0), rng_seed=75), problem)
-        field = None
-        for s in seeds:
-            rep = minimize(problem, s, tol=1e-6, max_iter=2000)
-            if rep.converged:
-                field = polish(problem, rep.field).field
-                break
+    def test_consecutive_null_directions_stay_aligned(self, lz3_solution):
+        problem, field = lz3_solution
         provider = NullFollow()
         directions = []
 
