@@ -75,8 +75,9 @@ _SERIES_X = 1e-6
 
 # Largest M at which `chain_stencil_cost` evaluates every stencil point as its
 # own chain instead of running the pair kernel.  Per four-point stencil call,
-# direct against pair kernel for both models: 60 against 140 us at M = 2,
-# level to 10% faster at M = 6 and 15-20% slower from M = 7 (2 vCPUs)
+# the direct path's time over the pair kernel's for both models (2 vCPUs,
+# alternated in-process batches, six processes): 0.33-0.37 at M = 2,
+# 0.68-0.87 at M = 6, level at M = 7 (0.87-1.05) and 1.04-1.21 at M = 8
 _DIRECT_STENCIL_MAX_M = 6
 
 # Largest max_t ||P_t||_F^2 over the prefix products P_t = A_{t-1} ... A_0 at

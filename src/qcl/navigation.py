@@ -9,7 +9,9 @@ dw/dzeta = P(w) a(w) with classical fourth-order Runge-Kutta.  Because the
 projector removes every fidelity-decreasing component, the trajectory stays
 on the level set up to integration error.  The third eigenvalue (or Ritz
 value) guards the rank-two premise: a run whose |lambda_3 / lambda_2|
-exceeds `RANK_COLLAPSE_RATIO` stops.
+exceeds `RANK_COLLAPSE_RATIO` stops.  A stage point that repeats the one
+before bit for bit, as every stage does once a compression stands still,
+reuses that point's spectrum instead of recomputing it.
 """
 
 from __future__ import annotations
@@ -210,8 +212,12 @@ def navigate(problem, start: ControlField, provider, h: float, steps: int,
     steps : number of RK4 steps; 0 returns the start sample alone.
     hessian_mode : "exact" for analytic Hessians, or an FdConfig whose epsilon
         sets the step of the finite-difference Hessian on the problem's
-        `models.chain_stencil_cost`; the Hessian and its two non-null
-        directions are recomputed at every RK4 stage point either way.
+        `models.chain_stencil_cost`.  Either way the Hessian and its two
+        non-null directions are computed at every RK4 stage point whose
+        bytes differ from the stage point before; a repeated point reuses
+        that point's spectrum, which has passed the rank guard, so the
+        outputs are those of a recomputation.  The provider's direction and
+        the projection run at every stage.
     null_rank : the number of non-null directions; only 2, the structure
         at solutions of both models, is accepted.
     abort_ceiling : if the main infidelity exceeds this the run stops and the

@@ -440,9 +440,10 @@ class TestNavigate:
     @pytest.mark.parametrize("mode", ["exact", FdConfig(1e-2)])
     def test_repeated_stage_points_reuse_the_spectrum(self, qho48_solution, monkeypatch,
                                                       mode):
-        # the compress stands still within its first steps, so most stage
-        # points repeat the one before; reusing that point's spectrum leaves
-        # every output bit for bit the per-stage recomputation's
+        # the compress stands still within its first steps, so about a
+        # quarter of its stage points repeat the one before; reusing that
+        # point's spectrum leaves every output bit for bit the per-stage
+        # recomputation's
         problem, field = qho48_solution
         provider = SecondaryGradient(FourierObjective(FrequencySpec.closure([1, 2], 48)))
         steps = 150
