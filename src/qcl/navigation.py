@@ -9,9 +9,11 @@ dw/dzeta = P(w) a(w) with classical fourth-order Runge-Kutta.  Because the
 projector removes every fidelity-decreasing component, the trajectory stays
 on the level set up to integration error.  The third eigenvalue (or Ritz
 value) guards the rank-two premise: a run whose |lambda_3 / lambda_2|
-exceeds `RANK_COLLAPSE_RATIO` stops.  A stage point that repeats the one
-before bit for bit, as every stage does once a compression stands still,
-reuses that point's spectrum instead of recomputing it.
+exceeds `RANK_COLLAPSE_RATIO` stops.  A stage point whose bytes equal one of
+the two latest distinct stage points reuses that point's spectrum instead of
+recomputing it: once a compression stands still, its stage points alternate
+between two points.  A step that returns its start bit for bit shares that
+sample's field and infidelity.
 """
 
 from __future__ import annotations
@@ -179,6 +181,15 @@ class Trajectory:
         )
 
 
+def _rk4_step(f, x, h: float) -> np.ndarray:
+    """One classical RK4 step of dx/dz = f(x) from x; x itself is not changed."""
+    k1 = f(x)
+    k2 = f(x + 0.5 * h * k1)
+    k3 = f(x + 0.5 * h * k2)
+    k4 = f(x + h * k3)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def rk4_integrate(f, x0, h: float, steps: int, callback=None):
     """Classical RK4 for dx/dz = f(x); returns the list of states x_0..x_N.
 
@@ -187,11 +198,7 @@ def rk4_integrate(f, x0, h: float, steps: int, callback=None):
     x = np.asarray(x0, dtype=float).copy()
     states = [x.copy()]
     for k in range(steps):
-        k1 = f(x)
-        k2 = f(x + 0.5 * h * k1)
-        k3 = f(x + 0.5 * h * k2)
-        k4 = f(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = _rk4_step(f, x, h)
         states.append(x.copy())
         if callback is not None:
             callback(k, x)
@@ -214,14 +221,20 @@ def navigate(problem, start: ControlField, provider, h: float, steps: int,
         sets the step of the finite-difference Hessian on the problem's
         `models.chain_stencil_cost`.  Either way the Hessian and its two
         non-null directions are computed at every RK4 stage point whose
-        bytes differ from the stage point before; a repeated point reuses
-        that point's spectrum, which has passed the rank guard, so the
-        outputs are those of a recomputation.  The provider's direction and
-        the projection run at every stage.
+        bytes differ from both of the two latest distinct stage points; a
+        point equal to one of them reuses its spectrum, which has passed the
+        rank guard, so the outputs are those of a recomputation.  The
+        finiteness check, the provider's direction and the projection run
+        at every stage.
     null_rank : the number of non-null directions; only 2, the structure
         at solutions of both models, is accepted.
     abort_ceiling : if the main infidelity exceeds this the run stops and the
         trajectory is returned with `failed` set (never silently truncated).
+
+    A step whose state has the bytes of the sample before gives a sample that
+    shares that sample's `ControlField` and infidelity; `infidelity_of` runs
+    only on a state that differs.  The provider's secondary cost and the
+    finiteness and ceiling checks run at every sample.
 
     A run that leaves the finite range (state, infidelity, a stencil cost or
     the exact Hessian) fails with code NONFINITE, one above the ceiling with
@@ -244,15 +257,16 @@ def navigate(problem, start: ControlField, provider, h: float, steps: int,
     start_inf = entry_infidelity(problem, start)
 
     stencil = chain_stencil_cost(problem) if fd else None
-    # the last stage point's bytes and its spectrum, which passed the guard
-    last_point = last_spec = None
+    # the bytes and spectra of the two latest distinct stage points, oldest
+    # first; each spectrum has passed the rank guard
+    memo = {}
 
     def flow(values):
-        nonlocal last_point, last_spec
         if not np.all(np.isfinite(values)):
             raise _NavigationFailure("NONFINITE", "non-finite state")
         point = values.tobytes()
-        if point != last_point:
+        spec = memo.pop(point, None)
+        if spec is None:
             if fd:
                 hess = fd_hessian(stencil, values, hessian_mode)
             else:
@@ -263,8 +277,10 @@ def navigate(problem, start: ControlField, provider, h: float, steps: int,
                 raise _NavigationFailure(
                     "RANK_COLLAPSE", f"|lambda3/lambda2| = {lam[2] / lam[1]:.2e} exceeds "
                     f"{RANK_COLLAPSE_RATIO:.0e}: the Hessian is not rank 2")
-            last_point, last_spec = point, spec
-        return project(provider.direction(values, last_spec), last_spec)
+            if len(memo) == 2:
+                del memo[next(iter(memo))]
+        memo[point] = spec
+        return project(provider.direction(values, spec), spec)
 
     samples = [TrajectorySample(
         zeta=0.0,
@@ -273,25 +289,31 @@ def navigate(problem, start: ControlField, provider, h: float, steps: int,
         secondary=provider.secondary_cost(start.values),
     )]
 
-    def record(k, values):
-        if not np.all(np.isfinite(values)):
-            raise _NavigationFailure("NONFINITE", "non-finite state")
-        inf = problem.infidelity_of(values)
-        samples.append(TrajectorySample(
-            zeta=(k + 1) * h,
-            field=ControlField(values, start.total_time),
-            infidelity=inf,
-            secondary=provider.secondary_cost(values),
-        ))
-        if not np.isfinite(inf):
-            raise _NavigationFailure("NONFINITE", "non-finite infidelity")
-        if inf > abort_ceiling:
-            raise _NavigationFailure(
-                "CEILING", f"infidelity {inf:.3e} exceeded ceiling {abort_ceiling:.1e}")
-
     code = reason = None
+    x = start.values
     try:
-        rk4_integrate(flow, start.values, h, steps, callback=record)
+        for k in range(steps):
+            x = _rk4_step(flow, x, h)
+            if not np.all(np.isfinite(x)):
+                raise _NavigationFailure("NONFINITE", "non-finite state")
+            last = samples[-1]
+            if x.tobytes() == last.field.values.tobytes():
+                # a step that returns its start shares that sample's field
+                field, inf = last.field, last.infidelity
+            else:
+                inf = problem.infidelity_of(x)
+                field = ControlField(x, start.total_time)
+            samples.append(TrajectorySample(
+                zeta=(k + 1) * h,
+                field=field,
+                infidelity=inf,
+                secondary=provider.secondary_cost(x),
+            ))
+            if not np.isfinite(inf):
+                raise _NavigationFailure("NONFINITE", "non-finite infidelity")
+            if inf > abort_ceiling:
+                raise _NavigationFailure(
+                    "CEILING", f"infidelity {inf:.3e} exceeded ceiling {abort_ceiling:.1e}")
     except _NavigationFailure as exc:
         code, reason = exc.args
     except NonFiniteCost as exc:

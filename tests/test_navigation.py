@@ -175,9 +175,19 @@ def reference_run(problem, start, provider, h, steps, mode):
 
 
 def new_points(points) -> int:
-    """Stage points whose bytes differ from the stage point before."""
-    return sum(i == 0 or p.tobytes() != points[i - 1].tobytes()
-               for i, p in enumerate(points))
+    """Stage points whose bytes are not among the two latest distinct stage
+    points before them."""
+    keys = [p.tobytes() for p in points]
+    count = 0
+    for i, key in enumerate(keys):
+        latest = []
+        for j in range(i - 1, -1, -1):
+            if len(latest) == 2:
+                break
+            if keys[j] not in latest:
+                latest.append(keys[j])
+        count += key not in latest
+    return count
 
 
 def count_hessians(monkeypatch, mode) -> list:
@@ -440,10 +450,9 @@ class TestNavigate:
     @pytest.mark.parametrize("mode", ["exact", FdConfig(1e-2)])
     def test_repeated_stage_points_reuse_the_spectrum(self, qho48_solution, monkeypatch,
                                                       mode):
-        # the compress stands still within its first steps, so about a
-        # quarter of its stage points repeat the one before; reusing that
-        # point's spectrum leaves every output bit for bit the per-stage
-        # recomputation's
+        # the compress stands still within its first steps, and its stage
+        # points then alternate between two points; reusing the spectrum of
+        # either leaves every output bit for bit the per-stage recomputation's
         problem, field = qho48_solution
         provider = SecondaryGradient(FourierObjective(FrequencySpec.closure([1, 2], 48)))
         steps = 150
@@ -457,7 +466,8 @@ class TestNavigate:
         assert len(calls) == new_points(points) < 4 * steps
 
     def test_moving_stage_points_recompute_the_spectrum(self, lz3_solution, monkeypatch):
-        # a NullFollow drive never repeats a stage point: one Hessian per stage
+        # a NullFollow drive never repeats a stage point or a sample: one
+        # Hessian per stage and one field per sample
         problem, field = lz3_solution
         mode, steps = FdConfig(1e-2), 100
         states, _, points = reference_run(problem, field, NullFollow(), 0.01, steps, mode)
@@ -466,6 +476,62 @@ class TestNavigate:
         assert not traj.failed
         assert np.array_equal(traj.values_matrix(), states)
         assert len(calls) == new_points(points) == 4 * steps
+        fields = [s.field for s in traj.samples]
+        assert not any(a is b for a, b in zip(fields, fields[1:]))
+
+    @pytest.mark.parametrize("mode", ["exact", FdConfig(1e-2)])
+    def test_a_step_that_returns_its_start_shares_its_sample(self, qho48_solution,
+                                                             monkeypatch, mode):
+        # once the compress stands still a step returns its start bit for bit;
+        # its sample reuses the field and infidelity of the sample before, and
+        # every output stays the per-sample recomputation's
+        problem, field = qho48_solution
+        objective = FourierObjective(FrequencySpec.closure([1, 2], 48))
+        provider = SecondaryGradient(objective)
+        steps = 150
+        states, infidelities, _ = reference_run(problem, field, provider, 0.005, steps, mode)
+        real, calls = type(problem).infidelity_of, []
+
+        def counted(self, values):
+            calls.append(1)
+            return real(self, values)
+
+        monkeypatch.setattr(type(problem), "infidelity_of", counted)
+        traj = navigate(problem, field, provider, h=0.005, steps=steps, hessian_mode=mode)
+        assert not traj.failed
+        assert np.array_equal(traj.values_matrix(), states)
+        assert list(traj.infidelities()) == infidelities
+        assert np.array_equal(traj.secondary_costs(),
+                              [objective.cost_of(x) for x in states])
+        repeats = [states[i].tobytes() == states[i - 1].tobytes()
+                   for i in range(1, steps + 1)]
+        assert sum(repeats) > 0
+        for before, after, repeat in zip(traj.samples, traj.samples[1:], repeats):
+            assert (after.field is before.field) == repeat
+            if repeat:
+                assert after.infidelity == before.infidelity
+        # the entry check, then one call per sample that moved
+        assert len(calls) == 1 + steps - sum(repeats)
+
+    @pytest.mark.parametrize("mode", ["exact", FdConfig(1e-2)])
+    def test_ten_step_calls_match_one_long_call(self, qho48_solution, mode):
+        # a chunk starts from the last sample's field, which may be shared by
+        # several samples; the chunks still repeat one long call bit for bit
+        problem, field = qho48_solution
+        provider = SecondaryGradient(FourierObjective(FrequencySpec.closure([1, 2], 48)))
+        whole = navigate(problem, field, provider, h=0.005, steps=150, hessian_mode=mode)
+        chunked, current = [], field
+        for _ in range(15):
+            part = navigate(problem, current, provider, h=0.005, steps=10,
+                            hessian_mode=mode)
+            assert not part.failed
+            chunked.extend(part.samples[1:] if chunked else part.samples)
+            current = part.samples[-1].field
+        assert not whole.failed and len(chunked) == len(whole.samples) == 151
+        assert np.array_equal(np.stack([s.field.values for s in chunked]),
+                              whole.values_matrix())
+        assert [s.infidelity for s in chunked] == list(whole.infidelities())
+        assert np.array_equal([s.secondary for s in chunked], whole.secondary_costs())
 
     def test_three_pulse_drive_equals_the_full_spectrum_path(self, lz3_solution, monkeypatch):
         # at M <= 4 the Ritz block is the whole space: the NullFollow loop is
