@@ -433,19 +433,24 @@ class TestNavigate:
     def test_chunked_runs_match_one_call(self, qho48_solution, mode):
         # every stage depends on its own point alone (the Ritz start block is
         # fixed), so a run restarted from its last sample continues exactly as
-        # one long call
+        # one long call, also once the samples that start the chunks are
+        # shared by the steps that returned them
         problem, field = qho48_solution
         objective = FourierObjective(FrequencySpec.closure([1, 2], 48))
         provider = SecondaryGradient(objective)
-        whole = navigate(problem, field, provider, h=0.005, steps=20, hessian_mode=mode)
-        first = navigate(problem, field, provider, h=0.005, steps=10, hessian_mode=mode)
-        second = navigate(problem, first.samples[-1].field, provider, h=0.005,
-                          steps=10, hessian_mode=mode)
-        chunked = first.samples + second.samples[1:]
-        assert not whole.failed and len(chunked) == len(whole.samples) == 21
+        whole = navigate(problem, field, provider, h=0.005, steps=150, hessian_mode=mode)
+        chunked, current = [], field
+        for _ in range(15):
+            part = navigate(problem, current, provider, h=0.005, steps=10,
+                            hessian_mode=mode)
+            assert not part.failed
+            chunked.extend(part.samples[1:] if chunked else part.samples)
+            current = part.samples[-1].field
+        assert not whole.failed and len(chunked) == len(whole.samples) == 151
         assert np.array_equal(np.stack([s.field.values for s in chunked]),
                               whole.values_matrix())
         assert [s.infidelity for s in chunked] == list(whole.infidelities())
+        assert np.array_equal([s.secondary for s in chunked], whole.secondary_costs())
 
     @pytest.mark.parametrize("mode", ["exact", FdConfig(1e-2)])
     def test_repeated_stage_points_reuse_the_spectrum(self, qho48_solution, monkeypatch,
@@ -512,26 +517,6 @@ class TestNavigate:
                 assert after.infidelity == before.infidelity
         # the entry check, then one call per sample that moved
         assert len(calls) == 1 + steps - sum(repeats)
-
-    @pytest.mark.parametrize("mode", ["exact", FdConfig(1e-2)])
-    def test_ten_step_calls_match_one_long_call(self, qho48_solution, mode):
-        # a chunk starts from the last sample's field, which may be shared by
-        # several samples; the chunks still repeat one long call bit for bit
-        problem, field = qho48_solution
-        provider = SecondaryGradient(FourierObjective(FrequencySpec.closure([1, 2], 48)))
-        whole = navigate(problem, field, provider, h=0.005, steps=150, hessian_mode=mode)
-        chunked, current = [], field
-        for _ in range(15):
-            part = navigate(problem, current, provider, h=0.005, steps=10,
-                            hessian_mode=mode)
-            assert not part.failed
-            chunked.extend(part.samples[1:] if chunked else part.samples)
-            current = part.samples[-1].field
-        assert not whole.failed and len(chunked) == len(whole.samples) == 151
-        assert np.array_equal(np.stack([s.field.values for s in chunked]),
-                              whole.values_matrix())
-        assert [s.infidelity for s in chunked] == list(whole.infidelities())
-        assert np.array_equal([s.secondary for s in chunked], whole.secondary_costs())
 
     def test_three_pulse_drive_equals_the_full_spectrum_path(self, lz3_solution, monkeypatch):
         # at M <= 4 the Ritz block is the whole space: the NullFollow loop is
