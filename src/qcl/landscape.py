@@ -90,6 +90,14 @@ def _singles_index(m: int) -> np.ndarray:
     return idx
 
 
+@lru_cache(maxsize=16)
+def _stencil_steps(eps: float) -> tuple:
+    """Read-only (+-2 eps, +-eps): the steps of the singles and of the pair values."""
+    singles, pairs = np.array([2.0 * eps, -2.0 * eps]), np.array([eps, -eps])
+    singles.flags.writeable = pairs.flags.writeable = False
+    return singles, pairs
+
+
 def fd_hessian(stencil, point, config: FdConfig) -> np.ndarray:
     """Symmetric finite-difference Hessian at `point` from stencil costs.
 
@@ -112,9 +120,10 @@ def fd_hessian(stencil, point, config: FdConfig) -> np.ndarray:
     eps = config.epsilon
     inv = 1.0 / (4.0 * eps * eps)
 
+    s_step, p_step = _stencil_steps(eps)
     s_idx = _singles_index(point.size)
-    s_val = (point[:, None] + np.array([2.0 * eps, -2.0 * eps])).ravel()
-    p_val = point[:, None] + np.array([eps, -eps])
+    s_val = (point[:, None] + s_step).ravel()
+    p_val = point[:, None] + p_step
     center, singles, pairs = stencil(point, s_idx, s_val, p_val)
     # pairs[p, s, t] holds the cost at (w_i + (-1)^s eps, w_j + (-1)^t eps) of pair p
     upper = (pairs[:, 0, 0] - pairs[:, 0, 1] - pairs[:, 1, 0] + pairs[:, 1, 1]) * inv
@@ -138,7 +147,7 @@ def _symmetrised(matrix) -> np.ndarray:
         raise ValueError("expected a square matrix")
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
-    if np.array_equal(a, a.T):
+    if (a == a.T).all():
         return a
     defect = np.abs(a - a.T).max() if a.size else 0.0
     if defect > 1e-8 * max(1.0, np.abs(a).max()):
@@ -226,7 +235,14 @@ def rank2_ritz(matrix) -> HessianSpectrum:
     for bit.  The same symmetry check as `eig_sym` applies; the result
     depends on the matrix alone.
     """
-    sym = _symmetrised(matrix)
+    return _rank2_ritz(_symmetrised(matrix))
+
+
+def _rank2_ritz(sym) -> HessianSpectrum:
+    """`rank2_ritz` of a float64 square matrix that is finite and exactly
+    symmetric, unchecked: the stage of `navigation.navigate` takes it on the
+    Hessians `fd_hessian` and `models.hessian_of` return, which are built
+    symmetric and checked for finiteness where they are built."""
     m = sym.shape[0]
     if m < 2:
         raise ValueError(f"rank 2 exceeds dimension {m}")

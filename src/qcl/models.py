@@ -105,16 +105,25 @@ def _pair_slots(m: int, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _pair_layout(m: int, k: int) -> tuple:
-    """Read-only (dest, src) with block.flat[dest] = pairs_val.flat[src]: they
-    write w_i = pairs_val[i, s] and w_j = pairs_val[j, t] into row r of a
-    (P k^2, m) block of points, for the pair entry `_pair_slots(m, k)[r]`."""
+def _direct_points(m: int, k: int, singles: bytes) -> np.ndarray:
+    """Read-only (1 + q + P k^2, m) index table of the stencil points into
+    [point, singles_val, pairs_val.ravel()], `singles` the bytes of the int
+    array singles_idx (q entries): row 0 is the centre, row 1 + r the point
+    with w[singles_idx[r]] = singles_val[r], and row 1 + q + r the point with
+    w_i = pairs_val[i, s] and w_j = pairs_val[j, t] of the pair entry
+    `_pair_slots(m, k)[r]`."""
+    singles_idx = np.frombuffer(singles, dtype=int)
+    q = singles_idx.size
     first, second = np.divmod(_pair_slots(m, k), m * k)
-    row = np.arange(first.size) * m
-    dest = np.concatenate((row + first // k, row + second // k))
-    src = np.concatenate((first, second))
-    dest.flags.writeable = src.flags.writeable = False
-    return dest, src
+    table = np.empty((1 + q + first.size, m), dtype=np.intp)
+    table[:] = np.arange(m)
+    table[np.arange(1, 1 + q), singles_idx] = m + np.arange(q)
+    pair_rows = table[1 + q:]
+    rows = np.arange(first.size)
+    pair_rows[rows, first // k] = m + q + first
+    pair_rows[rows, second // k] = m + q + second
+    table.flags.writeable = False
+    return table
 
 
 def _abs2(z):
@@ -494,14 +503,12 @@ def _insertion_terms(chain, D):
 def _direct_stencil(problem, point, singles_idx, singles_val, pairs_val):
     """`chain_stencil_cost`'s (center, singles, pairs), every stencil point
     evaluated as its own chain: one factor build and one `_stacked_sweep`
-    over the stack [center; singles; pairs i < j]."""
+    over the stack [center; singles; pairs i < j], gathered by one `take`
+    through `_direct_points`."""
     m, k = pairs_val.shape
     q = singles_idx.size
-    dest, src = _pair_layout(m, k)
-    points = np.empty((1 + q + dest.size // 2, m))
-    points[:] = point
-    points[np.arange(1, 1 + q), singles_idx] = singles_val
-    points[1 + q:].reshape(-1)[dest] = pairs_val.reshape(-1)[src]
+    table = _direct_points(m, k, singles_idx.tobytes())
+    points = np.concatenate((point, singles_val, pairs_val.ravel())).take(table)
     ket, bra = problem._cost_boundary()
     costs = _stacked_sweep(problem._interval_stacks(points, 0)[0], ket, bra)[2]
     return float(costs[0]), costs[1:1 + q], costs[1 + q:].reshape(-1, k, k)
@@ -643,7 +650,7 @@ def hessian_of(problem, values) -> np.ndarray:
     of z are pair terms of two A1 insertions and the diagonal ones single A2
     insertions (`_insertion_terms`).  Every term is formed symmetrically in
     (i, j), so the matrix is exactly symmetric without averaging it with its
-    transpose.
+    transpose.  A NaN or infinite entry raises NonFiniteCost.
     """
     A, A1, A2 = problem._interval_stacks(values)
     chain = _prefix_chain(A, *problem._cost_boundary())
@@ -652,7 +659,10 @@ def hessian_of(problem, values) -> np.ndarray:
     zg = zg[:, 0]
     zh = _symmetric((R @ L.T).take(_pair_slots(A.shape[0], 1)),
                     np.einsum("ja,jab,jb->j", bras, A2, kets))
-    return 2.0 * (np.real(np.conj(z) * zh) + np.real(np.outer(np.conj(zg), zg)))
+    hess = 2.0 * (np.real(np.conj(z) * zh) + np.real(np.outer(np.conj(zg), zg)))
+    if not np.isfinite(hess).all():
+        raise NonFiniteCost("non-finite exact Hessian entry")
+    return hess
 
 
 class ModelSchema(NamedTuple):

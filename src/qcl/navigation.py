@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import ControlField
-from .landscape import FdConfig, HessianSpectrum, NonFiniteCost, fd_hessian, rank2_ritz
+from .landscape import FdConfig, HessianSpectrum, NonFiniteCost, _rank2_ritz, fd_hessian
 from .models import PrefixGrowth, _check_field, chain_stencil_cost, hessian_of
 
 __all__ = [
@@ -190,18 +190,13 @@ def _rk4_step(f, x, h: float) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def rk4_integrate(f, x0, h: float, steps: int, callback=None):
-    """Classical RK4 for dx/dz = f(x); returns the list of states x_0..x_N.
-
-    `callback(k, x)` runs after each accepted step and may raise to stop.
-    """
+def rk4_integrate(f, x0, h: float, steps: int):
+    """Classical RK4 for dx/dz = f(x); returns the list of states x_0..x_N."""
     x = np.asarray(x0, dtype=float).copy()
     states = [x.copy()]
-    for k in range(steps):
+    for _ in range(steps):
         x = _rk4_step(f, x, h)
         states.append(x.copy())
-        if callback is not None:
-            callback(k, x)
     return states
 
 
@@ -225,7 +220,11 @@ def navigate(problem, start: ControlField, provider, h: float, steps: int,
         point equal to one of them reuses its spectrum, which has passed the
         rank guard, so the outputs are those of a recomputation.  The
         finiteness check, the provider's direction and the projection run
-        at every stage.
+        at every stage.  Each quantity is validated once, where it is
+        made: `fd_hessian` and `hessian_of` return a finite, exactly
+        symmetric matrix or raise, so the stage passes it to the Ritz kernel
+        (`landscape._rank2_ritz`) without `rank2_ritz`'s finiteness and
+        symmetry checks.
     null_rank : the number of non-null directions; only 2, the structure
         at solutions of both models, is accepted.
     abort_ceiling : if the main infidelity exceeds this the run stops and the
@@ -236,9 +235,9 @@ def navigate(problem, start: ControlField, provider, h: float, steps: int,
     only on a state that differs.  The provider's secondary cost and the
     finiteness and ceiling checks run at every sample.
 
-    A run that leaves the finite range (state, infidelity, a stencil cost or
-    the exact Hessian) fails with code NONFINITE, one above the ceiling with
-    CEILING, and one whose Hessian the chain kernel refuses
+    A run that leaves the finite range (state, infidelity, a stencil cost,
+    the exact Hessian or its spectrum) fails with code NONFINITE, one above
+    the ceiling with CEILING, and one whose Hessian the chain kernel refuses
     (`models.PrefixGrowth`) with GROWTH, and one whose Hessian has
     |lambda_3 / lambda_2| above `RANK_COLLAPSE_RATIO` with RANK_COLLAPSE;
     any other error propagates.  A start that fails `entry_infidelity` raises.
@@ -262,7 +261,7 @@ def navigate(problem, start: ControlField, provider, h: float, steps: int,
     memo = {}
 
     def flow(values):
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise _NavigationFailure("NONFINITE", "non-finite state")
         point = values.tobytes()
         spec = memo.pop(point, None)
@@ -271,9 +270,13 @@ def navigate(problem, start: ControlField, provider, h: float, steps: int,
                 hess = fd_hessian(stencil, values, hessian_mode)
             else:
                 hess = hessian_of(problem, values)
-            spec = rank2_ritz(hess)
+            # both return a finite, exactly symmetric matrix or raise, so the
+            # Ritz kernel takes it without `rank2_ritz`'s checks
+            spec = _rank2_ritz(hess)
             lam = np.abs(spec.eigenvalues)
             if lam.size > 2 and not lam[2] <= RANK_COLLAPSE_RATIO * lam[1]:
+                if not np.isfinite(lam).all():
+                    raise _NavigationFailure("NONFINITE", "non-finite Hessian spectrum")
                 raise _NavigationFailure(
                     "RANK_COLLAPSE", f"|lambda3/lambda2| = {lam[2] / lam[1]:.2e} exceeds "
                     f"{RANK_COLLAPSE_RATIO:.0e}: the Hessian is not rank 2")
@@ -294,7 +297,7 @@ def navigate(problem, start: ControlField, provider, h: float, steps: int,
     try:
         for k in range(steps):
             x = _rk4_step(flow, x, h)
-            if not np.all(np.isfinite(x)):
+            if not np.isfinite(x).all():
                 raise _NavigationFailure("NONFINITE", "non-finite state")
             last = samples[-1]
             if x.tobytes() == last.field.values.tobytes():

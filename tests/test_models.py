@@ -12,7 +12,7 @@ from qcl.models import (BogoliubovPair, ChainBatch, LzProblem, PrefixGrowth, Qho
                         hessian_of, lz_infidelity, particle_number, problem_from_dict,
                         problem_to_dict, qho_infidelity, qho_propagate, seed_bounds)
 from qcl.models import (_DIRECT_STENCIL_MAX_M, _SERIES_X, _abs2, _chain_state, _check_field,
-                        _factor_tables)
+                        _direct_points, _factor_tables)
 from qcl.optimizer import SeedSpec, minimize, polish, sample_seeds
 
 from chain_oracles import (reference_chain_derivatives, reference_fd_hessian, reference_gradient,
@@ -680,6 +680,26 @@ class TestDirectStencil:
             assert same_bytes(got[1], want[1])
             assert same_bytes(got[2], want[2])
 
+    def test_index_tables_follow_the_singles(self):
+        # consecutive calls at one (M, k) whose singles differ in order and
+        # repeats each gather through their own cached index table
+        problem = LzProblem(gap=2.0, duration=1.8, n_pulses=3)
+        rng = np.random.default_rng(96)
+        evaluate = chain_stencil_cost(problem)
+        pointwise = pointwise_stencil(problem.infidelity_of)
+        point = rng.uniform(-5.0, 5.0, 3)
+        p_val = point[:, None] + np.array([1e-2, -1e-2])
+        standard = np.repeat(np.arange(3), 2)
+        for s_idx in (standard, standard[::-1], np.array([2, 2, 0, 2]), standard):
+            s_val = rng.uniform(-5.0, 5.0, s_idx.size)
+            got, want = evaluate(point, s_idx, s_val, p_val), pointwise(point, s_idx, s_val, p_val)
+            assert got[0] == want[0]
+            assert same_bytes(got[1], want[1]) and same_bytes(got[2], want[2])
+        table = _direct_points(3, 2, standard.tobytes())
+        assert table.shape == (1 + 6 + 3 * 4, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
+
     def test_overflowing_cost_raises_non_finite_cost(self):
         # a free interval between two stiff ones: every factor is finite, the
         # chain's product overflows
@@ -779,6 +799,13 @@ class TestPairKernel:
         values[2] = 1e300
         with np.errstate(all="ignore"), pytest.raises(NonFiniteCost):
             hessian_of(problem, values)
+
+    def test_overflowing_hessian_entry_raises_non_finite_cost(self):
+        # every factor and prefix product is finite at w_0 = 1e154, but a
+        # second-derivative term overflows: the matrix is checked where it is built
+        problem = LzProblem(gap=2.0, duration=1.8, n_pulses=3)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteCost, match="Hessian"):
+            hessian_of(problem, np.array([1e154, 0.0, 0.0]))
 
 
 class TestInvariants:

@@ -336,6 +336,44 @@ class TestNavigate:
         assert len(traj.samples) == 1
         assert set(FAILURE_CODES) == {"CEILING", "NONFINITE", "GROWTH", "RANK_COLLAPSE"}
 
+    def test_nonfinite_exact_hessian_failure_code(self, qho_solution, monkeypatch):
+        # the stage trusts hessian_of to raise on a non-finite entry; a matrix
+        # that still has one gives a NaN spectrum, which the rank guard reports
+        problem, field = qho_solution
+
+        def nonfinite_hessian(problem, values):
+            hess = np.eye(values.size)
+            hess[0, 1] = hess[1, 0] = np.inf
+            return hess
+
+        monkeypatch.setattr(navigation, "hessian_of", nonfinite_hessian)
+        traj = navigate(problem, field, FixedVector(np.ones(6)), h=0.1, steps=3)
+        assert traj.failed and traj.failure_code == "NONFINITE"
+        assert "non-finite" in traj.failure_reason
+        assert len(traj.samples) == 1
+
+    def test_traced_entry_points_run_at_every_stage(self, lz3_solution, monkeypatch):
+        # the benchmark's tracer wraps these `navigation` attributes: a drive
+        # reaches each of them through the module, once per RK4 stage
+        problem, field = lz3_solution
+        counts = dict.fromkeys(("fd_hessian", "stencil", "project"), 0)
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        make_stencil = navigation.chain_stencil_cost
+        monkeypatch.setattr(navigation, "fd_hessian", counted("fd_hessian", navigation.fd_hessian))
+        monkeypatch.setattr(navigation, "project", counted("project", navigation.project))
+        monkeypatch.setattr(navigation, "chain_stencil_cost",
+                            lambda problem: counted("stencil", make_stencil(problem)))
+        traj = navigate(problem, field, NullFollow(), h=0.01, steps=25,
+                        hessian_mode=FdConfig(1e-2))
+        assert not traj.failed and len(traj.samples) == 26
+        assert counts == {"fd_hessian": 100, "stencil": 100, "project": 100}
+
     @pytest.mark.parametrize("mode", ["exact", FdConfig(1e-2)])
     def test_overflowing_stage_point_failure_code(self, qho_solution, mode):
         # the first stage point's factors overflow: the chain kernel raises on
@@ -394,7 +432,7 @@ class TestNavigate:
                                    * abs(spec.eigenvalues[1]))
             return spec
 
-        monkeypatch.setattr(navigation, "rank2_ritz", third_value_at)
+        monkeypatch.setattr(navigation, "_rank2_ritz", third_value_at)
         traj = navigate(problem, field, FixedVector(np.ones(6)), h=0.1, steps=3)
         assert traj.failure_code == code
         assert len(traj.samples) == (4 if code is None else 1)
@@ -524,7 +562,7 @@ class TestNavigate:
         problem, field = lz3_solution
         ritz = navigate(problem, field, NullFollow(), h=0.01, steps=100,
                         hessian_mode=FdConfig(1e-2))
-        monkeypatch.setattr(navigation, "rank2_ritz", eig_sym)
+        monkeypatch.setattr(navigation, "_rank2_ritz", eig_sym)
         full = navigate(problem, field, NullFollow(), h=0.01, steps=100,
                         hessian_mode=FdConfig(1e-2))
         assert not ritz.failed
