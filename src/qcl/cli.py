@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -37,24 +37,6 @@ __all__ = ["main"]
 DEFAULT_T = 1.8
 _LZ3 = LzProblem(gap=2.0, duration=1.4 * np.pi / 2.0, n_pulses=3)
 _QHO6 = QhoProblem(omega_start=1.0, omega_target=1.0, duration=DEFAULT_T, n_pulses=6)
-
-
-@dataclass(frozen=True)
-class BenchmarkRecord:
-    """Mean run-times of the two Hessian-eigenvector paths at one size."""
-
-    model: str
-    m: int
-    tau_app: float
-    tau_ext: float
-    eta: float
-
-    def __post_init__(self):
-        if not (self.eta > 0 and self.tau_app > 0 and self.tau_ext > 0):
-            raise ValueError("run-times and their ratio must be positive")
-
-    def row(self):
-        return (self.model, self.m, self.tau_app, self.tau_ext, self.eta)
 
 
 def _write_csv(path: Path, seed: int, header: str, rows):
@@ -410,12 +392,9 @@ def cmd_benchmark(cfg: dict, out: Path) -> int:
                 quotients.append(t_app / t_ext)
                 t_apps.append(t_app)
                 t_exts.append(t_ext)
-            record = BenchmarkRecord(model=name, m=m,
-                                     tau_app=float(np.mean(t_apps)),
-                                     tau_ext=float(np.mean(t_exts)),
-                                     eta=float(np.mean(quotients)))
-            rows.append(record.row())
-            print(f"benchmark {name} M={m}: eta = {record.eta:.2f}")
+            eta = float(np.mean(quotients))
+            rows.append((name, m, float(np.mean(t_apps)), float(np.mean(t_exts)), eta))
+            print(f"benchmark {name} M={m}: eta = {eta:.2f}")
     _write_csv(out / "benchmark.csv", seed, "model,M,tau_app,tau_ext,eta", rows)
     return 0
 

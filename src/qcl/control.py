@@ -3,11 +3,12 @@
 A protocol is a vector of M real amplitudes held constant over consecutive
 intervals of length dt = T/M.  The DFT here is the plain unnormalized
 transform, evaluated by direct summation (M stays at desk scale, <= 64).
+A field's file form, {"T": ..., "values": [...]}, is read and written by
+`qcl.cli` alone, which names the key at fault in a malformed document.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -47,14 +48,6 @@ class ControlField:
     def with_values(self, values) -> "ControlField":
         return ControlField(values=values, total_time=self.total_time)
 
-    def to_json(self) -> str:
-        return json.dumps({"T": self.total_time, "values": self.values.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "ControlField":
-        doc = json.loads(text)
-        return cls(values=np.asarray(doc["values"], dtype=float), total_time=float(doc["T"]))
-
 
 @dataclass(frozen=True)
 class FrequencySpec:
@@ -62,12 +55,11 @@ class FrequencySpec:
 
     A real signal cannot zero |X_k| without zeroing its mirror |X_{M-k}|,
     and a nonzero mean requires X_0 != 0, so the user-facing set is closed
-    automatically.  The raw requested indices are preserved for reporting.
+    automatically.
     """
 
     m: int
     kept: frozenset
-    requested: tuple
 
     def __post_init__(self):
         if self.m < 1:
@@ -84,15 +76,13 @@ class FrequencySpec:
     @classmethod
     def closure(cls, indices, m: int) -> "FrequencySpec":
         """Build a spec from raw indices, closing under the mirror map and adding 0."""
-        requested = tuple(sorted(set(int(k) for k in indices)))
-        for k in requested:
+        kept = {0}
+        for k in sorted(set(map(int, indices))):
             if not (0 <= k < m):
                 raise ValueError(f"index {k} outside [0, {m - 1}]")
-        kept = {0}
-        for k in requested:
             kept.add(k)
             kept.add((m - k) % m)
-        return cls(m=m, kept=frozenset(kept), requested=requested)
+        return cls(m=m, kept=frozenset(kept))
 
     @property
     def excluded(self) -> tuple:

@@ -6,7 +6,9 @@ The four-point central stencil
 
 needs only cost evaluations, so navigation can run on problems whose exact
 second derivatives are out of reach.  Symmetry halves the work; the diagonal
-reduces to the three distinct points w, w +- 2e ei.
+reduces to the three distinct points w, w +- 2e ei.  A NaN or infinite
+stencil cost raises `qcl.models.NonFiniteCost`, checked once on the
+assembled matrix, as `hessian_of` checks its own.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .models import NonFiniteCost, _symmetric
 __all__ = [
     "FdConfig",
     "HessianSpectrum",
-    "NonFiniteCost",
     "fd_hessian",
     "pointwise_stencil",
     "eig_sym",
@@ -113,8 +114,9 @@ def fd_hessian(stencil, point, config: FdConfig) -> np.ndarray:
     config : FdConfig with the step epsilon.
 
     `models._symmetric` assembles the packed pair differences and the
-    diagonal, as in `hessian_of`.  Raises NonFiniteCost if any stencil cost
-    is NaN or infinite, or an entry overflows.
+    diagonal, and the assembled matrix is checked once for finiteness, both
+    as in `hessian_of`.  Raises NonFiniteCost if any stencil cost is NaN or
+    infinite, or an entry overflows.
     """
     point = np.asarray(point, dtype=float)
     eps = config.epsilon
@@ -129,9 +131,10 @@ def fd_hessian(stencil, point, config: FdConfig) -> np.ndarray:
     upper = (pairs[:, 0, 0] - pairs[:, 0, 1] - pairs[:, 1, 0] + pairs[:, 1, 1]) * inv
     # every single and the centre enter a diagonal term
     diag = (singles[0::2] - 2.0 * center + singles[1::2]) * inv
-    if not (np.isfinite(upper).all() and np.isfinite(diag).all()):
+    hess = _symmetric(upper, diag)
+    if not np.isfinite(hess).all():
         raise NonFiniteCost("non-finite cost at a stencil point")
-    return _symmetric(upper, diag)
+    return hess
 
 
 def _symmetrised(matrix) -> np.ndarray:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import ControlField
-from .landscape import FdConfig, HessianSpectrum, NonFiniteCost, _rank2_ritz, fd_hessian
-from .models import PrefixGrowth, _check_field, chain_stencil_cost, hessian_of
+from .landscape import FdConfig, HessianSpectrum, _rank2_ritz, fd_hessian
+from .models import NonFiniteCost, PrefixGrowth, _check_field, chain_stencil_cost, hessian_of
 
 __all__ = [
     "ENTRY_THRESHOLD",
@@ -80,14 +80,19 @@ def null_direction(spectrum: HessianSpectrum, previous=None) -> np.ndarray:
 
 
 class FixedVector:
-    """Always steer along the same constant vector (before projection)."""
+    """Always steer along the same constant vector (before projection).
+
+    The vector is a read-only copy of the caller's, so a later change to the
+    caller's array cannot get round the finiteness check.
+    """
 
     def __init__(self, a):
-        a = np.asarray(a, dtype=float)
+        a = np.array(a, dtype=float)
         if not np.isfinite(a).all():
             raise ValueError("fixed direction must be finite")
         if not np.any(a != 0.0):
             raise ValueError("fixed direction must be non-zero")
+        a.flags.writeable = False
         self.a = a
 
     def direction(self, values, spectrum):
@@ -100,8 +105,8 @@ class FixedVector:
 class NullFollow:
     """Follow the instantaneous null eigenvector with sign continuity."""
 
-    def __init__(self, previous=None):
-        self.previous = None if previous is None else np.asarray(previous, dtype=float)
+    def __init__(self):
+        self.previous = None
 
     def direction(self, values, spectrum):
         v = null_direction(spectrum, self.previous)
@@ -192,11 +197,12 @@ def _rk4_step(f, x, h: float) -> np.ndarray:
 
 def rk4_integrate(f, x0, h: float, steps: int):
     """Classical RK4 for dx/dz = f(x); returns the list of states x_0..x_N."""
-    x = np.asarray(x0, dtype=float).copy()
-    states = [x.copy()]
+    x = np.array(x0, dtype=float)
+    states = [x]
     for _ in range(steps):
+        # each step returns a new array, so the list holds no aliases
         x = _rk4_step(f, x, h)
-        states.append(x.copy())
+        states.append(x)
     return states
 
 
@@ -326,7 +332,7 @@ def navigate(problem, start: ControlField, provider, h: float, steps: int,
     return Trajectory(samples=tuple(samples), failure_code=code, failure_reason=reason)
 
 
-def calibrate_epsilon(problem, solution, direction, eps_grid, steps: int = 1000, h: float = 0.1):
+def calibrate_epsilon(problem, solution, direction, eps_grid, steps: int, h: float):
     """Final infidelity of an FD-driven navigation run, per stencil step.
 
     Restarts the same solution, whose infidelity must lie below
@@ -352,10 +358,10 @@ def calibrate_epsilon(problem, solution, direction, eps_grid, steps: int = 1000,
     return rows
 
 
-def write_jsonl(trajectory: Trajectory, stream, header: dict | None = None):
-    """One JSON record per sample: {"zeta", "values", "infidelity", "secondary"}."""
-    if header is not None:
-        stream.write(json.dumps({"header": header}, sort_keys=True) + "\n")
+def write_jsonl(trajectory: Trajectory, stream, header: dict):
+    """A {"header": ...} record, then one JSON record per sample:
+    {"zeta", "values", "infidelity", "secondary"}."""
+    stream.write(json.dumps({"header": header}, sort_keys=True) + "\n")
     for s in trajectory.samples:
         stream.write(json.dumps({
             "zeta": s.zeta,

@@ -54,6 +54,9 @@ _STALL_ALIGNMENT = 3e-3
 # their converged results to 1e-16.
 _GAUSS_NEWTON_BELOW = 1e-2
 _GAUSS_NEWTON_STEPS = (1.0, 0.5, 0.25)
+# `polish`'s iteration cap; from a `minimize` result at 1e-6 the finish
+# reaches 1e-16 in one to three iterations
+_POLISH_MAX_ITER = 60
 
 # Why a descent stopped: below tol, gradient under _GRAD_FLOOR, stalled,
 # no acceptable step in the line search, out of iterations, non-finite cost.
@@ -213,12 +216,11 @@ def minimize(problem, seed: ControlField, tol: float = 1e-6,
                               converged=converged, stop="TOL" if converged else stop)
 
 
-def polish(problem, field: ControlField, target: float = 1e-16,
-           max_iter: int = 60) -> OptimizationReport:
+def polish(problem, field: ControlField, target: float = 1e-16) -> OptimizationReport:
     """`minimize` of a near-solution down to `target`.
 
     Started below I = 1e-2, every iteration tries `minimize`'s damped
     Gauss-Newton step first, which converges quadratically to the solution
     set, so a `minimize` result at 1e-6 reaches 1e-16 in a few iterations.
     """
-    return minimize(problem, field, tol=target, max_iter=max_iter)
+    return minimize(problem, field, tol=target, max_iter=_POLISH_MAX_ITER)

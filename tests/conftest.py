@@ -26,7 +26,7 @@ def build_pool(problem, bounds, rng_seed, want, polish_target=1e-18):
         for s in seeds:
             rep = minimize(problem, s, tol=1e-6, max_iter=2000)
             if rep.converged:
-                deep = polish(problem, rep.field, target=polish_target, max_iter=80)
+                deep = polish(problem, rep.field, target=polish_target)
                 if deep.converged:
                     fields.append(deep.field)
             if len(fields) >= want:

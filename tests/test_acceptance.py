@@ -11,11 +11,12 @@ All solution-based two-level runs therefore use gap = 2 with the documented
 times; the README covers the full analysis.
 """
 
-import time
+import json
 
 import numpy as np
 
 import conftest
+from qcl.cli import main as cli_main
 from qcl.control import ControlField, FrequencySpec, dft
 from qcl.landscape import FdConfig, eig_sym, eigvec_error, fd_hessian
 from qcl.models import (LzProblem, QhoProblem, chain_stencil_cost, gradient_of,
@@ -209,41 +210,19 @@ def test_08_fourier_compression(solution_bank):
            f"{t_lz.infidelities().max():.1e} < 1e-6")
 
 
-def test_09_runtime_ratio():
-    rng = np.random.default_rng(909)
-
-    def measure(fn, floor=1e-3):
-        t0 = time.perf_counter()
-        fn()
-        elapsed = time.perf_counter() - t0
-        if elapsed < floor:
-            reps = int(np.ceil(floor / max(elapsed, 1e-9)))
-            t0 = time.perf_counter()
-            for _ in range(reps):
-                fn()
-            elapsed = (time.perf_counter() - t0) / reps
-        return elapsed
-
-    ok = True
-    etas = {}
-    for m in (3, 6, 12, 24, 48):
-        for maker, lo, hi, name in [
-            (lambda m: LzProblem(gap=2.0, duration=1.8, n_pulses=m), -5.0, 5.0, "lz"),
-            (lambda m: QhoProblem(omega_start=1.0, omega_target=1.0, duration=1.8,
-                                  n_pulses=m), 0.1, 3.0, "qho"),
-        ]:
-            problem = maker(m)
-            stencil = chain_stencil_cost(problem)
-            config = FdConfig(1e-2)
-            quotients = []
-            for _ in range(100):
-                values = rng.uniform(lo, hi, m)
-                t_app = measure(lambda: eig_sym(fd_hessian(stencil, values, config)))
-                t_ext = measure(lambda: eig_sym(hessian_of(problem, values)))
-                quotients.append(t_app / t_ext)
-            eta = float(np.mean(quotients))
-            etas[f"{name} M={m}"] = eta
-            ok = ok and 0.5 <= eta <= 10.0
+def test_09_runtime_ratio(tmp_path):
+    # the `benchmark` subcommand's own timing loop, over both models
+    cfg = tmp_path / "benchmark.json"
+    cfg.write_text(json.dumps({"seed": 909, "m_grid": [3, 6, 12, 24, 48],
+                               "models": ["lz", "qho"], "fields_per_m": 100,
+                               "min_time": 1e-3}))
+    assert cli_main(["benchmark", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "benchmark.csv").read_text().strip().split("\n")
+    assert lines[1] == "model,M,tau_app,tau_ext,eta"
+    etas = {f"{name} M={m}": float(eta)
+            for name, m, _, _, eta in (line.split(",") for line in lines[2:])}
+    assert len(etas) == 10
+    ok = all(0.5 <= eta <= 10.0 for eta in etas.values())
     summary = ", ".join(f"{k}: {v:.2f}" for k, v in etas.items())
     report(9, ok, f"mean fd/exact run-time ratio within [0.5, 10] for every "
            f"configuration ({summary}); the machine-dependent reference value "

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from qcl.cli import _load_config, main
-from qcl.models import problem_to_dict
+from qcl.landscape import FdConfig, classify_null, eig_sym, fd_hessian
+from qcl.models import chain_stencil_cost, hessian_of, problem_from_dict, problem_to_dict
 from qcl.optimizer import STOP_CODES
 
 LZ3 = {"model": "lz", "delta": 2.0, "T": 1.4 * np.pi / 2, "M": 3}
@@ -121,6 +122,25 @@ class TestSpectrum:
         assert len(rows) == 3
         nonnull = [r for r in rows if r[3] == "0"]
         assert len(nonnull) == 2
+
+    @pytest.mark.parametrize("hessian", ["exact", "fd"])
+    def test_rows_are_the_library_spectrum(self, optimize_run, tmp_path, hessian):
+        archive = optimize_run / "solutions.jsonl"
+        cfg = write_config(tmp_path / "cfg.json",
+                           {"problem": LZ3, "seed": 1, "solution_path": str(archive),
+                            "hessian": hessian, "epsilon": 1e-2})
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 0
+        records = [json.loads(line) for line in archive.read_text().strip().split("\n")[1:]]
+        w = np.array(next(r["field"]["values"] for r in records if r["converged"]))
+        problem = problem_from_dict(LZ3)
+        hess = (fd_hessian(chain_stencil_cost(problem), w, FdConfig(1e-2)) if hessian == "fd"
+                else hessian_of(problem, w))
+        spec = eig_sym(hess)
+        is_null = classify_null(spec, tau_rel=1e-6)
+        lam_max = np.abs(spec.eigenvalues).max()
+        _, rows = read_csv(tmp_path / "spectrum.csv")
+        assert rows == [[str(i), repr(float(lam)), repr(float(abs(lam) / lam_max)),
+                         str(int(is_null[i]))] for i, lam in enumerate(spec.eigenvalues)]
 
     @pytest.mark.parametrize("index", [-1, 10**6])
     def test_solution_index_out_of_range_rejected(self, optimize_run, tmp_path, capsys, index):

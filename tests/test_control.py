@@ -1,5 +1,4 @@
 import cmath
-import json
 
 import numpy as np
 import pytest
@@ -55,14 +54,6 @@ class TestControlField:
     def test_scalar_value_is_one_amplitude(self):
         f = ControlField(values=np.float64(0.7), total_time=1.0)
         assert f.values.shape == (1,) and f.values[0] == 0.7
-
-    def test_json_round_trip(self):
-        f = ControlField(values=[0.5, -1.25, 3.0], total_time=2.2)
-        g = ControlField.from_json(f.to_json())
-        assert g.total_time == f.total_time
-        assert np.array_equal(g.values, f.values)
-        doc = json.loads(f.to_json())
-        assert set(doc) == {"T", "values"}
 
     def test_values_are_read_only(self):
         f = ControlField(values=[1.0, 2.0], total_time=1.0)
@@ -151,7 +142,6 @@ class TestFrequencySpec:
     def test_closure_adds_zero_and_mirror(self):
         spec = FrequencySpec.closure([1, 2], 48)
         assert spec.kept == frozenset({0, 1, 2, 46, 47})
-        assert spec.requested == (1, 2)
 
     def test_closure_is_idempotent_under_mirror_relabeling(self):
         a = FrequencySpec.closure([1, 2], 16)
@@ -171,9 +161,9 @@ class TestFrequencySpec:
 
     def test_direct_constructor_enforces_invariants(self):
         with pytest.raises(ValueError):
-            FrequencySpec(m=8, kept=frozenset({1}), requested=(1,))  # no 0
+            FrequencySpec(m=8, kept=frozenset({1}))  # no 0
         with pytest.raises(ValueError):
-            FrequencySpec(m=8, kept=frozenset({0, 1}), requested=(1,))  # not mirror-closed
+            FrequencySpec(m=8, kept=frozenset({0, 1}))  # not mirror-closed
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=2, max_value=64),

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from qcl.control import ControlField
 from qcl import landscape
-from qcl.landscape import (FdConfig, HessianSpectrum, NonFiniteCost, _eigh, _orthonormal,
-                           _symmetrised, classify_null, eig_sym, eigvec_error, fd_hessian,
-                           pointwise_stencil, rank2_ritz)
-from qcl.models import LzProblem, QhoProblem, chain_stencil_cost, hessian_of
+from qcl.landscape import (FdConfig, HessianSpectrum, _eigh, _orthonormal, _symmetrised,
+                           classify_null, eig_sym, eigvec_error, fd_hessian, pointwise_stencil,
+                           rank2_ritz)
+from qcl.models import LzProblem, NonFiniteCost, QhoProblem, chain_stencil_cost, hessian_of
 from qcl.navigation import FixedVector, calibrate_epsilon, navigate, project
 from qcl.optimizer import SeedSpec, minimize, polish, sample_seeds
 

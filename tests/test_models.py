@@ -6,9 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcl.control import ControlField
-from qcl.landscape import FdConfig, NonFiniteCost, fd_hessian, pointwise_stencil
-from qcl.models import (BogoliubovPair, ChainBatch, LzProblem, PrefixGrowth, QhoProblem,
-                        chain_stencil_cost, exact_gradient, exact_hessian, gradient_of,
+from qcl.landscape import FdConfig, fd_hessian, pointwise_stencil
+from qcl.models import (BogoliubovPair, ChainBatch, LzProblem, NonFiniteCost, PrefixGrowth,
+                        QhoProblem, chain_stencil_cost, exact_gradient, exact_hessian, gradient_of,
                         hessian_of, lz_infidelity, particle_number, problem_from_dict,
                         problem_to_dict, qho_infidelity, qho_propagate, seed_bounds)
 from qcl.models import (_DIRECT_STENCIL_MAX_M, _SERIES_X, _abs2, _chain_state, _check_field,

@@ -259,6 +259,16 @@ class TestNavigate:
             FixedVector([bad, 1.0, 0.0])
         assert FixedVector([1e300, 1.0, 0.0]).a[0] == 1e300
 
+    def test_fixed_direction_is_a_read_only_copy(self):
+        # a later write to the caller's array cannot slip a NaN past the check
+        a = np.ones(6)
+        provider = FixedVector(a)
+        a[0] = np.nan
+        assert provider.a[0] == 1.0
+        assert provider.direction(None, None) is not a
+        with pytest.raises(ValueError, match="read-only"):
+            provider.a[0] = 2.0
+
     def test_direction_orthogonal_to_null_space_freezes(self, qho_solution):
         problem, field = qho_solution
         a = eig_sym(hessian_of(problem, field.values)).vectors[0]
@@ -327,7 +337,7 @@ class TestNavigate:
 
         def nonfinite_stencil(point, s_idx, s_val, p_val):
             m, k = np.shape(p_val)
-            return float("inf"), np.zeros(len(s_idx)), np.zeros((m, k, m, k))
+            return float("inf"), np.zeros(len(s_idx)), np.zeros((m * (m - 1) // 2, k, k))
 
         monkeypatch.setattr(navigation, "chain_stencil_cost", lambda problem: nonfinite_stencil)
         traj = navigate(problem, field, FixedVector(np.ones(6)), h=0.1, steps=3,
