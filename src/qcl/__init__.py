@@ -1,6 +1,6 @@
 """Solution-manifold navigation for piecewise-constant quantum control."""
 
-from .control import ControlField, FrequencySpec, Spectrum, dft, power
+from .control import ControlField, FrequencySpec
 from .landscape import (FdConfig, HessianSpectrum, classify_null, eig_sym, eigvec_error,
                         fd_hessian, pointwise_stencil, rank2_ritz)
 from .models import (BogoliubovPair, LzProblem, QhoProblem, exact_gradient, exact_hessian,
@@ -11,7 +11,7 @@ from .objectives import FourierObjective, compress, fourier_cost, fourier_gradie
 from .optimizer import OptimizationReport, SeedSpec, minimize, sample_seeds
 
 __all__ = [
-    "ControlField", "FrequencySpec", "Spectrum", "dft", "power",
+    "ControlField", "FrequencySpec",
     "FdConfig", "HessianSpectrum", "calibrate_epsilon", "classify_null",
     "eig_sym", "eigvec_error", "fd_hessian", "pointwise_stencil", "rank2_ritz",
     "BogoliubovPair", "LzProblem", "QhoProblem",

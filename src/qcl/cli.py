@@ -320,7 +320,9 @@ def cmd_compress(cfg: dict, out: Path) -> int:
     problem, seed, kept, modes, eps, h, steps = (
         cfg[k] for k in ("problem", "seed", "kept", "modes", "epsilon", "h", "steps"))
     spec = FrequencySpec.closure(kept, problem.n_pulses)
-    stride = max(1, steps // 20 if cfg["protocol_stride"] is None else cfg["protocol_stride"])
+    if not spec.excluded:
+        raise ValueError(f"kept {kept} closes to every index: there is no power to compress")
+    stride = cfg["protocol_stride"] or max(1, steps // 20)
     print(f"compress: requested frequencies {kept} closed to {sorted(spec.kept)}")
 
     starts = [r.field for r in _find_solutions(problem, seed, cfg["bounds"],
@@ -431,7 +433,7 @@ _COMMANDS = {
         "kept": (_list_of(_integer), [1, 2]),
         "modes": (_list_of(_one_of("exact", "fd")), ["exact", "fd"]),
         "epsilon": (_number, 1e-2), "h": (_number, 0.005), "steps": (_integer, 800),
-        "n_starts": (_positive, 1), "protocol_stride": (_integer, None),
+        "n_starts": (_positive, 1), "protocol_stride": (_positive, None),
         "search_count": (_positive, 40), **_BOUNDS}),
     "benchmark": (cmd_benchmark, {
         "seed": (_integer, 0), "m_grid": (_list_of(_integer), [3, 6, 12, 24, 48]),

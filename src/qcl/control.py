@@ -1,8 +1,9 @@
-"""Piecewise-constant control fields and their discrete Fourier description.
+"""Piecewise-constant control fields and the DFT indices a compression keeps.
 
 A protocol is a vector of M real amplitudes held constant over consecutive
-intervals of length dt = T/M.  The DFT here is the plain unnormalized
-transform, evaluated by direct summation (M stays at desk scale, <= 64).
+intervals of length dt = T/M.  `FrequencySpec` names the indices k of the
+unnormalized DFT X_k = sum_n w_n exp(-i 2 pi k n / M) that a compression
+keeps; `qcl.objectives.FourierObjective` computes the power outside them.
 A field's file form, {"T": ..., "values": [...]}, is read and written by
 `qcl.cli` alone, which names the key at fault in a malformed document.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ControlField", "FrequencySpec", "Spectrum", "dft", "power"]
+__all__ = ["ControlField", "FrequencySpec"]
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -87,33 +88,3 @@ class FrequencySpec:
     @property
     def excluded(self) -> tuple:
         return tuple(k for k in range(self.m) if k not in self.kept)
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Complex DFT components X_0 .. X_{M-1}."""
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        comps = np.atleast_1d(np.asarray(self.components, dtype=complex))
-        object.__setattr__(self, "components", comps)
-
-    @property
-    def size(self) -> int:
-        return self.components.size
-
-
-def dft(field: ControlField) -> Spectrum:
-    """X_k = sum_n omega_{n+1} exp(-i 2 pi k n / M), by direct summation."""
-    m = field.n_pulses
-    k = np.arange(m)
-    phases = np.exp(-2j * np.pi * np.outer(k, k) / m)
-    return Spectrum(components=phases @ field.values)
-
-
-def power(spectrum: Spectrum, k: int) -> float:
-    """|X_k|^2 for a single index."""
-    if not (0 <= k < spectrum.size):
-        raise IndexError(f"index {k} outside [0, {spectrum.size - 1}]")
-    return float(abs(spectrum.components[k]) ** 2)

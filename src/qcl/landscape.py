@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .models import NonFiniteCost, _symmetric
+from .models import NonFiniteCost, _stencil_args, _symmetric
 
 __all__ = [
     "FdConfig",
@@ -69,13 +69,16 @@ def pointwise_stencil(cost):
     itself: the way a black-box cost enters `fd_hessian`."""
 
     def evaluate(point, singles_idx, singles_val, pairs_val):
+        point, singles_idx, singles_val, pairs_val = _stencil_args(
+            point, singles_idx, singles_val, pairs_val)
+
         def at(idx, val):
             q = point.copy()
             q[idx] = val
             return cost(q)
 
         singles = np.array([at(i, v) for i, v in zip(singles_idx, singles_val)], dtype=float)
-        m, k = np.shape(pairs_val)
+        m, k = pairs_val.shape
         pairs = [at([i, j], [vi, vj]) for i, j in zip(*np.triu_indices(m, 1))
                  for vi in pairs_val[i] for vj in pairs_val[j]]
         return float(cost(point)), singles, np.array(pairs, dtype=float).reshape(-1, k, k)

@@ -500,6 +500,21 @@ def _insertion_terms(chain, D):
     return a, right.reshape(m * k, 2), left.reshape(m * k, 2)
 
 
+def _stencil_args(point, singles_idx, singles_val, pairs_val):
+    """A stencil evaluator's four arguments as arrays, or a ValueError naming their shapes."""
+    point = np.asarray(point, dtype=float)
+    singles_idx = np.asarray(singles_idx, dtype=int)
+    singles_val = np.asarray(singles_val, dtype=float)
+    pairs_val = np.asarray(pairs_val, dtype=float)
+    q = singles_idx.size
+    if (point.ndim != 1 or singles_idx.shape != (q,) or singles_val.shape != (q,)
+            or pairs_val.ndim != 2 or pairs_val.shape[0] != point.size):
+        raise ValueError(f"expected a 1-D point, equal 1-D singles_idx and singles_val "
+                         f"and pairs_val of shape (M, k); got {point.shape}, "
+                         f"{singles_idx.shape}, {singles_val.shape} and {pairs_val.shape}")
+    return point, singles_idx, singles_val, pairs_val
+
+
 def _direct_stencil(problem, point, singles_idx, singles_val, pairs_val):
     """`chain_stencil_cost`'s (center, singles, pairs), every stencil point
     evaluated as its own chain: one factor build and one `_stacked_sweep`
@@ -543,16 +558,9 @@ def chain_stencil_cost(problem):
     """
 
     def evaluate(point, singles_idx, singles_val, pairs_val):
-        point = np.asarray(point, dtype=float)
-        singles_idx = np.asarray(singles_idx, dtype=int)
-        singles_val = np.asarray(singles_val, dtype=float)
-        pairs_val = np.asarray(pairs_val, dtype=float)
+        point, singles_idx, singles_val, pairs_val = _stencil_args(
+            point, singles_idx, singles_val, pairs_val)
         m, q = point.size, singles_idx.size
-        if (point.ndim != 1 or singles_idx.shape != (q,) or singles_val.shape != (q,)
-                or pairs_val.ndim != 2 or pairs_val.shape[0] != m):
-            raise ValueError(f"expected a 1-D point, equal 1-D singles_idx and singles_val "
-                             f"and pairs_val of shape (M, k); got {point.shape}, "
-                             f"{singles_idx.shape}, {singles_val.shape} and {pairs_val.shape}")
         if m <= _DIRECT_STENCIL_MAX_M:
             return _direct_stencil(problem, point, singles_idx, singles_val, pairs_val)
         values = np.concatenate((point, singles_val, pairs_val.ravel()))

@@ -3,9 +3,9 @@
 At a solution the Hessian of the main objective has rank two.  At every RK4
 stage point `navigate` takes that Hessian's two non-null eigenvectors from
 one Rayleigh-Ritz step on a block of four (`landscape.rank2_ritz`; a full
-eigendecomposition below M = 32), removes their
-components from the chosen direction, and integrates the resulting field
-dw/dzeta = P(w) a(w) with classical fourth-order Runge-Kutta.  Because the
+eigendecomposition below M = 32), removes their components from the chosen
+direction, and integrates the resulting field dw/dzeta = P(w) a(w) with
+classical fourth-order Runge-Kutta, one `_rk4_step` per step.  Because the
 projector removes every fidelity-decreasing component, the trajectory stays
 on the level set up to integration error.  The third eigenvalue (or Ritz
 value) guards the rank-two premise: a run whose |lambda_3 / lambda_2|
@@ -39,7 +39,6 @@ __all__ = [
     "project",
     "null_direction",
     "navigate",
-    "rk4_integrate",
     "write_jsonl",
     "calibrate_epsilon",
     "entry_infidelity",
@@ -195,17 +194,6 @@ def _rk4_step(f, x, h: float) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def rk4_integrate(f, x0, h: float, steps: int):
-    """Classical RK4 for dx/dz = f(x); returns the list of states x_0..x_N."""
-    x = np.array(x0, dtype=float)
-    states = [x]
-    for _ in range(steps):
-        # each step returns a new array, so the list holds no aliases
-        x = _rk4_step(f, x, h)
-        states.append(x)
-    return states
-
-
 class _NavigationFailure(Exception):
     """Raised with (failure code, reason) to end a run as a failed trajectory."""
 
@@ -246,13 +234,16 @@ def navigate(problem, start: ControlField, provider, h: float, steps: int,
     the ceiling with CEILING, and one whose Hessian the chain kernel refuses
     (`models.PrefixGrowth`) with GROWTH, and one whose Hessian has
     |lambda_3 / lambda_2| above `RANK_COLLAPSE_RATIO` with RANK_COLLAPSE;
-    any other error propagates.  A start that fails `entry_infidelity` raises.
+    any other error propagates.  A start that fails `entry_infidelity`, an h that
+    is not positive and finite, or a NaN or negative abort_ceiling raises.
     """
     if null_rank != 2:
         raise ValueError(f"null_rank must be 2 (the rank of the Hessian at a "
                          f"solution), got {null_rank!r}")
-    if h <= 0:
-        raise ValueError("step h must be positive")
+    if not (h > 0 and np.isfinite(h)):
+        raise ValueError(f"step h must be positive and finite, got {h!r}")
+    if not abort_ceiling >= 0:
+        raise ValueError(f"abort_ceiling must be >= 0, got {abort_ceiling!r}")
     if steps < 0:
         raise ValueError("steps must be >= 0")
     fd = isinstance(hessian_mode, FdConfig)

@@ -268,6 +268,19 @@ class TestCompress:
         assert "'fdd'" in err["message"]
         assert list(out.iterdir()) == []
 
+    def test_kept_set_that_excludes_nothing_rejected(self, tmp_path, capsys):
+        # kept [1] closes to {0, 1, 2} at M = 3, so C is zero everywhere and
+        # C/C0 would print nan; the run stops before the start search
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "cfg.json", {"problem": LZ3, "kept": [1], "steps": 2})
+        rc = main(["compress", "--config", cfg, "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.err.strip())
+        assert err["error"] == "ValueError" and "kept" in err["message"]
+        assert "closed to" not in captured.out
+        assert list(out.iterdir()) == []
+
 
 class TestBenchmark:
     def test_self_ratio_is_near_one(self):
@@ -348,6 +361,8 @@ class TestErrorRecords:
         ("fd-error", "n_solutions", 0),
         ("calibrate", "n_directions", -1),
         ("benchmark", "fields_per_m", 0),
+        ("compress", "protocol_stride", 0),
+        ("compress", "protocol_stride", -1),
     ])
     def test_count_below_one_rejected(self, tmp_path, capsys, command, key, value):
         doc = {key: value} if command == "benchmark" else {"problem": LZ3, key: value}

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcl.control import ControlField, FrequencySpec, Spectrum, dft, power
+from qcl.control import ControlField, FrequencySpec
+from qcl.objectives import FourierObjective
 
 
 def brute_dft(values):
@@ -68,74 +69,74 @@ class TestControlField:
         assert f.values[0] == 1.0 and caller.flags.writeable
 
 
+def excluded_spectrum(values):
+    """X_1 .. X_{M-1} from the factor G of the objective that keeps only index 0.
+
+    G stacks the rows cos(2 pi k n / M), then sin(2 pi k n / M), of every
+    excluded k, so X_k = (G w)_k - i (G w)_{M-1+k}.
+    """
+    m = len(values)
+    r = FourierObjective(FrequencySpec.closure([], m)).factor @ np.asarray(values, dtype=float)
+    return r[:m - 1] - 1j * r[m - 1:]
+
+
 class TestDft:
+    # the transform behind the spectral penalty, read off FourierObjective.factor
     def test_constant_field_concentrates_at_zero(self):
         for m in (1, 4, 9):
-            spec = dft(ControlField(values=np.full(m, 2.5), total_time=1.0))
-            assert spec.components[0] == pytest.approx(m * 2.5, rel=1e-12)
-            assert np.all(np.abs(spec.components[1:]) < 1e-10 * m)
+            assert np.all(np.abs(excluded_spectrum(np.full(m, 2.5))) < 1e-10 * m)
 
     def test_delta_input_is_flat(self):
         vals = np.zeros(8)
         vals[0] = 1.0
-        spec = dft(ControlField(values=vals, total_time=1.0))
-        assert np.allclose(spec.components, 1.0, atol=1e-12)
+        assert np.allclose(excluded_spectrum(vals), 1.0, atol=1e-12)
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(42)
         vals = rng.uniform(-5, 5, 8)
-        got = dft(ControlField(values=vals, total_time=1.0)).components
-        want = brute_dft(vals)
+        got = excluded_spectrum(vals)
+        want = brute_dft(vals)[1:]
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=1, max_value=64), st.integers())
     def test_parseval(self, m, seed):
+        # ||G w||^2 is the power outside index 0, and |X_0|^2 = (sum w)^2
         rng = np.random.default_rng(abs(seed) % 2**32)
         vals = rng.uniform(-5, 5, m)
-        comps = dft(ControlField(values=vals, total_time=1.0)).components
-        lhs = float(np.sum(np.abs(comps) ** 2))
+        obj = FourierObjective(FrequencySpec.closure([], m))
+        lhs = obj.cost_of(vals) + float(np.sum(vals)) ** 2
         rhs = m * float(np.sum(vals**2))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=1, max_value=32), st.integers())
     def test_conjugate_symmetry(self, m, seed):
+        # X_k = conj(X_{M-k}), so |X_k| = |X_{M-k}|: FrequencySpec's mirror closure
         rng = np.random.default_rng(abs(seed) % 2**32)
-        comps = dft(ControlField(values=rng.uniform(-3, 3, m), total_time=1.0)).components
-        for k in range(m):
-            assert comps[k] == pytest.approx(np.conj(comps[(m - k) % m]), abs=1e-10)
+        comps = np.concatenate(([0.0], excluded_spectrum(rng.uniform(-3, 3, m))))
+        for k in range(1, m):
+            assert comps[k] == pytest.approx(np.conj(comps[m - k]), abs=1e-10)
 
     def test_linearity(self):
         rng = np.random.default_rng(3)
         u, v = rng.normal(size=12), rng.normal(size=12)
         a, b = 1.7, -0.3
-        lhs = dft(ControlField(values=a * u + b * v, total_time=1.0)).components
-        rhs = (a * dft(ControlField(values=u, total_time=1.0)).components
-               + b * dft(ControlField(values=v, total_time=1.0)).components)
+        g = FourierObjective(FrequencySpec.closure([], 12)).factor
+        lhs = g @ (a * u + b * v)
+        rhs = a * (g @ u) + b * (g @ v)
         assert np.abs(lhs - rhs).max() < 1e-12 * max(1.0, np.abs(rhs).max())
 
 
 class TestPower:
-    def test_constant_field(self):
-        spec = dft(ControlField(values=np.full(5, 3.0), total_time=1.0))
-        assert power(spec, 1) == pytest.approx(0.0, abs=1e-18)
-        assert power(spec, 0) == pytest.approx(25.0 * 9.0, rel=1e-12)
-
     def test_matches_oracle(self):
+        # |X_k|^2 of each excluded k is the sum of squares of its cos and sin rows of G
         rng = np.random.default_rng(8)
         vals = rng.uniform(-2, 2, 8)
-        spec = dft(ControlField(values=vals, total_time=1.0))
+        got = np.abs(excluded_spectrum(vals)) ** 2
         want = np.abs(brute_dft(vals)) ** 2
-        for k in range(8):
-            assert power(spec, k) == pytest.approx(want[k], rel=1e-11, abs=1e-12)
-
-    def test_index_out_of_range(self):
-        spec = Spectrum(components=np.ones(4, dtype=complex))
-        with pytest.raises(IndexError):
-            power(spec, 4)
-        with pytest.raises(IndexError):
-            power(spec, -1)
+        for k in range(1, 8):
+            assert got[k - 1] == pytest.approx(want[k], rel=1e-11, abs=1e-12)
 
 
 class TestFrequencySpec:

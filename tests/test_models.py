@@ -590,19 +590,21 @@ class TestStencilEvaluator:
             assert not any(np.shares_memory(pairs, other) for _, _, other in calls[n + 1:])
 
     def test_rejects_malformed_input(self):
-        # the shape checks run ahead of the choice between the two paths
+        # the shape checks run ahead of the choice between the two chain paths,
+        # and the pointwise evaluator shares them, so neither truncates its input
         for m in (4, _DIRECT_STENCIL_MAX_M + 1):
             problem = LzProblem(gap=2.0, duration=1.8, n_pulses=m)
-            evaluate = chain_stencil_cost(problem)
             point = np.ones(m)
-            for args in [
-                (point, [], [], np.ones((m - 1, 2))),        # a pair row per interval
-                (point, [], [], np.ones(m)),                 # pair values are (M, k)
-                (point[None, :], [], [], np.ones((m, 2))),   # the point is 1-D
-                (point, [0, 1], [1.0], np.ones((m, 2))),     # one value per single
-            ]:
-                with pytest.raises(ValueError, match="expected"):
-                    evaluate(*args)
+            for evaluate in (chain_stencil_cost(problem),
+                             pointwise_stencil(problem.infidelity_of)):
+                for args in [
+                    (point, [], [], np.ones((m - 1, 2))),        # a pair row per interval
+                    (point, [], [], np.ones(m)),                 # pair values are (M, k)
+                    (point[None, :], [], [], np.ones((m, 2))),   # the point is 1-D
+                    (point, [0, 1], [1.0], np.ones((m, 2))),     # one value per single
+                ]:
+                    with pytest.raises(ValueError, match="expected a 1-D point"):
+                        evaluate(*args)
 
 
 @pytest.fixture(scope="module")

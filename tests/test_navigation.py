@@ -11,7 +11,7 @@ from qcl.control import ControlField, FrequencySpec
 from qcl.landscape import FdConfig, HessianSpectrum, eig_sym, fd_hessian, rank2_ritz
 from qcl.models import LzProblem, PrefixGrowth, QhoProblem, chain_stencil_cost, hessian_of
 from qcl.navigation import (FAILURE_CODES, FixedVector, NullFollow, SecondaryGradient,
-                            Trajectory, navigate, null_direction, project, rk4_integrate,
+                            Trajectory, _rk4_step, navigate, null_direction, project,
                             write_jsonl)
 from qcl.objectives import FourierObjective
 from qcl.optimizer import SeedSpec, minimize, polish, sample_seeds
@@ -115,18 +115,15 @@ class TestRk4:
 
         errors = []
         for h in (0.1, 0.05, 0.025):
-            steps = int(round(total / h))
-            states = rk4_integrate(lambda x: a @ x, x0, h, steps)
-            errors.append(np.linalg.norm(states[-1] - exact_at(total)))
+            x = x0
+            for _ in range(int(round(total / h))):
+                x = _rk4_step(lambda s: a @ s, x, h)
+            errors.append(np.linalg.norm(x - exact_at(total)))
         r1 = errors[0] / errors[1]
         r2 = errors[1] / errors[2]
         # fourth order: each halving divides the error by ~16, within factor 2
         assert 8.0 <= r1 <= 32.0
         assert 8.0 <= r2 <= 32.0
-
-    def test_records_all_states(self):
-        states = rk4_integrate(lambda x: -x, np.array([1.0]), 0.1, 7)
-        assert len(states) == 8
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +233,19 @@ class TestNavigate:
             navigate(problem, field, FixedVector(np.ones(6)), h=0.0, steps=1)
         with pytest.raises(ValueError):
             navigate(problem, field, FixedVector(np.ones(6)), h=0.1, steps=-1)
+        # a NaN or infinite step would end the run as a NONFINITE trajectory
+        for h in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                navigate(problem, field, FixedVector(np.ones(6)), h=h, steps=1)
+        # a NaN ceiling would switch the ceiling off and a negative one fail
+        # every run; np.inf (no ceiling) stays valid
+        for ceiling in (np.nan, -1e-3, -np.inf):
+            with pytest.raises(ValueError, match="abort_ceiling"):
+                navigate(problem, field, FixedVector(np.ones(6)), h=0.1, steps=1,
+                         abort_ceiling=ceiling)
+        traj = navigate(problem, field, FixedVector(np.ones(6)), h=0.1, steps=1,
+                        abort_ceiling=np.inf)
+        assert len(traj.samples) == 2
 
     def test_zero_steps_returns_the_start_sample(self, qho_solution):
         problem, field = qho_solution

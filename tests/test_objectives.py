@@ -5,19 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcl.control import ControlField, FrequencySpec, dft
+from qcl.control import ControlField, FrequencySpec
 from qcl.landscape import eig_sym
 from qcl.models import QhoProblem
 from qcl.navigation import project
-from qcl.objectives import FourierObjective, _check_dim, compress, fourier_cost, fourier_gradient
+from qcl.objectives import FourierObjective, compress, fourier_cost, fourier_gradient
 from qcl.optimizer import SeedSpec, minimize, polish, sample_seeds
-
-
-def fourier_cost_spectral(field: ControlField, objective: FourierObjective) -> float:
-    """Same cost summed directly over the DFT; agrees with the matrix path."""
-    _check_dim(field, objective)
-    comps = dft(field).components
-    return float(sum(abs(comps[k]) ** 2 for k in objective.spec.excluded))
 
 
 def brute_excluded_power(values, kept):
@@ -70,9 +63,7 @@ class TestFourierCost:
         field = ControlField(values=values, total_time=1.0)
         obj = FourierObjective(FrequencySpec.closure([1, 2], 8))
         matrix_path = fourier_cost(field, obj)
-        spectral_path = fourier_cost_spectral(field, obj)
         oracle = brute_excluded_power(values, obj.spec.kept)
-        assert matrix_path == pytest.approx(spectral_path, abs=1e-10 * max(1, oracle))
         assert matrix_path == pytest.approx(oracle, abs=1e-10 * max(1, oracle))
 
     def test_constant_field_costs_nothing(self):
