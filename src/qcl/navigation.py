@@ -268,8 +268,15 @@ def navigate(problem, start: ControlField, provider, h: float, steps: int,
             else:
                 hess = hessian_of(problem, values)
             # both return a finite, exactly symmetric matrix or raise, so the
-            # Ritz kernel takes it without `rank2_ritz`'s checks
-            spec = _rank2_ritz(hess)
+            # Ritz kernel takes it without `rank2_ritz`'s checks; a replaced
+            # source's non-finite matrix fails LAPACK at M >= 32 and is
+            # checked for only then
+            try:
+                spec = _rank2_ritz(hess)
+            except RuntimeError:
+                if not np.isfinite(hess).all():
+                    raise _NavigationFailure("NONFINITE", "non-finite Hessian") from None
+                raise
             lam = np.abs(spec.eigenvalues)
             if lam.size > 2 and not lam[2] <= RANK_COLLAPSE_RATIO * lam[1]:
                 if not np.isfinite(lam).all():

@@ -10,7 +10,7 @@ crawls through in hundreds down the ill-conditioned valley; `polish` is
 that finish run to a deeper target.  Trial steps are evaluated in batches
 (`models.ChainBatch`), and the accepted point's forward sweep feeds the next
 gradient.  Seeds that park at a local minimum are stopped by a first-order
-alignment test once 20 steps have been accepted.
+alignment test once 14 steps have been accepted.
 """
 
 from __future__ import annotations
@@ -29,18 +29,24 @@ _ARMIJO_SLOPE = 1e-4
 _CONTRACTION = 0.5
 _GRAD_FLOOR = 1e-10
 # Backtracking steps t, t/2, t/4, t/8 share one factor build.  Over the
-# 100-seed scatter_lz3 pass, 1,476 gradient steps are accepted: 25.3% at the
-# first trial, 57.9% at the second, 14.8% at the third and 1.6% at the
+# 100-seed scatter_lz3 pass, 1,401 gradient steps are accepted: 24.8% at the
+# first trial, 59.0% at the second, 14.1% at the third and 1.6% at the
 # fourth; 0.4% (6) need a second batch.
 _LINE_SEARCH_BATCH = 4
 # Both costs are |z|^2, so grad I = 2 Re(conj(z) grad z): at a local minimum
 # with z != 0 the gradient vanishes while grad z does not, and the alignment
 # a = |grad I| / (2 ||grad z|| |z|) certifies a parked descent.  Read only
 # once _STALL_WINDOW steps have been accepted: converging seeds that start
-# near the cost maximum read a down to 4.4e-4 at the start, while past the
-# window the smallest a of a converging descent was 2.7e-2 over the
-# 4000-seed optimize_lz_m3 scatter, where this rule stops all 1896 stalls.
-_STALL_WINDOW = 20
+# near the cost maximum read a down to 4.4e-4 at the start and 2.9e-3 after
+# 12 or 13 steps (lz M = 3, T = 2.5), while from 14 to 20 steps the smallest
+# a of a converging descent was 5.8e-3 over 49,000 lz and qho seeds at
+# M = 3 and 6.  The threshold is held down by lz M = 12 descents (T = 1.8)
+# that slow down near a stationary point at I = 1.7e-3 after 90-180 steps
+# and then converge: over 4000 seeds drawn from +-5 they read a down to
+# 4.2e-3, so 1e-2 would cut 5 of them, and from 0.1-3 down to 1.9e-3, so
+# this rule cuts 2.  Over the 4000-seed optimize_lz_m3 scatter it stops all
+# 1896 stalls.
+_STALL_WINDOW = 14
 _STALL_ALIGNMENT = 3e-3
 # Below this cost each iteration first tries the Levenberg-Marquardt step
 # delta = -J^T (J J^T + I 1)^-1 r, J = [Re grad z; Im grad z], at the steps
@@ -48,7 +54,7 @@ _STALL_ALIGNMENT = 3e-3
 # Suppl. 15 (2001) 239).  Over the 4000-seed optimize_lz_m3 scatter the
 # converged set is that of plain descent at 1e-2 and 3e-2; 1e-1 loses two
 # seeds, 3e-1 thirty and Gauss-Newton throughout 129.  The same
-# scatter_lz3 pass accepts 344 of these steps: 61.0% at t = 1, 38.4% at
+# scatter_lz3 pass accepts 338 of these steps: 62.1% at t = 1, 37.3% at
 # t = 1/2 and 0.6% at t = 1/4.  A trial at t = 1/8 changed no report over
 # 4650 seeds in five lz and qho populations, nor any of the 2666 polishes of
 # their converged results to 1e-16.
@@ -145,7 +151,7 @@ def minimize(problem, seed: ControlField, tol: float = 1e-6,
     Stops, with the report's `stop` code, when the infidelity drops below
     `tol` (TOL), the gradient norm falls under 1e-10 (GRAD_FLOOR), no trial
     step is acceptable (LINE_SEARCH), or `max_iter` is reached (MAX_ITER).
-    Once 20 steps have been accepted, it also stops as STALLED when the
+    Once 14 steps have been accepted, it also stops as STALLED when the
     alignment |grad I| / (2 ||grad z|| |z|) is below 3e-3: the gradient of
     I = |z|^2 vanishes at a local minimum with z != 0 while grad z does not.
     Below I = 1e-2 each iteration first tries the Levenberg-Marquardt step

@@ -372,6 +372,35 @@ class TestNavigate:
         assert "non-finite" in traj.failure_reason
         assert len(traj.samples) == 1
 
+    def test_nonfinite_hessian_in_the_ritz_branch_failure_code(self, qho48_solution,
+                                                                monkeypatch):
+        # at M >= 32 the same matrix makes the Ritz step's LAPACK call fail
+        # instead of giving NaN eigenvalues; the run still ends as NONFINITE
+        problem, field = qho48_solution
+
+        def nonfinite_hessian(problem, values):
+            hess = np.eye(values.size)
+            hess[0, 1] = hess[1, 0] = np.inf
+            return hess
+
+        monkeypatch.setattr(navigation, "hessian_of", nonfinite_hessian)
+        traj = navigate(problem, field, FixedVector(np.ones(48)), h=0.1, steps=3)
+        assert traj.failed and traj.failure_code == "NONFINITE"
+        assert "non-finite" in traj.failure_reason
+        assert len(traj.samples) == 1
+
+    def test_a_ritz_failure_on_a_finite_hessian_propagates(self, qho48_solution,
+                                                           monkeypatch):
+        # only a non-finite matrix turns the kernel's error into a failed run
+        problem, field = qho48_solution
+
+        def no_convergence(hess):
+            raise RuntimeError("eigendecomposition did not converge")
+
+        monkeypatch.setattr(navigation, "_rank2_ritz", no_convergence)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            navigate(problem, field, FixedVector(np.ones(48)), h=0.1, steps=3)
+
     def test_traced_entry_points_run_at_every_stage(self, lz3_solution, monkeypatch):
         # the benchmark's tracer wraps these `navigation` attributes: a drive
         # reaches each of them through the module, once per RK4 stage
