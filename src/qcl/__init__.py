@@ -3,23 +3,20 @@
 from .control import ControlField, FrequencySpec
 from .landscape import (FdConfig, HessianSpectrum, classify_null, eig_sym, eigvec_error,
                         fd_hessian, pointwise_stencil, rank2_ritz)
-from .models import (BogoliubovPair, LzProblem, QhoProblem, exact_gradient, exact_hessian,
-                     lz_infidelity, particle_number, qho_infidelity, qho_propagate)
+from .models import LzProblem, QhoProblem
 from .navigation import (FixedVector, NullFollow, SecondaryGradient, Trajectory,
                          calibrate_epsilon, navigate, null_direction, project)
-from .objectives import FourierObjective, compress, fourier_cost, fourier_gradient
+from .objectives import FourierObjective, compress
 from .optimizer import OptimizationReport, SeedSpec, minimize, sample_seeds
 
 __all__ = [
     "ControlField", "FrequencySpec",
     "FdConfig", "HessianSpectrum", "calibrate_epsilon", "classify_null",
     "eig_sym", "eigvec_error", "fd_hessian", "pointwise_stencil", "rank2_ritz",
-    "BogoliubovPair", "LzProblem", "QhoProblem",
-    "exact_gradient", "exact_hessian", "lz_infidelity",
-    "particle_number", "qho_infidelity", "qho_propagate",
+    "LzProblem", "QhoProblem",
     "FixedVector", "NullFollow", "SecondaryGradient", "Trajectory",
     "navigate", "null_direction", "project",
-    "FourierObjective", "compress", "fourier_cost", "fourier_gradient",
+    "FourierObjective", "compress",
     "OptimizationReport", "SeedSpec", "minimize", "sample_seeds",
 ]
 

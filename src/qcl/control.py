@@ -20,7 +20,7 @@ __all__ = ["ControlField", "FrequencySpec"]
 
 @dataclass(frozen=True, eq=False, slots=True)
 class ControlField:
-    """M real amplitudes over a total duration T; dt is always derived."""
+    """M real amplitudes over a total duration T."""
 
     values: np.ndarray
     total_time: float
@@ -41,10 +41,6 @@ class ControlField:
     @property
     def n_pulses(self) -> int:
         return self.values.size
-
-    @property
-    def dt(self) -> float:
-        return self.total_time / self.n_pulses
 
     def with_values(self, values) -> "ControlField":
         return ControlField(values=values, total_time=self.total_time)

@@ -49,12 +49,6 @@ from .control import ControlField
 __all__ = [
     "LzProblem",
     "QhoProblem",
-    "BogoliubovPair",
-    "lz_infidelity",
-    "qho_propagate",
-    "qho_infidelity",
-    "particle_number",
-    "exact_gradient",
     "exact_hessian",
     "ChainBatch",
     "chain_stencil_cost",
@@ -338,25 +332,6 @@ class QhoProblem(_ChainProblem):
         return 0.0, [[0.0, 1.0], [0.0, 0.0]], np.zeros((2, 2)), [[0.0, 0.0], [-1.0, 0.0]]
 
 
-@dataclass(frozen=True)
-class BogoliubovPair:
-    """Mode-mixing coefficients; |alpha|^2 - |beta|^2 = 1 up to rounding."""
-
-    alpha: complex
-    beta: complex
-
-    def __post_init__(self):
-        a2, b2 = _abs2(self.alpha), _abs2(self.beta)
-        if not np.isfinite(a2) or not np.isfinite(b2):
-            raise ValueError("non-finite Bogoliubov coefficients")
-        if abs(a2 - b2 - 1.0) > 1e-8 * max(1.0, a2):
-            raise ValueError(f"normalization broken: |alpha|^2-|beta|^2 = {a2 - b2}")
-
-    @property
-    def excitation(self) -> float:
-        return float(_abs2(self.beta))
-
-
 def _check_field(problem, field: ControlField):
     if field.n_pulses != problem.n_pulses:
         raise ValueError(
@@ -599,49 +574,15 @@ def chain_stencil_cost(problem):
     return evaluate
 
 
-def lz_infidelity(problem: LzProblem, field: ControlField) -> float:
-    """1 - |<1|U_T|0>|^2."""
-    _check_field(problem, field)
-    return problem.infidelity_of(field.values)
-
-
-def qho_propagate(problem: QhoProblem, field: ControlField) -> BogoliubovPair:
-    """Evolve the mode function and project onto the final-trap mode pair."""
-    _check_field(problem, field)
-    ket, bra_beta = problem._cost_boundary()
-    v = _chain_state(problem._interval_stacks(field.values, 0)[0], ket)
-    if not np.all(np.isfinite(v.view(float))):
-        raise ValueError("non-finite mode function during propagation")
-    wt = problem.omega_target
-    bra_alpha = np.array([wt, 1j], dtype=complex) / np.sqrt(2.0 * wt)
-    return BogoliubovPair(alpha=complex(bra_alpha @ v), beta=complex(bra_beta @ v))
-
-
-def qho_infidelity(problem: QhoProblem, field: ControlField) -> float:
-    """Excitation weight |beta|^2 of the evolved mode."""
-    return qho_propagate(problem, field).excitation
-
-
-def particle_number(problem: QhoProblem, field: ControlField) -> float:
-    """N(T) = N0 (1 + 2|beta|^2) + |beta|^2."""
-    b2 = qho_infidelity(problem, field)
-    return float(problem.n_initial * (1.0 + 2.0 * b2) + b2)
-
-
-def exact_gradient(problem, field: ControlField) -> np.ndarray:
-    """Analytic dI/dw_j via the per-interval derivative insertions."""
-    _check_field(problem, field)
-    return gradient_of(problem, field.values)
-
-
+# kept for its one caller, the spectrum gate of qclbench/workloads.py
 def exact_hessian(problem, field: ControlField) -> np.ndarray:
-    """Analytic d2I/dw_i dw_j, an exactly symmetric matrix."""
+    """`hessian_of` at a field's amplitudes, after checking its shape and duration."""
     _check_field(problem, field)
     return hessian_of(problem, field.values)
 
 
 def gradient_of(problem, values) -> np.ndarray:
-    """exact_gradient on a raw amplitude vector (no ControlField wrapper).
+    """Analytic dI/dw_j at the amplitude vector `values`.
 
     Both costs are |z|^2 of a linear chain functional, so the chain rule is
     dI/dw_j = 2 Re(conj(z) dz/dw_j); dz/dw_j inserts A1_j between the prefix
@@ -652,7 +593,7 @@ def gradient_of(problem, values) -> np.ndarray:
 
 
 def hessian_of(problem, values) -> np.ndarray:
-    """exact_hessian on a raw amplitude vector.
+    """Analytic d2I/dw_i dw_j at the amplitude vector `values`.
 
     Each amplitude enters exactly one factor, so the mixed second derivatives
     of z are pair terms of two A1 insertions and the diagonal ones single A2

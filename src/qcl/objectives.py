@@ -15,7 +15,7 @@ import numpy as np
 from .control import ControlField, FrequencySpec
 from .navigation import SecondaryGradient, Trajectory, navigate
 
-__all__ = ["FourierObjective", "fourier_cost", "fourier_gradient", "compress"]
+__all__ = ["FourierObjective", "compress"]
 
 
 class FourierObjective:
@@ -28,10 +28,6 @@ class FourierObjective:
         self.factor = np.concatenate([np.cos(phase), np.sin(phase)])
         self.penalty_matrix = self.factor.T @ self.factor
 
-    @property
-    def m(self) -> int:
-        return self.spec.m
-
     def cost_of(self, values) -> float:
         r = self.factor @ np.asarray(values, dtype=float)
         return float(r @ r)
@@ -42,22 +38,10 @@ class FourierObjective:
 
 
 def _check_dim(field: ControlField, objective: FourierObjective):
-    if field.n_pulses != objective.m:
+    if field.n_pulses != objective.spec.m:
         raise ValueError(
-            f"field has {field.n_pulses} pulses, objective expects {objective.m}"
+            f"field has {field.n_pulses} pulses, objective expects {objective.spec.m}"
         )
-
-
-def fourier_cost(field: ControlField, objective: FourierObjective) -> float:
-    """C = sum over excluded k of |X_k|^2, as ||G w||^2."""
-    _check_dim(field, objective)
-    return objective.cost_of(field.values)
-
-
-def fourier_gradient(field: ControlField, objective: FourierObjective) -> np.ndarray:
-    """grad C = 2 Q w, analytic."""
-    _check_dim(field, objective)
-    return objective.gradient_of(field.values)
 
 
 def compress(problem, start: ControlField, objective: FourierObjective,

@@ -13,11 +13,15 @@ interval at a time (the W sweep); `reference_stencil_cost` builds the O(M^2)
 table of in-between products A_{j-1} ... A_{i+1} and evaluates each stencil
 point with its own replaced factors.  Neither uses the det-1 identity, so
 neither shares the kernel's rounding amplification.
+
+`bogoliubov_pair` projects the trap's propagated mode function onto both
+final-trap modes; its beta is the cost's chain amplitude, so |beta|^2 must
+equal the cost bit for bit and |alpha|^2 - |beta|^2 must be 1.
 """
 
 import numpy as np
 
-from qcl.models import LzProblem, _factor_tables
+from qcl.models import LzProblem, _chain_state, _factor_tables
 
 
 def chain_sweep(A, ket, bra):
@@ -50,6 +54,16 @@ def reference_gradient_and_dz(problem, values):
 def reference_gradient(problem, values):
     """dI/dw from `reference_gradient_and_dz`."""
     return reference_gradient_and_dz(problem, values)[0]
+
+
+def bogoliubov_pair(problem, values):
+    """(alpha, beta) of a QhoProblem: the final mode function, from the production
+    factors and `_chain_state`, projected on the final trap's two modes."""
+    ket, bra_beta = problem._cost_boundary()
+    v = _chain_state(problem._interval_stacks(values, 0)[0], ket)
+    wt = problem.omega_target
+    bra_alpha = np.array([wt, 1j], dtype=complex) / np.sqrt(2.0 * wt)
+    return complex(bra_alpha @ v), complex(bra_beta @ v)
 
 
 def reference_interval_stacks(problem, values, order=2):

@@ -144,6 +144,15 @@ def lz3_solution():
     return problem, polish(problem, rep.field).field
 
 
+@pytest.fixture(scope="module")
+def lz7_solution():
+    problem = LzProblem(gap=2.0, duration=1.8, n_pulses=7)
+    seeds = sample_seeds(SeedSpec(count=40, bounds=(-5.0, 5.0), rng_seed=76), problem)
+    rep = next(r for r in (minimize(problem, s, tol=1e-6, max_iter=2000) for s in seeds)
+               if r.converged)
+    return problem, polish(problem, rep.field).field
+
+
 def reference_run(problem, start, provider, h, steps, mode):
     """The projected flow's RK4 with a Hessian, a Ritz step and a projection
     at every stage point: `navigate` without its stage memo.
@@ -658,6 +667,31 @@ class TestNavigate:
         with pytest.raises(ValueError, match="hessian_mode"):
             navigate(problem, field, FixedVector(np.ones(6)), h=0.1, steps=1,
                      hessian_mode="magic")
+
+
+class TestLzSignSymmetry:
+    """I(-w) = I(w) bit for bit on the crossing, and its Hessian is unchanged,
+    so a drive from -w along -a is the negation of the drive from w along a:
+    an oracle-free check of the stencil or exact Hessian, the Ritz step, the
+    projection and RK4 together.  M = 7 lies above `_DIRECT_STENCIL_MAX_M`,
+    so its FD stencil runs the pair kernel, which takes the mirrored points
+    in another order; exact mode is bitwise."""
+
+    @pytest.mark.parametrize("solution", ["lz3_solution", "lz7_solution"])
+    @pytest.mark.parametrize("mode,tol", [("exact", 0.0), (FdConfig(1e-2), 1e-12)],
+                             ids=["exact", "fd"])
+    def test_negated_start_and_direction_negate_the_run(self, request, solution, mode, tol):
+        problem, field = request.getfixturevalue(solution)
+        a = np.random.default_rng(15).normal(size=problem.n_pulses)
+        mirrored = ControlField(values=-field.values, total_time=field.total_time)
+        pos = navigate(problem, field, FixedVector(a), h=0.01, steps=300, hessian_mode=mode)
+        neg = navigate(problem, mirrored, FixedVector(-a), h=0.01, steps=300,
+                       hessian_mode=mode)
+        assert not pos.failed and not neg.failed
+        assert len(pos.samples) == len(neg.samples) == 301
+        # at tol 0 both hold only bit for bit
+        assert np.abs(neg.values_matrix() + pos.values_matrix()).max() <= tol
+        assert np.abs(neg.infidelities() - pos.infidelities()).max() <= tol
 
 
 class TestTrajectoryIo:

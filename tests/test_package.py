@@ -21,3 +21,15 @@ def test_package_exports_are_the_module_objects():
         obj = getattr(qcl, n)
         home = importlib.import_module(obj.__module__)
         assert getattr(home, n) is obj
+
+
+def test_package_surface_is_pinned():
+    # every export is listed here, so widening the public surface takes a
+    # deliberate edit of this test
+    assert sorted(qcl.__all__) == [
+        "ControlField", "FdConfig", "FixedVector", "FourierObjective", "FrequencySpec",
+        "HessianSpectrum", "LzProblem", "NullFollow", "OptimizationReport", "QhoProblem",
+        "SecondaryGradient", "SeedSpec", "Trajectory", "calibrate_epsilon", "classify_null",
+        "compress", "eig_sym", "eigvec_error", "fd_hessian", "minimize", "navigate",
+        "null_direction", "pointwise_stencil", "project", "rank2_ritz", "sample_seeds",
+    ]
