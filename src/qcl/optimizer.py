@@ -9,8 +9,9 @@ r = (Re z, Im z), which finishes in a few iterations what gradient descent
 crawls through in hundreds down the ill-conditioned valley; `polish` is
 that finish run to a deeper target.  Trial steps are evaluated in batches
 (`models.ChainBatch`), and the accepted point's forward sweep feeds the next
-gradient.  Seeds that park at a local minimum are stopped by a first-order
-alignment test once 14 steps have been accepted.
+gradient.  Seeds that park at a local minimum are stopped on a second-order
+certificate, built from the exact Hessian only where a first-order
+alignment reading is low.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import ControlField
-from .models import ChainBatch
+from .landscape import _eigh
+from .models import ChainBatch, NonFiniteCost, PrefixGrowth, hessian_of
 
 __all__ = ["SeedSpec", "OptimizationReport", "sample_seeds", "minimize", "polish"]
 
@@ -34,20 +36,20 @@ _GRAD_FLOOR = 1e-10
 # fourth; 0.4% (6) need a second batch.
 _LINE_SEARCH_BATCH = 4
 # Both costs are |z|^2, so grad I = 2 Re(conj(z) grad z): at a local minimum
-# with z != 0 the gradient vanishes while grad z does not, and the alignment
-# a = |grad I| / (2 ||grad z|| |z|) certifies a parked descent.  Read only
-# once _STALL_WINDOW steps have been accepted: converging seeds that start
-# near the cost maximum read a down to 4.4e-4 at the start and 2.9e-3 after
-# 12 or 13 steps (lz M = 3, T = 2.5), while from 14 to 20 steps the smallest
-# a of a converging descent was 5.8e-3 over 49,000 lz and qho seeds at
-# M = 3 and 6.  The threshold is held down by lz M = 12 descents (T = 1.8)
-# that slow down near a stationary point at I = 1.7e-3 after 90-180 steps
-# and then converge: over 4000 seeds drawn from +-5 they read a down to
-# 4.2e-3, so 1e-2 would cut 5 of them, and from 0.1-3 down to 1.9e-3, so
-# this rule cuts 2.  Over the 4000-seed optimize_lz_m3 scatter it stops all
-# 1896 stalls.
-_STALL_WINDOW = 14
-_STALL_ALIGNMENT = 3e-3
+# with z != 0 the gradient vanishes while grad z does not, and a low alignment
+# a = |grad I| / (2 ||grad z|| |z|) is the cheap sign of a parked descent.  It
+# cannot tell one from a descent passing a saddle, so below _STALL_TRIGGER the
+# descent builds the exact Hessian and stops only on a second-order
+# certificate: H positive definite and the Newton decrement 1/2 g^T H^-1 g
+# below _STALL_DECREMENT * I (Boyd & Vandenberghe, Convex Optimization,
+# 9.5.1).  Near the solution set the Gauss-Newton part dominates and the
+# ratio reads about 1; the smallest ratio of a converging descent at a
+# positive-definite Hessian was 0.207 (lz M = 3, T = 2.5), 0.75 (lz M = 6),
+# 0.88 (qho M = 6) and 0.90 (lz M = 12, T = 1.8): a margin of 20x.  A check
+# that fails doubles the wait before the next (1, 2, 4, ... iterations), so a
+# descent builds at most ceil(log2 max_iter) + 1 Hessians.
+_STALL_TRIGGER = 3e-2
+_STALL_DECREMENT = 1e-2
 # Below this cost each iteration first tries the Levenberg-Marquardt step
 # delta = -J^T (J J^T + I 1)^-1 r, J = [Re grad z; Im grad z], at the steps
 # _GAUSS_NEWTON_STEPS (damping mu = |z|^2: Yamashita & Fukushima, Computing
@@ -125,6 +127,20 @@ def _gauss_newton_step(z, dz, cost) -> np.ndarray:
     return -(y_re * re + y_im * im)
 
 
+def _certified_stall(problem, values, grad, cost) -> bool:
+    """Whether the exact Hessian at `values` is positive definite with a Newton
+    decrement 1/2 g^T H^-1 g below `_STALL_DECREMENT` * cost.  A Hessian the
+    chain kernel refuses, or an eigensolver failure, certifies nothing."""
+    try:
+        vals, vecs = _eigh(hessian_of(problem, values))
+    except (PrefixGrowth, NonFiniteCost, RuntimeError):
+        return False
+    if not vals[0] > 0.0:
+        return False
+    proj = vecs.T @ grad
+    return 0.5 * float(proj @ (proj / vals)) < _STALL_DECREMENT * cost
+
+
 def _trial_batches(grad, slope, dz, z, cost, step):
     """(steps, direction, rate, is_gradient) for each batch of trial points
     an iteration tries, in order: the Gauss-Newton steps below
@@ -151,9 +167,11 @@ def minimize(problem, seed: ControlField, tol: float = 1e-6,
     Stops, with the report's `stop` code, when the infidelity drops below
     `tol` (TOL), the gradient norm falls under 1e-10 (GRAD_FLOOR), no trial
     step is acceptable (LINE_SEARCH), or `max_iter` is reached (MAX_ITER).
-    Once 14 steps have been accepted, it also stops as STALLED when the
-    alignment |grad I| / (2 ||grad z|| |z|) is below 3e-3: the gradient of
-    I = |z|^2 vanishes at a local minimum with z != 0 while grad z does not.
+    It stops as STALLED at a certified local minimum: where the alignment
+    |grad I| / (2 ||grad z|| |z|) reads below 3e-2 (the gradient of I = |z|^2
+    vanishes at a local minimum with z != 0 while grad z does not), the exact
+    Hessian is positive definite and the Newton decrement 1/2 g^T H^-1 g is
+    below 1e-2 I.  A failed check doubles the wait before the next one.
     Below I = 1e-2 each iteration first tries the Levenberg-Marquardt step
     -J^T (J J^T + I 1)^-1 (Re z, Im z), J = [Re grad z; Im grad z], at
     t = 1, 1/2, 1/4 under the same Armijo rule, and falls back to the
@@ -173,7 +191,7 @@ def minimize(problem, seed: ControlField, tol: float = 1e-6,
         return OptimizationReport(field=seed, final_infidelity=float(cost),
                                   iterations=0, converged=False, stop="NONFINITE")
     step = 1.0
-    accepted_steps = 0
+    next_check, wait = 0, 1
     iterations = 0
     stop = "MAX_ITER"
     for iterations in range(1, max_iter + 1):
@@ -186,11 +204,13 @@ def minimize(problem, seed: ControlField, tol: float = 1e-6,
             iterations -= 1
             stop = "GRAD_FLOOR"
             break
-        if (accepted_steps >= _STALL_WINDOW and math.sqrt(slope)
-                < _STALL_ALIGNMENT * 2.0 * math.sqrt(float(np.vdot(dz, dz).real) * cost)):
-            iterations -= 1
-            stop = "STALLED"
-            break
+        if (iterations >= next_check and math.sqrt(slope)
+                < _STALL_TRIGGER * 2.0 * math.sqrt(float(np.vdot(dz, dz).real) * cost)):
+            if _certified_stall(problem, values, grad, cost):
+                iterations -= 1
+                stop = "STALLED"
+                break
+            next_check, wait = iterations + wait, 2 * wait
         # the trials of a batch are tested in step order, so a row after the
         # accepted one is never looked at
         accepted = False
@@ -208,7 +228,6 @@ def minimize(problem, seed: ControlField, tol: float = 1e-6,
                     if is_gradient:
                         step = trial_t
                     chain, row = trials, k
-                    accepted_steps += 1
                     accepted = True
                     break
             if accepted:

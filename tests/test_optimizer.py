@@ -6,11 +6,11 @@ import pytest
 import qcl.optimizer as optimizer
 from qcl.control import ControlField
 from qcl.landscape import classify_null, eig_sym
-from qcl.models import ChainBatch, LzProblem, QhoProblem, hessian_of
+from qcl.models import ChainBatch, LzProblem, NonFiniteCost, PrefixGrowth, QhoProblem, hessian_of
 from qcl.optimizer import (STOP_CODES, OptimizationReport, SeedSpec, minimize, polish,
                            sample_seeds)
 
-from chain_oracles import reference_gradient_and_dz, reference_z_and_dz
+from chain_oracles import reference_gradient_and_dz, reference_hessian, reference_z_and_dz
 
 LZ3 = LzProblem(gap=2.0, duration=1.4 * np.pi / 2, n_pulses=3)
 QHO6 = QhoProblem(omega_start=1.0, omega_target=1.0, duration=1.8, n_pulses=6)
@@ -70,20 +70,31 @@ def reference_descent(problem, seed, tol, max_iter):
     return values, cost, iterations, bool(cost < tol)
 
 
-def scalar_minimize(problem, seed, tol, max_iter, trials=None):
+def reference_certificate(problem, values, grad, cost):
+    """The stall certificate from the oracle Hessian: positive definite, with
+    a Newton decrement 1/2 g^T H^-1 g below 1e-2 I."""
+    hess = reference_hessian(problem, values)
+    if not np.isfinite(hess).all() or not np.linalg.eigvalsh(hess)[0] > 0.0:
+        return False
+    return 0.5 * float(grad @ np.linalg.solve(hess, grad)) < 1e-2 * cost
+
+
+def scalar_minimize(problem, seed, tol, max_iter, trials=None, certificates=None):
     """`minimize` as it was before its line search ran in batches: one cost
     call per trial step and each gradient, with the z and z-gradient that the
-    alignment exit and the Gauss-Newton step read, from its own sweep.
+    stall trigger and the Gauss-Newton step read, from its own sweep, and the
+    stall certificate from the oracle Hessian.
 
     `trials`, when given, collects per iteration the pair (Gauss-Newton batch
-    tried, gradient steps tried).
+    tried, gradient steps tried); `certificates` collects the iteration of
+    each certificate built.
     """
     values = seed.values.copy()
     cost = problem.infidelity_of(values)
     if not np.isfinite(cost):
         return OptimizationReport(field=seed, final_infidelity=float(cost),
                                   iterations=0, converged=False, stop="NONFINITE")
-    accepted_steps = 0
+    next_check, wait = 0, 1
     step = 1.0
     iterations = 0
     stop = "MAX_ITER"
@@ -104,11 +115,15 @@ def scalar_minimize(problem, seed, tol, max_iter, trials=None):
             iterations -= 1
             stop = "GRAD_FLOOR"
             break
-        if (accepted_steps >= 14 and math.sqrt(slope)
-                < 3e-3 * 2.0 * math.sqrt(float(np.vdot(dz, dz).real) * cost)):
-            iterations -= 1
-            stop = "STALLED"
-            break
+        if (iterations >= next_check and math.sqrt(slope)
+                < 3e-2 * 2.0 * math.sqrt(float(np.vdot(dz, dz).real) * cost)):
+            if certificates is not None:
+                certificates.append(iterations)
+            if reference_certificate(problem, values, grad, cost):
+                iterations -= 1
+                stop = "STALLED"
+                break
+            next_check, wait = iterations + wait, 2 * wait
         accepted = False
         gauss_newton = cost < 1e-2
         if gauss_newton:
@@ -138,7 +153,6 @@ def scalar_minimize(problem, seed, tol, max_iter, trials=None):
         if not accepted:
             stop = "LINE_SEARCH"
             break
-        accepted_steps += 1
     converged = bool(cost < tol)
     return OptimizationReport(field=ControlField(values, seed.total_time),
                               final_infidelity=float(cost), iterations=iterations,
@@ -319,19 +333,21 @@ class TestMinimize:
             assert report.stop == "STALLED"
             assert report.iterations < 200
             assert report.final_infidelity >= floor - 1e-9
-        # measured: 1059 iterations in all
-        assert sum(r.iterations for r in reports) <= 1090
+        # measured: 591 iterations in all
+        assert sum(r.iterations for r in reports) <= 608
 
     @pytest.mark.parametrize("index", [3532, 3515])
-    def test_the_alignment_exit_waits_for_a_full_stall_window(self, index):
+    def test_a_descent_from_near_the_cost_maximum_is_not_certified(self, index):
         # these seeds start near cost 1 with an alignment of 4.4e-4 and 1.4e-3,
-        # below the 3e-3 exit, and still converge: read before 14 accepted
-        # steps, the exit would cut them
+        # below the trigger, and still converge: the Hessian there is not
+        # positive definite, so no certificate stops them
         seed = sample_seeds(SeedSpec(4000, (-5.0, 5.0), 1), LZ3)[index]
         cost = LZ3.infidelity_of(seed.values)
         grad, dz = reference_gradient_and_dz(LZ3, seed.values)
         assert cost > 0.99
-        assert np.linalg.norm(grad) < 3e-3 * 2.0 * np.linalg.norm(dz) * math.sqrt(cost)
+        assert (np.linalg.norm(grad)
+                < optimizer._STALL_TRIGGER * 2.0 * np.linalg.norm(dz) * math.sqrt(cost))
+        assert np.linalg.eigvalsh(reference_hessian(LZ3, seed.values))[0] < 0.0
         report = minimize(LZ3, seed, tol=1e-6, max_iter=2000)
         values, cost, iterations, converged = reference_descent(LZ3, seed, 1e-6, 2000)
         assert converged and report.stop == "TOL"
@@ -342,8 +358,7 @@ class TestMinimize:
     @staticmethod
     def record_alignments(monkeypatch) -> list:
         """The alignment |grad I| / (2 ||grad z|| |z|) of every gradient
-        `minimize` forms, appended in order: the k-th reading of a descent is
-        taken after k accepted steps."""
+        `minimize` forms, appended in order."""
         readings = []
         gradient_and_dz = ChainBatch.gradient_and_dz
 
@@ -355,28 +370,61 @@ class TestMinimize:
         monkeypatch.setattr(ChainBatch, "gradient_and_dz", recording)
         return readings
 
+    @staticmethod
+    def record_decrement_ratios(problem, monkeypatch) -> list:
+        """At every gradient `minimize` forms, the Newton decrement ratio
+        1/2 g^T H^-1 g / I from the oracle Hessian where it is positive
+        definite, appended in order; inf where it is not."""
+        ratios = []
+        gradient_and_dz = ChainBatch.gradient_and_dz
+
+        def recording(self, k):
+            grad, dz = gradient_and_dz(self, k)
+            hess = reference_hessian(problem, self.points[k])
+            if np.linalg.eigvalsh(hess)[0] > 0.0:
+                ratios.append(0.5 * grad @ np.linalg.solve(hess, grad) / self.costs[k])
+            else:
+                ratios.append(np.inf)
+            return grad, dz
+
+        monkeypatch.setattr(ChainBatch, "gradient_and_dz", recording)
+        return ratios
+
+    @staticmethod
+    def count_certificates(monkeypatch) -> list:
+        """The points `minimize` builds a stall certificate at, appended in order."""
+        points = []
+        hessian = optimizer.hessian_of
+
+        def counted(problem, values):
+            points.append(values)
+            return hessian(problem, values)
+
+        monkeypatch.setattr(optimizer, "hessian_of", counted)
+        return points
+
     @pytest.mark.parametrize("problem,spec,count", [
         (LZ3, SeedSpec(200, (-5.0, 5.0), 1), 200),     # the quick optimize_lz_m3
         (LzProblem(gap=2.0, duration=1.6, n_pulses=6), SeedSpec(200, (-5.0, 5.0), 3), 100),
     ], ids=["lz_m3", "lz_m6"])
-    def test_converging_descents_clear_the_alignment_exit(self, problem, spec, count,
-                                                          monkeypatch):
-        # past the window every converging descent reads at least four times
-        # the threshold, and a stricter exit converges the same seeds to the
-        # same reports
+    def test_converging_descents_clear_the_certificate(self, problem, spec, count,
+                                                       monkeypatch):
+        # wherever the Hessian of a converging descent is positive definite,
+        # its decrement ratio is at least 20 times the certificate's
+        # threshold, and a stricter certificate converges the same seeds to
+        # the same reports
         seeds = sample_seeds(spec, problem)[:count]
-        readings = self.record_alignments(monkeypatch)
+        ratios = self.record_decrement_ratios(problem, monkeypatch)
         reports, lowest = [], []
         for s in seeds:
-            del readings[:]
+            del ratios[:]
             reports.append(minimize(problem, s, tol=1e-6, max_iter=2000))
             if reports[-1].converged:
-                lowest.append(min(readings[optimizer._STALL_WINDOW:], default=np.inf))
-        assert lowest and min(lowest) >= 4.0 * optimizer._STALL_ALIGNMENT
+                lowest.append(min(ratios))
+        assert lowest and min(lowest) >= 20.0 * optimizer._STALL_DECREMENT
         if problem is LZ3:
             assert all(r.stop == "STALLED" for r in reports if not r.converged)
-        monkeypatch.setattr(optimizer, "_STALL_WINDOW", 40)
-        monkeypatch.setattr(optimizer, "_STALL_ALIGNMENT", 1e-3)
+        monkeypatch.setattr(optimizer, "_STALL_DECREMENT", 1e-3)
         for s, report in zip(seeds, reports):
             strict = minimize(problem, s, tol=1e-6, max_iter=2000)
             assert strict.converged == report.converged
@@ -385,19 +433,79 @@ class TestMinimize:
 
     def test_a_descent_that_slows_near_a_stationary_point_still_converges(self,
                                                                           monkeypatch):
-        # lz M = 12 at T = 1.8: this seed reads an alignment of 4.2e-3 after
-        # 144 accepted steps, near I = 1.7e-3, and then converges; an exit at
-        # 1e-2 would cut it
+        # lz M = 12 at T = 1.8: this seed slows down near I = 1.7e-3 after
+        # about 144 accepted steps, where its alignment reads 4.2e-3, below
+        # the trigger; the certificates it builds there stop nothing, and its
+        # report is that of the exit-free descent
         problem = LzProblem(gap=2.0, duration=1.8, n_pulses=12)
         seed = sample_seeds(SeedSpec(4000, (-5.0, 5.0), 2012), problem)[1861]
-        readings = self.record_alignments(monkeypatch)
+        certificates = self.count_certificates(monkeypatch)
         report = minimize(problem, seed, tol=1e-6, max_iter=2000)
-        assert report.stop == "TOL"
-        assert optimizer._STALL_ALIGNMENT < min(readings[optimizer._STALL_WINDOW:]) < 1e-2
-        monkeypatch.setattr(optimizer, "_STALL_ALIGNMENT", 1e-3)
-        assert_same_report(report, minimize(problem, seed, tol=1e-6, max_iter=2000))
-        monkeypatch.setattr(optimizer, "_STALL_ALIGNMENT", 1e-2)
-        assert minimize(problem, seed, tol=1e-6, max_iter=2000).stop == "STALLED"
+        assert certificates
+        values, cost, iterations, converged = reference_descent(problem, seed, 1e-6, 2000)
+        assert converged and report.stop == "TOL"
+        assert report.field.values.tobytes() == values.tobytes()
+        assert report.final_infidelity == cost
+        assert report.iterations == iterations
+
+    @pytest.mark.parametrize("index,iterations", [(73, 232), (3578, 224)])
+    def test_a_descent_passing_a_saddle_is_not_stopped(self, index, iterations):
+        # lz M = 12 at T = 1.8, seeds from 0.1-3: these descents read an
+        # alignment down to 1.9e-3 near I = 1.7e-3, 160 to 175 steps in, where
+        # a first-order exit at 3e-3 ended them as STALLED; the Hessian there
+        # has an eigenvalue near -2e-4, so no certificate stops them, and they
+        # converge as the exit-free descent does
+        problem = LzProblem(gap=2.0, duration=1.8, n_pulses=12)
+        seed = sample_seeds(SeedSpec(4000, (0.1, 3.0), 2012), problem)[index]
+        report = minimize(problem, seed, tol=1e-6, max_iter=2000)
+        values, cost, reference_iterations, converged = reference_descent(
+            problem, seed, 1e-6, 2000)
+        assert converged and report.stop == "TOL"
+        assert report.iterations == reference_iterations == iterations
+        assert report.field.values.tobytes() == values.tobytes()
+        assert report.final_infidelity == cost
+
+    @pytest.mark.parametrize("failure", [PrefixGrowth, NonFiniteCost, RuntimeError])
+    def test_a_refused_certificate_lets_the_descent_run_on(self, failure, monkeypatch):
+        # a Hessian the chain kernel refuses (PrefixGrowth, NonFiniteCost), or
+        # an eigensolver failure (RuntimeError), certifies nothing: a parked
+        # seed runs on without raising, building at most ceil(log2 max_iter)
+        # + 1 certificates, and converging reports do not change
+        parked = sample_seeds(SeedSpec(1, (-5.0, 5.0), 606), LZ3_GAP1)[0]
+        # lz M = 3 seeds of the optimize_lz_m3 scatter that converge after
+        # building certificates that stop nothing
+        converging = [sample_seeds(SeedSpec(4000, (-5.0, 5.0), 1), LZ3)[i]
+                      for i in (79, 257, 332)]
+        stalled = minimize(LZ3_GAP1, parked, tol=1e-6, max_iter=300)
+        want = [minimize(LZ3, s, tol=1e-6, max_iter=2000) for s in converging]
+        assert stalled.stop == "STALLED" and all(r.converged for r in want)
+
+        def refuse(*args):
+            raise failure("refused")
+
+        monkeypatch.setattr(optimizer, "_eigh" if failure is RuntimeError else "hessian_of",
+                            refuse)
+        certificates = self.count_certificates(monkeypatch)
+        report = minimize(LZ3_GAP1, parked, tol=1e-6, max_iter=300)
+        assert report.stop != "STALLED" and report.iterations > stalled.iterations
+        assert 0 < len(certificates) <= math.ceil(math.log2(300)) + 1
+        for s, r in zip(converging, want):
+            del certificates[:]
+            assert_same_report(minimize(LZ3, s, tol=1e-6, max_iter=2000), r)
+            assert certificates
+
+    def test_a_descent_that_never_reads_below_the_trigger_builds_no_hessian(self,
+                                                                          monkeypatch):
+        readings = self.record_alignments(monkeypatch)
+        certificates = self.count_certificates(monkeypatch)
+        checked = 0
+        for s in sample_seeds(SeedSpec(20, (-5.0, 5.0), 1), LZ3):
+            del readings[:], certificates[:]
+            report = minimize(LZ3, s, tol=1e-6, max_iter=2000)
+            if report.converged and min(readings, default=np.inf) >= optimizer._STALL_TRIGGER:
+                assert certificates == []
+                checked += 1
+        assert checked >= 3
 
 
 class TestBatchedLineSearch:
@@ -450,27 +558,35 @@ class TestBatchedLineSearch:
 
     @pytest.mark.parametrize("case", ["lz_m3", "qho_m6", "line_search"])
     def test_one_factor_build_per_trial_batch(self, case, monkeypatch):
+        # trial batches build order-1 factors; each stall certificate builds
+        # the order-2 factors of one exact Hessian
         problem, seeds, tol, max_iter, _ = ORACLE_CASES[case]
         builds = []
         build = type(problem)._interval_stacks
 
         def counted(self, values, order=2):
-            builds.append(np.shape(values))
+            builds.append((np.shape(values), order))
             return build(self, values, order)
 
         monkeypatch.setattr(type(problem), "_interval_stacks", counted)
-        gauss_newton = 0
+        gauss_newton = n_certificates = 0
         for s in seeds()[:20]:
-            trials = []
-            scalar_minimize(problem, s, tol, max_iter, trials)
+            trials, certificates = [], []
+            scalar_minimize(problem, s, tol, max_iter, trials, certificates)
             del builds[:]
             minimize(problem, s, tol=tol, max_iter=max_iter)
             batches = [gn + -(-n // optimizer._LINE_SEARCH_BATCH) for gn, n in trials]
-            assert len(builds) == 1 + sum(batches)
-            assert builds[0] == (1, problem.n_pulses)
+            trial_builds = [shape for shape, order in builds if order == 1]
+            assert len(trial_builds) == 1 + sum(batches)
+            assert trial_builds[0] == (1, problem.n_pulses)
+            assert builds.count(((problem.n_pulses,), 2)) == len(certificates)
+            assert len(builds) == len(trial_builds) + len(certificates)
             gauss_newton += sum(gn for gn, _ in trials)
+            n_certificates += len(certificates)
         if case != "line_search":
             assert gauss_newton > 0
+        if case == "lz_m3":
+            assert n_certificates > 0
 
 
 class TestGaussNewtonFinish:
