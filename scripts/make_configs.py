@@ -15,8 +15,8 @@ import numpy as np
 LZ3 = {"model": "lz", "delta": 2.0, "T": 1.4 * np.pi / 2, "M": 3}
 LZ6 = {"model": "lz", "delta": 2.0, "T": 1.8, "M": 6}
 LZ48 = {"model": "lz", "delta": 2.0, "T": 1.8, "M": 48}
-QHO6 = {"model": "qho", "omega0": 1.0, "omegaT": 1.0, "N0": 0.0, "T": 1.8, "M": 6}
-QHO48 = {"model": "qho", "omega0": 1.0, "omegaT": 1.0, "N0": 0.0, "T": 1.8, "M": 48}
+QHO6 = {"model": "qho", "omega0": 1.0, "omegaT": 1.0, "T": 1.8, "M": 6}
+QHO48 = {"model": "qho", "omega0": 1.0, "omegaT": 1.0, "T": 1.8, "M": 48}
 
 
 def configs(quick: bool) -> dict:
@@ -33,11 +33,9 @@ def configs(quick: bool) -> dict:
         }),
         "spectrum_lz_m3": ("spectrum", {
             "problem": LZ3, "seed": 1, "search_count": 40,
-            "classify": {"tau_rel": 1e-6},
         }),
         "spectrum_qho_m48": ("spectrum", {
             "problem": QHO48, "seed": 1, "search_count": 10,
-            "classify": {"tau_rel": 1e-6},
         }),
         "fd_error_lz_m6": ("fd-error", {
             "problem": LZ6, "seed": 2, "n_solutions": n_sweeps,
@@ -78,12 +76,12 @@ def configs(quick: bool) -> dict:
     }
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--dir", default="configs")
     parser.add_argument("--quick", action="store_true",
                         help="small counts for a smoke run")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     target = Path(args.dir)
     target.mkdir(parents=True, exist_ok=True)
     manifest = {}

@@ -107,29 +107,19 @@ class UnknownConfigKeys(ValueError):
         self.keys = keys
 
 
-def _read(table: dict, doc, prefix: str, unknown: list) -> dict:
-    """Every key of `table`, read from the JSON object `doc` or at its default;
-    the keys of `doc` that `table` lacks are added to `unknown`."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{prefix[:-1] or 'a config'} must be a JSON object")
-    unknown += [prefix + k for k in sorted(set(doc) - set(table))]
-    cfg = {}
-    for key, entry in table.items():
-        if isinstance(entry, dict):
-            cfg[key] = _read(entry, doc.get(key, {}), f"{prefix}{key}.", unknown)
-        else:
-            kind, default = entry
-            absent = key not in doc or (doc[key] is None and default is None)
-            cfg[key] = default if absent else kind(prefix + key, doc[key])
-    return cfg
-
-
 def _load_config(path: str, command: str) -> dict:
-    """The config at `path`, read through `command`'s table in `_COMMANDS`."""
+    """The config at `path`: every key of `command`'s table in `_COMMANDS`, read
+    from the JSON object or at its default; a key the table lacks is unknown."""
     with open(path) as fh:
         doc = json.load(fh)
-    unknown = []
-    cfg = _read(_COMMANDS[command][1], doc, "", unknown)
+    if not isinstance(doc, dict):
+        raise ValueError("a config must be a JSON object")
+    table = _COMMANDS[command][1]
+    unknown = sorted(set(doc) - set(table))
+    cfg = {}
+    for key, (kind, default) in table.items():
+        absent = key not in doc or (doc[key] is None and default is None)
+        cfg[key] = default if absent else kind(key, doc[key])
     if "problem" in cfg:
         known = problem_to_dict(cfg["problem"])
         unknown += [f"problem.{k}" for k in sorted(set(doc.get("problem", ())) - set(known))]
@@ -244,7 +234,7 @@ def cmd_spectrum(cfg: dict, out: Path) -> int:
     else:
         hess = hessian_of(problem, solution.values)
     spec = eig_sym(hess)
-    is_null = classify_null(spec, tau_rel=cfg["classify"]["tau_rel"])
+    is_null = classify_null(spec)
     lam_max = np.abs(spec.eigenvalues).max()
     rows = [(i, float(spec.eigenvalues[i]),
              float(abs(spec.eigenvalues[i]) / lam_max) if lam_max else 0.0,
@@ -322,7 +312,7 @@ def cmd_compress(cfg: dict, out: Path) -> int:
     spec = FrequencySpec.closure(kept, problem.n_pulses)
     if not spec.excluded:
         raise ValueError(f"kept {kept} closes to every index: there is no power to compress")
-    stride = cfg["protocol_stride"] or max(1, steps // 20)
+    stride = max(1, steps // 20)
     print(f"compress: requested frequencies {kept} closed to {sorted(spec.kept)}")
 
     starts = [r.field for r in _find_solutions(problem, seed, cfg["bounds"],
@@ -401,9 +391,9 @@ def cmd_benchmark(cfg: dict, out: Path) -> int:
     return 0
 
 
-# Every subcommand and its config keys: key -> (kind, default), or a nested
-# table for a JSON object.  A key whose default is None may be absent or null;
-# "bounds" then takes the problem's seed range.
+# Every subcommand and its config keys: key -> (kind, default).  A key whose
+# default is None may be absent or null; "bounds" then takes the problem's
+# seed range.
 _BOUNDS = {"bounds": (_list_of(_number, 2), None)}
 _START = {"solution": (_field, None), "solution_path": (_path, None),
           "solution_index": (_integer, 0), "search_count": (_positive, 60), **_BOUNDS}
@@ -416,7 +406,7 @@ _COMMANDS = {
     "spectrum": (cmd_spectrum, {
         "problem": (_problem, _LZ3), "seed": (_integer, 0),
         "hessian": (_one_of("exact", "fd"), "exact"), "epsilon": (_number, 1e-2),
-        "classify": {"tau_rel": (_number, 1e-6)}, **_START}),
+        **_START}),
     "fd-error": (cmd_fd_error, {
         "problem": (_problem, replace(_LZ3, duration=DEFAULT_T, n_pulses=6)),
         "seed": (_integer, 0), "n_solutions": (_positive, 100),
@@ -433,8 +423,7 @@ _COMMANDS = {
         "kept": (_list_of(_integer), [1, 2]),
         "modes": (_list_of(_one_of("exact", "fd")), ["exact", "fd"]),
         "epsilon": (_number, 1e-2), "h": (_number, 0.005), "steps": (_integer, 800),
-        "n_starts": (_positive, 1), "protocol_stride": (_positive, None),
-        "search_count": (_positive, 40), **_BOUNDS}),
+        "n_starts": (_positive, 1), "search_count": (_positive, 40), **_BOUNDS}),
     "benchmark": (cmd_benchmark, {
         "seed": (_integer, 0), "m_grid": (_list_of(_integer), [3, 6, 12, 24, 48]),
         "models": (_list_of(_one_of("lz", "qho")), ["lz", "qho"]),

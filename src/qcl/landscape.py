@@ -198,8 +198,8 @@ def eig_sym(matrix) -> HessianSpectrum:
 
     LAPACK's dsyevd through numpy's `eigh_lo` gufunc, bit for bit
     `np.linalg.eigh` without its Python wrapper; the returned basis is
-    orthonormal to machine precision and the reconstruction residual is far
-    below the 1e-12 * ||A|| off-diagonal target of an explicit Jacobi sweep.
+    orthonormal to machine precision, with a reconstruction residual far
+    below 1e-12 * ||A||.
     """
     return _descending(*_eigh(_symmetrised(matrix)))
 

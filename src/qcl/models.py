@@ -25,9 +25,10 @@ product times the adjugate of another.  One kernel (`_prefix_chain`,
 `_insertion_terms`) builds on this every term with one or two factors
 replaced, for the exact Hessian (A1 and A2 insertions) and for the
 finite-difference stencil (B - A insertions) alike.  The cost and the gradient
-keep sequential sweeps: `_stacked_sweep` runs one forward sweep over a stack
-of points.  `ChainBatch` adds, for a chosen row, the backward sweep that
-completes its gradient, so a line search costs one factor build and its
+keep sequential sweeps: `_chain_states` runs one row, and `_stacked_sweep`
+one forward sweep over a stack of points.  `ChainBatch` adds, for a chosen
+row, the backward sweep that completes its gradient (`_chain_states` on the
+transposed, reversed chain), so a line search costs one factor build and its
 accepted point's gradient reuses that point's forward states.  Up to
 M = `_DIRECT_STENCIL_MAX_M` the stencil's few points cost less through that
 sweep than through the pair kernel, so there every stencil cost is a direct
@@ -227,7 +228,7 @@ class _ChainProblem:
 
     def infidelity_of(self, values) -> float:
         ket, bra = self._cost_boundary()
-        z = bra @ _chain_state(self._interval_stacks(values, 0)[0], ket)
+        z = bra @ _chain_states(self._interval_stacks(values, 0)[0], ket)[-1]
         return float(_abs2(z))
 
     def _interval_stacks(self, values, order=2):
@@ -311,14 +312,11 @@ class QhoProblem(_ChainProblem):
     omega_target: float
     duration: float
     n_pulses: int
-    n_initial: float = 0.0
 
     def __post_init__(self):
         if not (self.omega_start > 0 and self.omega_target > 0):
             raise ValueError("trap frequencies must be positive")
         super().__post_init__()
-        if self.n_initial < 0:
-            raise ValueError("n_initial must be nonnegative")
 
     def _boundary_vectors(self):
         w0, wt = self.omega_start, self.omega_target
@@ -343,12 +341,13 @@ def _check_field(problem, field: ControlField):
         )
 
 
-def _chain_state(A, ket):
-    """A_{M-1} ... A_0 ket, one interval at a time."""
-    v = ket
-    for m in range(A.shape[0]):
-        v = A[m] @ v
-    return v
+def _chain_states(A, v):
+    """[v, A_0 v, A_1 A_0 v, ..., A_{M-1} ... A_0 v], one interval at a time."""
+    states = [v]
+    for a in A:
+        v = a @ v
+        states.append(v)
+    return states
 
 
 def _stacked_sweep(A, ket, bra):
@@ -356,7 +355,7 @@ def _stacked_sweep(A, ket, bra):
 
     Returns (kets, z, costs): kets[t, r] = A_{t-1} ... A_0 ket of row r,
     z[r] = bra . kets[M, r] and the array costs = `_abs2(z)`.  Each step is
-    one stacked (2x2) @ (2x1) product per row, the product `_chain_state`
+    one stacked (2x2) @ (2x1) product per row, the product `_chain_states`
     takes, so costs[r] equals `infidelity_of` of row r bit for bit.
     """
     rows, m = A.shape[:2]
@@ -401,10 +400,7 @@ class ChainBatch:
         m = A.shape[0]
         kets = np.ascontiguousarray(self._kets[:m, k])
         # bras[t] = bra A_{M-1} ... A_t, collected from t = M down
-        bras = [self._bra]
-        for a in A[::-1]:
-            bras.append(bras[-1] @ a)
-        bras = np.array(bras[::-1])
+        bras = np.array(_chain_states(A[::-1].transpose(0, 2, 1), self._bra)[::-1])
         zg = np.einsum("ja,jab,jb->j", bras[1:], self._A1[k], kets)
         return 2.0 * np.real(np.conj(self.z[k]) * zg), zg
 
@@ -627,8 +623,8 @@ MODEL_SCHEMAS = {
     "lz": ModelSchema(LzProblem, {"delta": "gap", "T": "duration", "M": "n_pulses"},
                       {}, (-5.0, 5.0)),
     "qho": ModelSchema(QhoProblem, {"omega0": "omega_start", "omegaT": "omega_target",
-                                    "N0": "n_initial", "T": "duration", "M": "n_pulses"},
-                       {"omega0": 1.0, "omegaT": 1.0, "N0": 0.0}, (0.1, 3.0)),
+                                    "T": "duration", "M": "n_pulses"},
+                       {"omega0": 1.0, "omegaT": 1.0}, (0.1, 3.0)),
 }
 
 

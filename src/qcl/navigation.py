@@ -337,11 +337,10 @@ def calibrate_epsilon(problem, solution, direction, eps_grid, steps: int, h: flo
     `ENTRY_THRESHOLD`, for every epsilon on the grid, follows the projection
     of one fixed non-zero direction for `steps` RK4 iterations of step `h`
     with no abort ceiling, and records the final main-objective infidelity.
-    A run that leaves the finite range (NONFINITE), wanders where the chain's
-    Hessian cannot be trusted (GROWTH) or meets a Hessian that is not rank 2
-    (RANK_COLLAPSE, as a noise-dominated stencil gives) is recorded as
-    infinite infidelity rather than aborting the sweep.  Returns a list of
-    (epsilon, final_infidelity) pairs.
+    A failed run (with no ceiling: NONFINITE, GROWTH or RANK_COLLAPSE, as a
+    noise-dominated stencil gives) is recorded as infinite infidelity rather
+    than aborting the sweep.  Returns a list of (epsilon, final_infidelity)
+    pairs.
     """
     provider = FixedVector(direction)
     entry_infidelity(problem, solution)
@@ -350,7 +349,7 @@ def calibrate_epsilon(problem, solution, direction, eps_grid, steps: int, h: flo
         traj = navigate(problem, solution, provider, h=h, steps=steps,
                         hessian_mode=FdConfig(float(eps)), abort_ceiling=np.inf)
         final = traj.samples[-1].infidelity
-        if traj.failure_code in ("NONFINITE", "GROWTH", "RANK_COLLAPSE"):
+        if traj.failed:
             final = np.inf
         rows.append((float(eps), float(final)))
     return rows

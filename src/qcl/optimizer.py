@@ -31,9 +31,9 @@ _ARMIJO_SLOPE = 1e-4
 _CONTRACTION = 0.5
 _GRAD_FLOOR = 1e-10
 # Backtracking steps t, t/2, t/4, t/8 share one factor build.  Over the
-# 100-seed scatter_lz3 pass, 1,401 gradient steps are accepted: 24.8% at the
-# first trial, 59.0% at the second, 14.1% at the third and 1.6% at the
-# fourth; 0.4% (6) need a second batch.
+# 100-seed scatter_lz3 pass, 1,155 gradient steps are accepted: 27.4% at the
+# first trial, 55.0% at the second, 15.1% at the third and 2.0% at the
+# fourth; 0.5% (6) need a second batch.
 _LINE_SEARCH_BATCH = 4
 # Both costs are |z|^2, so grad I = 2 Re(conj(z) grad z): at a local minimum
 # with z != 0 the gradient vanishes while grad z does not, and a low alignment
@@ -56,8 +56,8 @@ _STALL_DECREMENT = 1e-2
 # Suppl. 15 (2001) 239).  Over the 4000-seed optimize_lz_m3 scatter the
 # converged set is that of plain descent at 1e-2 and 3e-2; 1e-1 loses two
 # seeds, 3e-1 thirty and Gauss-Newton throughout 129.  The same
-# scatter_lz3 pass accepts 338 of these steps: 62.1% at t = 1, 37.3% at
-# t = 1/2 and 0.6% at t = 1/4.  A trial at t = 1/8 changed no report over
+# scatter_lz3 pass accepts 260 of these steps: 80.4% at t = 1, 19.2% at
+# t = 1/2 and 0.4% at t = 1/4.  A trial at t = 1/8 changed no report over
 # 4650 seeds in five lz and qho populations, nor any of the 2666 polishes of
 # their converged results to 1e-16.
 _GAUSS_NEWTON_BELOW = 1e-2

@@ -21,7 +21,7 @@ equal the cost bit for bit and |alpha|^2 - |beta|^2 must be 1.
 
 import numpy as np
 
-from qcl.models import LzProblem, _chain_state, _factor_tables
+from qcl.models import LzProblem, _chain_states, _factor_tables
 
 
 def chain_sweep(A, ket, bra):
@@ -58,9 +58,9 @@ def reference_gradient(problem, values):
 
 def bogoliubov_pair(problem, values):
     """(alpha, beta) of a QhoProblem: the final mode function, from the production
-    factors and `_chain_state`, projected on the final trap's two modes."""
+    factors and `_chain_states`, projected on the final trap's two modes."""
     ket, bra_beta = problem._cost_boundary()
-    v = _chain_state(problem._interval_stacks(values, 0)[0], ket)
+    v = _chain_states(problem._interval_stacks(values, 0)[0], ket)[-1]
     wt = problem.omega_target
     bra_alpha = np.array([wt, 1j], dtype=complex) / np.sqrt(2.0 * wt)
     return complex(bra_alpha @ v), complex(bra_beta @ v)

@@ -10,7 +10,7 @@ from qcl.landscape import FdConfig, fd_hessian, pointwise_stencil
 from qcl.models import (ChainBatch, LzProblem, NonFiniteCost, PrefixGrowth, QhoProblem,
                         chain_stencil_cost, exact_hessian, gradient_of, hessian_of,
                         problem_from_dict, problem_to_dict, seed_bounds)
-from qcl.models import (_DIRECT_STENCIL_MAX_M, _SERIES_X, _abs2, _chain_state, _check_field,
+from qcl.models import (_DIRECT_STENCIL_MAX_M, _SERIES_X, _abs2, _chain_states, _check_field,
                         _direct_points, _factor_tables)
 from qcl.optimizer import SeedSpec, minimize, polish, sample_seeds
 
@@ -408,7 +408,7 @@ class TestBitParity:
         lo, hi = seed_bounds(problem)
         for v in (np.array(values), rng.uniform(lo, hi, problem.n_pulses)):
             A = reference_interval_stacks(problem, v, 0)[0]
-            assert problem.infidelity_of(v) == float(_abs2(bra @ _chain_state(A, ket)))
+            assert problem.infidelity_of(v) == float(_abs2(bra @ _chain_states(A, ket)[-1]))
             z, zg, _ = reference_chain_derivatives(*reference_interval_stacks(problem, v), ket, bra)
             assert np.all(gradient_of(problem, v) == 2.0 * np.real(np.conj(z) * zg))
 
@@ -809,8 +809,7 @@ class TestSerialization:
         assert problem_from_dict(problem_to_dict(problem)) == problem
 
     def test_round_trip_qho(self):
-        problem = QhoProblem(omega_start=0.7, omega_target=2.0, duration=1.8,
-                             n_pulses=6, n_initial=1.5)
+        problem = QhoProblem(omega_start=0.7, omega_target=2.0, duration=1.8, n_pulses=6)
         assert problem_from_dict(problem_to_dict(problem)) == problem
 
     def test_schema_fields(self):
@@ -818,11 +817,11 @@ class TestSerialization:
         assert doc == {"model": "lz", "delta": 1.0, "T": 2.0, "M": 3}
         doc = problem_to_dict(QhoProblem(omega_start=1.0, omega_target=1.0,
                                          duration=1.8, n_pulses=6))
-        assert set(doc) == {"model", "omega0", "omegaT", "N0", "T", "M"}
+        assert set(doc) == {"model", "omega0", "omegaT", "T", "M"}
 
     def test_schema_defaults_and_seed_bounds(self):
         qho = problem_from_dict({"model": "qho", "T": 1.8, "M": 6})
-        assert (qho.omega_start, qho.omega_target, qho.n_initial) == (1.0, 1.0, 0.0)
+        assert (qho.omega_start, qho.omega_target) == (1.0, 1.0)
         assert seed_bounds(qho) == (0.1, 3.0)
         assert seed_bounds(LzProblem(gap=2.0, duration=1.8, n_pulses=3)) == (-5.0, 5.0)
         with pytest.raises(ValueError, match="problem.delta"):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chain_oracles import reference_z_and_dz
 from qcl import landscape, navigation
 from qcl.control import ControlField, FrequencySpec
 from qcl.landscape import FdConfig, HessianSpectrum, eig_sym, fd_hessian, rank2_ritz
@@ -675,23 +676,144 @@ class TestLzSignSymmetry:
     an oracle-free check of the stencil or exact Hessian, the Ritz step, the
     projection and RK4 together.  M = 7 lies above `_DIRECT_STENCIL_MAX_M`,
     so its FD stencil runs the pair kernel, which takes the mirrored points
-    in another order; exact mode is bitwise."""
+    in another order; exact mode is bitwise.  Time reversal is the second
+    symmetry: I(reversed w) = I(w) to rounding (about 1e-26), and the Hessian
+    is the reversed one, so a drive from reversed w along reversed a is the
+    reversed drive.  That holds only to rounding: the largest state gap over
+    three solutions per M (rng 75 and 76) was 8.9e-15 exact and 4.8e-14 FD."""
+
+    @staticmethod
+    def drive_pair(request, solution, mode, image):
+        """300-step drives from the solution along a and from its image along a's image."""
+        problem, field = request.getfixturevalue(solution)
+        a = np.random.default_rng(15).normal(size=problem.n_pulses)
+        mirrored = ControlField(values=image(field.values), total_time=field.total_time)
+        runs = [navigate(problem, start, FixedVector(v), h=0.01, steps=300, hessian_mode=mode)
+                for start, v in ((field, a), (mirrored, image(a)))]
+        assert not any(run.failed for run in runs)
+        assert [len(run.samples) for run in runs] == [301, 301]
+        return runs
 
     @pytest.mark.parametrize("solution", ["lz3_solution", "lz7_solution"])
     @pytest.mark.parametrize("mode,tol", [("exact", 0.0), (FdConfig(1e-2), 1e-12)],
                              ids=["exact", "fd"])
     def test_negated_start_and_direction_negate_the_run(self, request, solution, mode, tol):
-        problem, field = request.getfixturevalue(solution)
-        a = np.random.default_rng(15).normal(size=problem.n_pulses)
-        mirrored = ControlField(values=-field.values, total_time=field.total_time)
-        pos = navigate(problem, field, FixedVector(a), h=0.01, steps=300, hessian_mode=mode)
-        neg = navigate(problem, mirrored, FixedVector(-a), h=0.01, steps=300,
-                       hessian_mode=mode)
-        assert not pos.failed and not neg.failed
-        assert len(pos.samples) == len(neg.samples) == 301
+        pos, neg = self.drive_pair(request, solution, mode, np.negative)
         # at tol 0 both hold only bit for bit
         assert np.abs(neg.values_matrix() + pos.values_matrix()).max() <= tol
         assert np.abs(neg.infidelities() - pos.infidelities()).max() <= tol
+
+    @pytest.mark.parametrize("solution", ["lz3_solution", "lz7_solution"])
+    @pytest.mark.parametrize("mode", ["exact", FdConfig(1e-2)], ids=["exact", "fd"])
+    def test_reversed_start_and_direction_reverse_the_run(self, request, solution, mode):
+        run, rev = self.drive_pair(request, solution, mode, lambda v: v[::-1])
+        assert np.abs(rev.values_matrix()[:, ::-1] - run.values_matrix()).max() <= 1e-12
+        assert np.abs(rev.infidelities() - run.infidelities()).max() <= 1e-12
+
+
+def curve_residual_and_jacobian(problem, x):
+    """(Re z, Im z) and J = [Re grad z; Im grad z] at x, from the tests' own sweep."""
+    z, dz = reference_z_and_dz(problem, x)
+    return np.array([z.real, z.imag]), np.array([dz.real, dz.imag])
+
+
+def onto_curve(problem, x):
+    """x carried onto the solution set z = 0 by minimum-norm Newton steps; the
+    steps converge quadratically, so after one below 1e-10 the next is rounding."""
+    for _ in range(30):
+        r, jac = curve_residual_and_jacobian(problem, x)
+        step = np.linalg.lstsq(jac, -r, rcond=None)[0]
+        x = x + step
+        if np.linalg.norm(step) < 1e-10:
+            return x
+    raise AssertionError("the Newton corrector did not converge")
+
+
+def curve_tangent(problem, x, along):
+    """Unit tangent Re grad z x Im grad z of an M = 3 solution curve, signed along `along`."""
+    _, jac = curve_residual_and_jacobian(problem, x)
+    t = np.cross(jac[0], jac[1])
+    t /= np.linalg.norm(t)
+    return t if t @ along > 0 else -t
+
+
+def loop_polygon(problem, start, chord):
+    """Perimeter of a polygon inscribed in the closed solution curve through
+    `start`: predictor steps of length `chord` along the tangent, each
+    corrected onto the curve, and a last chord that closes on `start`."""
+    x = start
+    t = curve_tangent(problem, x, np.ones(3))
+    total = 0.0
+    for _ in range(100_000):
+        gap = start - x
+        if np.linalg.norm(gap) <= chord and gap @ t > 0:
+            return total + np.linalg.norm(gap)
+        y = onto_curve(problem, x + chord * t)
+        total += np.linalg.norm(y - x)
+        x, t = y, curve_tangent(problem, y, t)
+    raise AssertionError("the curve through the start did not close")
+
+
+def loop_length(problem, start):
+    """The loop's length L by Richardson extrapolation of inscribed polygons.
+
+    A chord of length l falls short of its arc by kappa^2 l^3 / 24, so n
+    equal chords fall short of L by O(n^-2) and two Richardson steps leave
+    O(n^-6).  Equal chords need a first estimate of L, from a coarse polygon.
+    """
+    rough = loop_polygon(problem, start, 2e-2)
+    p1, p2, p4 = (loop_polygon(problem, start, rough / n) for n in (100, 200, 400))
+    r1, r2 = (4.0 * p2 - p1) / 3.0, (4.0 * p4 - p2) / 3.0
+    return (16.0 * r2 - r1) / 15.0
+
+
+def return_zeta(traj):
+    """The zeta at which a drive around a loop crosses back through the plane
+    through its start normal to its first step, from a cubic in the four
+    samples about the crossing."""
+    xs = traj.values_matrix()
+    zeta = np.array([s.zeta for s in traj.samples])
+    t = (xs[1] - xs[0]) / np.linalg.norm(xs[1] - xs[0])
+    s = (xs - xs[0]) @ t
+    k = np.flatnonzero((s[1:-2] < 0.0) & (s[2:-1] >= 0.0))[-1] + 1
+    window = slice(k - 1, k + 3)
+    return float(np.polyval(np.polyfit(s[window], zeta[window], 3), 0.0))
+
+
+class TestDriveReturn:
+    """Where the drive goes along the solution set, which infidelity cannot see.
+
+    The lz M = 3 solution curve through `lz3_solution` is a closed loop, and
+    NullFollow moves at unit speed, so a drive should cross back through its
+    start at zeta = L.  L comes from the tests' own sweep by continuation
+    (`loop_length`): 1.20438324, to about 1e-9.  The drive starts from the solution carried
+    onto the curve: the polished solution (I = 8e-19) sits 3.1e-8 off it, in
+    the weak direction of a Hessian with lambda_2 / lambda_1 = 1.5e-3, and
+    follows a neighbouring loop 1.5e-7 longer.
+
+    The FD drive's error is the four-point stencil's O(eps^2) bias.  Measured
+    at h = 0.01, zeta - L reads -7.50e-4, -1.87e-4 and -4.67e-5 at eps = 1e-2,
+    5e-3 and 2.5e-3 (ratios 4.00 and 4.01), and +2.4e-7 in exact mode, which
+    is RK4's error (1.2e-8 at h = 0.005).  Each drive takes 0.05-0.07 s, and L
+    0.26 s.
+    """
+
+    def test_fd_return_error_falls_as_epsilon_squared(self, lz3_solution):
+        problem, field = lz3_solution
+        start = onto_curve(problem, field.values)
+        length = loop_length(problem, start)
+        begin = ControlField(values=start, total_time=field.total_time)
+
+        def return_error(mode):
+            traj = navigate(problem, begin, NullFollow(), h=0.01,
+                            steps=int(length / 0.01) + 5, hessian_mode=mode)
+            assert not traj.failed
+            return return_zeta(traj) - length
+
+        fd = [return_error(FdConfig(eps)) for eps in (1e-2, 5e-3, 2.5e-3)]
+        for coarse, fine in zip(fd, fd[1:]):
+            assert 3.5 <= coarse / fine <= 4.5, fd
+        assert abs(return_error("exact")) < min(map(abs, fd)) / 10.0, fd
 
 
 class TestTrajectoryIo:
