@@ -31,36 +31,44 @@ _ARMIJO_SLOPE = 1e-4
 _CONTRACTION = 0.5
 _GRAD_FLOOR = 1e-10
 # Backtracking steps t, t/2, t/4, t/8 share one factor build.  Over the
-# 100-seed scatter_lz3 pass, 1,155 gradient steps are accepted: 27.4% at the
-# first trial, 55.0% at the second, 15.1% at the third and 2.0% at the
-# fourth; 0.5% (6) need a second batch.
+# 100-seed scatter_lz3 pass, 775 gradient steps are accepted: 34.8% at the
+# first trial, 45.9% at the second, 15.9% at the third and 2.7% at the
+# fourth; 0.6% (5) need a second batch.
 _LINE_SEARCH_BATCH = 4
 # Both costs are |z|^2, so grad I = 2 Re(conj(z) grad z): at a local minimum
 # with z != 0 the gradient vanishes while grad z does not, and a low alignment
 # a = |grad I| / (2 ||grad z|| |z|) is the cheap sign of a parked descent.  It
 # cannot tell one from a descent passing a saddle, so below _STALL_TRIGGER the
 # descent builds the exact Hessian and stops only on a second-order
-# certificate: H positive definite and the Newton decrement 1/2 g^T H^-1 g
-# below _STALL_DECREMENT * I (Boyd & Vandenberghe, Convex Optimization,
-# 9.5.1).  Near the solution set the Gauss-Newton part dominates and the
-# ratio reads about 1; the smallest ratio of a converging descent at a
-# positive-definite Hessian was 0.207 (lz M = 3, T = 2.5), 0.75 (lz M = 6),
-# 0.88 (qho M = 6) and 0.90 (lz M = 12, T = 1.8): a margin of 20x.  A check
-# that fails doubles the wait before the next (1, 2, 4, ... iterations), so a
-# descent builds at most ceil(log2 max_iter) + 1 Hessians.
+# certificate: H positive definite, with its smallest eigenvalue above
+# _STALL_CURVATURE_FLOOR times its largest, and the Newton decrement
+# 1/2 g^T H^-1 g below _STALL_DECREMENT * I (Boyd & Vandenberghe, Convex
+# Optimization, 9.5.1).  Near the solution set the Gauss-Newton part
+# dominates and the ratio reads about 1; the smallest ratio of a converging
+# descent at a positive-definite Hessian was 0.207 (lz M = 3, T = 2.5), 0.74
+# (lz M = 6), 0.88 (qho M = 6) and 0.89 (lz M = 12, T = 1.8): a margin of
+# 20x.  A check that fails doubles the wait before the next (1, 2, 4, ...
+# iterations), so a descent builds at most ceil(log2 max_iter) + 1 Hessians.
 _STALL_TRIGGER = 3e-2
 _STALL_DECREMENT = 1e-2
+# A positive smallest eigenvalue at rounding relative to the largest is a
+# saddle the eigensolver cannot sign, not a minimum.  At every certified stall
+# of the README's populations lambda_min / lambda_max read at least 7.8e-3
+# (lz M = 3), 6.1e-3 (lz M = 6) and 2.3e-4 (lz M = 12, T = 1.8): a margin of
+# over 200x above the floor.
+_STALL_CURVATURE_FLOOR = 1e-6
 # Below this cost each iteration first tries the Levenberg-Marquardt step
 # delta = -J^T (J J^T + I 1)^-1 r, J = [Re grad z; Im grad z], at the steps
 # _GAUSS_NEWTON_STEPS (damping mu = |z|^2: Yamashita & Fukushima, Computing
 # Suppl. 15 (2001) 239).  Over the 4000-seed optimize_lz_m3 scatter the
-# converged set is that of plain descent at 1e-2 and 3e-2; 1e-1 loses two
-# seeds, 3e-1 thirty and Gauss-Newton throughout 129.  The same
-# scatter_lz3 pass accepts 260 of these steps: 80.4% at t = 1, 19.2% at
-# t = 1/2 and 0.4% at t = 1/4.  A trial at t = 1/8 changed no report over
-# 4650 seeds in five lz and qho populations, nor any of the 2666 polishes of
+# converged set is that of plain descent from 1e-2 to 5e-2, while 1e-1 loses
+# two seeds; 3e-2 takes 42,395 iterations against 57,835 at 1e-2, and keeps
+# the converged set of every population in the README's table.  The
+# scatter_lz3 pass accepts 304 of these steps: 82.6% at t = 1, 17.1% at
+# t = 1/2 and 0.3% at t = 1/4.  A trial at t = 1/8 changed no report over
+# 4650 seeds in five lz and qho populations, nor any of the 2668 polishes of
 # their converged results to 1e-16.
-_GAUSS_NEWTON_BELOW = 1e-2
+_GAUSS_NEWTON_BELOW = 3e-2
 _GAUSS_NEWTON_STEPS = (1.0, 0.5, 0.25)
 # `polish`'s iteration cap; from a `minimize` result at 1e-6 the finish
 # reaches 1e-16 in one to three iterations
@@ -128,14 +136,15 @@ def _gauss_newton_step(z, dz, cost) -> np.ndarray:
 
 
 def _certified_stall(problem, values, grad, cost) -> bool:
-    """Whether the exact Hessian at `values` is positive definite with a Newton
+    """Whether the exact Hessian at `values` is positive definite, its smallest
+    eigenvalue above `_STALL_CURVATURE_FLOOR` times its largest, with a Newton
     decrement 1/2 g^T H^-1 g below `_STALL_DECREMENT` * cost.  A Hessian the
     chain kernel refuses, or an eigensolver failure, certifies nothing."""
     try:
         vals, vecs = _eigh(hessian_of(problem, values))
     except (PrefixGrowth, NonFiniteCost, RuntimeError):
         return False
-    if not vals[0] > 0.0:
+    if not vals[0] > _STALL_CURVATURE_FLOOR * vals[-1]:
         return False
     proj = vecs.T @ grad
     return 0.5 * float(proj @ (proj / vals)) < _STALL_DECREMENT * cost
@@ -170,15 +179,16 @@ def minimize(problem, seed: ControlField, tol: float = 1e-6,
     It stops as STALLED at a certified local minimum: where the alignment
     |grad I| / (2 ||grad z|| |z|) reads below 3e-2 (the gradient of I = |z|^2
     vanishes at a local minimum with z != 0 while grad z does not), the exact
-    Hessian is positive definite and the Newton decrement 1/2 g^T H^-1 g is
-    below 1e-2 I.  A failed check doubles the wait before the next one.
-    Below I = 1e-2 each iteration first tries the Levenberg-Marquardt step
-    -J^T (J J^T + I 1)^-1 (Re z, Im z), J = [Re grad z; Im grad z], at
-    t = 1, 1/2, 1/4 under the same Armijo rule, and falls back to the
-    gradient line search, whose warm-started step it leaves alone, if none
-    is acceptable.  A non-finite cost ends this report as unconverged
-    (NONFINITE) instead of raising, so a batch of seeds survives individual
-    failures.  A negative or non-finite `tol`, or a negative `max_iter`, raises.
+    Hessian is positive definite with lambda_min > 1e-6 lambda_max, and the
+    Newton decrement 1/2 g^T H^-1 g is below 1e-2 I.  A failed check doubles
+    the wait before the next one.  Below I = 3e-2 each iteration first
+    tries the Levenberg-Marquardt step -J^T (J J^T + I 1)^-1 (Re z, Im z),
+    J = [Re grad z; Im grad z], at t = 1, 1/2, 1/4 under the same Armijo
+    rule, and falls back to the gradient line search, whose warm-started step
+    it leaves alone, if none is acceptable.  A non-finite cost ends this
+    report as unconverged (NONFINITE) instead of raising, so a batch of seeds
+    survives individual failures.  A negative or non-finite `tol`, or a
+    negative `max_iter`, raises.
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
@@ -244,7 +254,7 @@ def minimize(problem, seed: ControlField, tol: float = 1e-6,
 def polish(problem, field: ControlField, target: float = 1e-16) -> OptimizationReport:
     """`minimize` of a near-solution down to `target`.
 
-    Started below I = 1e-2, every iteration tries `minimize`'s damped
+    Started below I = 3e-2, every iteration tries `minimize`'s damped
     Gauss-Newton step first, which converges quadratically to the solution
     set, so a `minimize` result at 1e-6 reaches 1e-16 in a few iterations.
     """

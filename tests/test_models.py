@@ -1,4 +1,5 @@
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -586,8 +587,8 @@ def navigation_solutions():
         seeds = sample_seeds(SeedSpec(count=60, bounds=seed_bounds(problem), rng_seed=seed),
                              problem)
         reports = (minimize(problem, s, tol=1e-6, max_iter=2000) for s in seeds)
-        points = [polish(problem, r.field, target=1e-16).field.values
-                  for r in reports if r.converged][:15]
+        points = list(islice((polish(problem, r.field, target=1e-16).field.values
+                              for r in reports if r.converged), 15))
         assert len(points) == 15
         found.append((problem, points))
     return found
@@ -607,7 +608,9 @@ class TestStencilAccuracyAtSolutions:
         # I = 1e-2, the per-offset medians were 0.78-1.23 and the largest
         # ratio 2.78 (qho M = 48, offset 2e-2), with 2 of 15 solutions per
         # model above 2x.  The bounds, fixed from that distribution: the
-        # median within 1.5x, every solution within 8x (about 3x the largest)
+        # median within 1.5x, every solution within 8x (about 3x the largest).
+        # Below 3e-2 the descents land on other solutions, where the medians
+        # read 0.72-1.12 and the largest 4.26 (lz M = 12, offset 2e-2)
         problem, points = navigation_solutions[which]
         m = problem.n_pulses
         assert m > _DIRECT_STENCIL_MAX_M
